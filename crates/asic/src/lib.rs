@@ -6,9 +6,11 @@
 //! * **SRAM with word packing** ([`sram`]) — exact-match tables live in
 //!   112-bit SRAM words; several compact entries pack into one word
 //!   (SilkRoad packs four 28-bit ConnTable entries per word).
-//! * **Exact-match tables over multi-stage cuckoo hashing** ([`table`]) —
-//!   lookups are line-rate; *insertions are software*, performed by the
-//!   switch management CPU ([`cpu`]) which runs the BFS move search.
+//! * **Exact-match table entry layouts** ([`table`]) — what one entry
+//!   costs in SRAM and how word packing fixes the bucket width of the
+//!   multi-stage cuckoo store (which lives in `sr-hash`). Lookups are
+//!   line-rate; *insertions are software*, performed by the switch
+//!   management CPU ([`cpu`]) which runs the BFS move search.
 //! * **Learning filter** ([`learning`]) — batches first-packet events (with
 //!   deduplication) toward the CPU, notifying on full-or-timeout.
 //! * **Transactional memory / register arrays** ([`register`]) — one-cycle
@@ -46,4 +48,4 @@ pub use pipeline::{MatchKind, PipelineProgram, RegisterDecl, TableDecl, TableDep
 pub use register::RegisterArray;
 pub use resources::{AsicGeneration, RatioError, ResourceModel, ResourcePercent, ResourceUsage};
 pub use sram::{SramError, SramSpec, WORD_BITS};
-pub use table::{ExactMatchTable, TableSpec};
+pub use table::TableSpec;

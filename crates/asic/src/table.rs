@@ -1,14 +1,16 @@
-//! Exact-match tables with SRAM accounting.
+//! Exact-match table entry layouts and their SRAM cost.
 //!
-//! An [`ExactMatchTable`] couples the multi-stage cuckoo store from
-//! `sr-hash` with a [`TableSpec`] describing the on-chip entry layout, so
-//! every table knows both its *behaviour* (lookup/insert/relocate) and its
-//! *cost* (SRAM words, crossbar bits, hash bits) — the latter feeds the
-//! Table 2 resource model and the Fig 12/14 memory results.
+//! A [`TableSpec`] describes the on-chip layout of one table entry — the
+//! *cost* side of a table (SRAM words, crossbar bits, hash bits) that feeds
+//! the Table 2 resource model and the Fig 12/14 memory results. The
+//! *behaviour* side (lookup/insert/relocate) is the multi-stage cuckoo
+//! store in `sr-hash`; the one rule tying them together is how many entries
+//! pack into an SRAM word, which fixes the cuckoo bucket width — see
+//! [`TableSpec::cuckoo_config`].
 
 use crate::sram::SramSpec;
+use sr_hash::cuckoo::CuckooConfig;
 pub use sr_hash::cuckoo::MatchMode;
-use sr_hash::cuckoo::{CuckooConfig, CuckooError, CuckooTable, InsertOutcome, LookupHit};
 
 /// On-chip layout of one table entry.
 #[derive(Clone, Copy, Debug)]
@@ -50,225 +52,20 @@ impl TableSpec {
         self.sram().bytes_for(n)
     }
 
-    /// [`TableSpec::bytes_for`] with typed failure on zero-width layouts
-    /// and overflow (see [`crate::sram::SramError`]).
-    pub fn try_bytes_for(&self, n: u64) -> Result<u64, crate::sram::SramError> {
-        self.sram().try_bytes_for(n)
-    }
-}
-
-/// An exact-match table instantiated across pipeline stages.
-pub struct ExactMatchTable<V> {
-    spec: TableSpec,
-    inner: CuckooTable<V>,
-}
-
-impl<V: Clone> ExactMatchTable<V> {
-    /// Build a table for ~`capacity` entries over `stages` stages with the
-    /// given entry layout and match mode.
-    pub fn new(
+    /// Geometry of the cuckoo store that holds ~`capacity` entries of this
+    /// layout over `stages` stages: as many ways per bucket as entries
+    /// pack into one SRAM word (at least one).
+    pub fn cuckoo_config(
+        &self,
         capacity: usize,
         stages: usize,
-        spec: TableSpec,
         match_mode: MatchMode,
         seed: u64,
-    ) -> ExactMatchTable<V> {
-        let entries_per_word = SramSpec {
-            entry_bits: spec.entry_bits(),
-        }
-        .entries_per_word()
-        .max(1) as usize;
+    ) -> CuckooConfig {
+        let entries_per_word = self.sram().entries_per_word().max(1) as usize;
         let mut cfg = CuckooConfig::for_capacity(capacity, stages, entries_per_word, seed);
         cfg.match_mode = match_mode;
-        ExactMatchTable {
-            spec,
-            inner: CuckooTable::new(cfg),
-        }
-    }
-
-    /// The entry layout.
-    pub fn spec(&self) -> &TableSpec {
-        &self.spec
-    }
-
-    /// Entries currently stored.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Occupancy fraction.
-    pub fn load_factor(&self) -> f64 {
-        self.inner.load_factor()
-    }
-
-    /// Capacity in slots.
-    pub fn capacity(&self) -> usize {
-        self.inner.config().total_slots()
-    }
-
-    /// SRAM bytes provisioned for this table (whole geometry, not just
-    /// occupied entries) — what Fig 12 reports.
-    pub fn provisioned_bytes(&self) -> u64 {
-        self.spec.bytes_for(self.capacity() as u64)
-    }
-
-    /// SRAM bytes for the *occupied* entries only.
-    pub fn occupied_bytes(&self) -> u64 {
-        self.spec.bytes_for(self.len() as u64)
-    }
-
-    /// ASIC-path lookup (first match-field hit in stage order).
-    pub fn lookup(&self, key: &[u8]) -> Option<LookupHit<'_, V>> {
-        self.inner.lookup(key)
-    }
-
-    /// [`ExactMatchTable::lookup`] from precomputed hashes (the hash-once
-    /// packet path): `stage_hashes[i]` is `stage_fns()[i]` over the key,
-    /// `match_hash` is `match_fn()` over the key.
-    pub fn lookup_pre(
-        &self,
-        key: &[u8],
-        stage_hashes: &[u64],
-        match_hash: u64,
-    ) -> Option<LookupHit<'_, V>> {
-        self.inner.lookup_pre(key, stage_hashes, match_hash)
-    }
-
-    /// Data-plane lookup that sets the entry's hit bit on an exact match.
-    pub fn lookup_marking(&mut self, key: &[u8]) -> Option<LookupHit<'_, V>> {
-        self.inner.lookup_marking(key)
-    }
-
-    /// Warm the match-field words a prehashed probe will read (pure loads,
-    /// no side effects) — see [`CuckooTable::prefetch_words_pre`].
-    pub fn prefetch_words_pre(&self, stage_hashes: &[u64]) {
-        self.inner.prefetch_words_pre(stage_hashes);
-    }
-
-    /// Warm the entry a prehashed probe would dereference — see
-    /// [`CuckooTable::prefetch_entry_pre`].
-    pub fn prefetch_entry_pre(&self, stage_hashes: &[u64], match_hash: u64) {
-        self.inner.prefetch_entry_pre(stage_hashes, match_hash);
-    }
-
-    /// [`ExactMatchTable::lookup_marking`] from precomputed hashes.
-    pub fn lookup_marking_pre(
-        &mut self,
-        key: &[u8],
-        stage_hashes: &[u64],
-        match_hash: u64,
-    ) -> Option<LookupHit<'_, V>> {
-        self.inner.lookup_marking_pre(key, stage_hashes, match_hash)
-    }
-
-    /// The table's layout generation — see [`CuckooTable::epoch`].
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch()
-    }
-
-    /// First half of a split probe — see [`CuckooTable::locate_pre`].
-    pub fn locate_pre(
-        &self,
-        key: &[u8],
-        stage_hashes: &[u64],
-        match_hash: u64,
-    ) -> Option<(u32, u32)> {
-        self.inner.locate_pre(key, stage_hashes, match_hash)
-    }
-
-    /// Second half of a split probe — see
-    /// [`CuckooTable::lookup_marking_at`].
-    pub fn lookup_marking_at(&mut self, stage: u32, slot: u32, key: &[u8]) -> LookupHit<'_, V> {
-        self.inner.lookup_marking_at(stage, slot, key)
-    }
-
-    /// Per-stage bucket-hash functions (for assembling a hash-once list).
-    pub fn stage_fns(&self) -> &[sr_hash::HashFn] {
-        self.inner.stage_fns()
-    }
-
-    /// The match-field hash function (shared digest hash or fingerprint).
-    pub fn match_fn(&self) -> sr_hash::HashFn {
-        self.inner.match_fn()
-    }
-
-    /// Software-path exact lookup with mutation.
-    pub fn lookup_exact_mut(&mut self, key: &[u8]) -> Option<&mut V> {
-        self.inner.lookup_exact_mut(key)
-    }
-
-    /// Software-path insertion (BFS move search).
-    pub fn insert(&mut self, key: &[u8], value: V) -> Result<InsertOutcome, CuckooError> {
-        self.inner.insert(key, value)
-    }
-
-    /// [`ExactMatchTable::insert`] from precomputed hashes — the batched
-    /// setup path reuses the hashes the packet path computed at learn time,
-    /// and the shared BFS scratch inside the table makes the whole install
-    /// allocation-free at steady state. Placement is bit-identical to
-    /// [`ExactMatchTable::insert`]; see [`CuckooTable::insert_pre`].
-    pub fn insert_pre(
-        &mut self,
-        key: &[u8],
-        stage_hashes: &[u64],
-        match_hash: u64,
-        value: V,
-    ) -> Result<InsertOutcome, CuckooError> {
-        self.inner.insert_pre(key, stage_hashes, match_hash, value)
-    }
-
-    /// [`ExactMatchTable::insert_pre`] after the caller just probed these
-    /// hashes and missed — skips the duplicate scan and, for alias-free
-    /// free-slot landings, the shadowing re-probe; see
-    /// [`CuckooTable::insert_vacant_pre`].
-    pub fn insert_vacant_pre(
-        &mut self,
-        key: &[u8],
-        stage_hashes: &[u64],
-        match_hash: u64,
-        value: V,
-    ) -> Result<InsertOutcome, CuckooError> {
-        self.inner
-            .insert_vacant_pre(key, stage_hashes, match_hash, value)
-    }
-
-    /// Software-path removal.
-    pub fn remove(&mut self, key: &[u8]) -> Result<V, CuckooError> {
-        self.inner.remove(key)
-    }
-
-    /// False-positive repair: move the resident entry to another stage.
-    pub fn relocate(&mut self, key: &[u8]) -> Result<usize, CuckooError> {
-        self.inner.relocate(key)
-    }
-
-    /// Iterate all (key, value) pairs (software side).
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &V)> {
-        self.inner.iter()
-    }
-
-    /// Expiry scan: drop entries failing the predicate.
-    pub fn retain<F: FnMut(&[u8], &V) -> bool>(&mut self, pred: F) -> Vec<(Box<[u8]>, V)> {
-        self.inner.retain(pred)
-    }
-
-    /// Clock-algorithm aging sweep over per-entry hit bits: survivors get
-    /// their bit cleared, non-survivors are removed and returned.
-    pub fn retain_hits<F: FnMut(&[u8], &V, bool) -> bool>(
-        &mut self,
-        pred: F,
-    ) -> Vec<(Box<[u8]>, V)> {
-        self.inner.retain_hits(pred)
-    }
-
-    /// Cumulative BFS move count.
-    pub fn total_moves(&self) -> u64 {
-        self.inner.total_moves()
+        cfg
     }
 }
 
@@ -286,44 +83,26 @@ mod tests {
     }
 
     #[test]
-    fn table_roundtrip_with_accounting() {
-        let mut t: ExactMatchTable<u8> = ExactMatchTable::new(
+    fn cuckoo_geometry_follows_word_packing() {
+        // 28-bit entries pack 4 to a 112-bit word: 4-way buckets.
+        let cfg = TableSpec::silkroad_conntable().cuckoo_config(
             1000,
             4,
-            TableSpec::silkroad_conntable(),
             MatchMode::Digest { bits: 16 },
             5,
         );
-        assert!(t.capacity() >= 1000);
-        assert!(t.provisioned_bytes() > 0);
-        assert_eq!(t.occupied_bytes(), 0);
-        t.insert(b"key-a", 1).unwrap();
-        t.insert(b"key-b", 2).unwrap();
-        assert_eq!(t.len(), 2);
-        assert!(t.occupied_bytes() > 0);
-        assert_eq!(*t.lookup(b"key-a").unwrap().value, 1);
-        assert_eq!(t.remove(b"key-b").unwrap(), 2);
-        assert!(t.lookup(b"key-b").is_none() || !t.lookup(b"key-b").unwrap().exact);
-    }
-
-    #[test]
-    fn full_key_table_has_no_false_hits() {
-        let mut t: ExactMatchTable<u8> = ExactMatchTable::new(
-            100,
-            2,
-            TableSpec {
-                match_bits: 104,
-                action_bits: 48,
-                overhead_bits: 6,
-            },
-            MatchMode::FullKey,
-            9,
-        );
-        t.insert(b"only", 1).unwrap();
-        for i in 0..10_000u32 {
-            if let Some(hit) = t.lookup(&i.to_be_bytes()) {
-                assert!(hit.exact, "full-key table produced inexact hit");
-            }
-        }
+        assert_eq!(cfg.entries_per_word, 4);
+        assert_eq!(cfg.stages, 4);
+        assert!(cfg.total_slots() >= 1000);
+        assert!(matches!(cfg.match_mode, MatchMode::Digest { bits: 16 }));
+        // An entry wider than a word still gets one way per bucket.
+        let wide = TableSpec {
+            match_bits: 104,
+            action_bits: 48,
+            overhead_bits: 6,
+        };
+        let cfg = wide.cuckoo_config(100, 2, MatchMode::FullKey, 9);
+        assert_eq!(cfg.entries_per_word, 1);
+        assert!(matches!(cfg.match_mode, MatchMode::FullKey));
     }
 }

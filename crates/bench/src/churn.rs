@@ -1,5 +1,5 @@
-//! `repro churn` — paced new-connection saturation sweep over the
-//! batched setup pipeline (`BENCH_churn.json`).
+//! `repro churn` — the connection-setup correctness gate
+//! (`BENCH_churn.json`).
 //!
 //! SilkRoad's headline claim is surviving Fig 8 churn rates — up to tens
 //! of millions of *new* connections per VIP-minute — while the switch
@@ -10,24 +10,16 @@
 //! TransitTable promote, with data packets and closes riding along and
 //! two DIP-pool updates landing mid-run so the PCC machinery is live.
 //!
-//! Two paired arms process the identical workload:
-//!
-//! - **baseline** — the pre-change pipeline: one `process_packet` call
-//!   per packet, with `legacy_setup` routing installs through the
-//!   re-hashing lookup+insert path.
-//! - **batched** — `process_batch_into` with the fused setup stage:
-//!   hash-once misses, bulk bloom precompute, in-chunk learn dedup, and
-//!   hash-reusing (`*_pre`) installs.
-//!
-//! Timing and verification are separate passes over the same workload:
-//! the timed arms only move packets (plus learn-queue depth and transit
-//! occupancy samples at wave boundaries), while untimed verification
-//! runs fold every decision into the engine's commutative digest and
-//! check per-connection consistency (first DIP never changes). The
-//! digest must be bit-identical batched-vs-per-packet and across
-//! 1/2/4-pipe engines — the proof that the fast path changed *nothing*
-//! observable. Gate logic lives in the `repro` binary; this module only
-//! measures.
+//! Every run folds each decision into the engine's commutative digest
+//! and checks per-connection consistency (first DIP never changes). The
+//! identical workload goes through one `process_packet` call per packet
+//! and through chunked `process_batch_into` at 1/2/4 pipes; all digests
+//! must be bit-identical — the proof that the fused batch path changes
+//! *nothing* observable. Nothing here reads a clock: every reported
+//! number (learn-queue depth, TransitTable fill, digests) is
+//! deterministic, and setup *rates* are the `churn` workload of
+//! `benchmark/` (`setups_per_s`, `conn_table.install_ns_per_entry`).
+//! Gate logic lives in the `repro` binary; this module only measures.
 //!
 //! `flood` is the adversarial variant: a deterministic storm of
 //! never-completing SYNs (each 5-tuple seen exactly once, far beyond
@@ -37,40 +29,24 @@
 //! installed state, and the background flows must see zero PCC
 //! violations.
 
-use silkroad::{
-    DataPath, FlowSteering, ForwardDecision, MultiPipeSwitch, PoolUpdate, SilkRoadConfig,
-};
-use sr_hash::{splitmix64, FxHashMap};
+use silkroad::engine::packet_digest;
+use silkroad::{FlowSteering, ForwardDecision, MultiPipeSwitch, PoolUpdate, SilkRoadConfig};
+use sr_hash::FxHashMap;
 use sr_types::{Addr, Dip, Duration, FiveTuple, Nanos, PacketMeta, Vip};
-
-/// Enforced full-run floor for [`ChurnBench::gate_speedup`]: a regression
-/// tripwire, not the goal. Quiet 1-core runs measure 1.9–2.2×, but a
-/// loaded host can shave ~25% off the batched arm, so the floor leaves
-/// that much headroom while still tripping on any real regression back
-/// toward parity.
-pub const SPEEDUP_FLOOR: f64 = 1.3;
-
-/// The aspirational batched-over-per-packet ratio the sweep reports
-/// against. Measured runs land around ~2.2× on a quiet 1-core host: the
-/// hash-once/inline-key plumbing that earlier milestones added to *both*
-/// arms already amortized much of what batching buys, and the remaining
-/// per-setup work (key hashing, cuckoo probes, learn-gate membership) is
-/// shared — see EXPERIMENTS.md for the breakdown.
-pub const SPEEDUP_TARGET: f64 = 3.0;
 
 /// Workload shape for one churn sweep.
 #[derive(Clone, Debug)]
 pub struct ChurnParams {
-    /// Untimed warmup waves before the clock starts (buffers, caches,
-    /// and the install path all go hot — same reasoning as the
-    /// saturation sweep's warmup pass).
+    /// Lead-in waves before the counted window: the table is populated
+    /// and cohorts are closing by the time updates and samples land.
     pub warmup_waves: u32,
-    /// Timed waves of new connections.
+    /// Counted waves of new connections (setups, depth/fill samples and
+    /// the two pool updates all fall inside this window).
     pub waves: u32,
     /// Brand-new flows per wave (kept under the learning filter's 2K
     /// capacity so no setup is shed in the non-flood sweep).
     pub flows_per_wave: u32,
-    /// Batch size fed to `process_batch_into` in the batched arm.
+    /// Batch size fed to `process_batch_into` in the batched runs.
     pub batch: usize,
     /// SYN replication factors to sweep (1 = clean handshakes, 10 =
     /// retransmission storm).
@@ -102,25 +78,15 @@ pub fn churn_params(smoke: bool) -> ChurnParams {
     }
 }
 
-/// One storm factor's paired measurement.
+/// One storm factor's result.
 #[derive(Clone, Debug)]
 pub struct ChurnPoint {
     /// SYN replication factor.
     pub storm: u32,
-    /// New connections set up during the timed window.
+    /// New connections set up during the counted window.
     pub setups: u64,
-    /// Packets processed per arm during the timed window.
+    /// Packets processed per run (every wave, lead-in included).
     pub packets: u64,
-    /// Timed window of the per-packet baseline arm, nanoseconds.
-    pub baseline_ns: u64,
-    /// Timed window of the batched arm, nanoseconds.
-    pub batched_ns: u64,
-    /// Setups/s through the baseline arm.
-    pub baseline_setups_per_sec: f64,
-    /// Setups/s through the batched arm.
-    pub batched_setups_per_sec: f64,
-    /// `batched_setups_per_sec / baseline_setups_per_sec`.
-    pub speedup: f64,
     /// Learn-queue depth percentiles, sampled after each wave's burst.
     pub learn_depth_p50: usize,
     /// 90th percentile of the same samples.
@@ -138,7 +104,7 @@ pub struct ChurnPoint {
     /// Commutative decision digest of the whole workload (batched,
     /// 1 pipe).
     pub digest: u64,
-    /// Whether the per-packet arm produced the identical digest.
+    /// Whether the per-packet run produced the identical digest.
     pub digests_match_arms: bool,
     /// Whether every swept pipe count produced the identical digest.
     pub digests_match_pipes: bool,
@@ -151,36 +117,11 @@ pub struct ChurnBench {
     pub smoke: bool,
     /// Parameters the sweep ran with.
     pub params: ChurnParams,
-    /// Cores on the host that ran the bench.
-    pub host_cores: usize,
-    /// Peak resident set of the process (`None` off-Linux).
-    pub peak_rss_bytes: Option<u64>,
     /// One point per storm factor.
     pub points: Vec<ChurnPoint>,
 }
 
 impl ChurnBench {
-    /// The smallest speedup across storm points.
-    pub fn min_speedup(&self) -> f64 {
-        self.points
-            .iter()
-            .map(|p| p.speedup)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// The gated speedup: the lowest storm factor's point (unreplicated
-    /// SYNs — the pure new-connection saturation rate). Storm-replicated
-    /// points compress toward 1× in *both* arms because duplicate SYNs
-    /// pay the same learn-dedup probes either way; they are reported for
-    /// PCC/depth behaviour, not gated on ratio.
-    pub fn gate_speedup(&self) -> f64 {
-        self.points
-            .iter()
-            .min_by_key(|p| p.storm)
-            .map(|p| p.speedup)
-            .unwrap_or(0.0)
-    }
-
     /// Whether every point's digests agree batched-vs-per-packet and
     /// across pipe counts.
     pub fn digests_ok(&self) -> bool {
@@ -219,42 +160,24 @@ impl ChurnBench {
                 .collect::<Vec<_>>()
                 .join(", ")
         ));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(&format!(
-            "  \"peak_rss_bytes\": {},\n",
-            crate::rss::rss_json(self.peak_rss_bytes)
-        ));
         s.push_str(
-            "  \"note\": \"paired arms over one workload: per-packet legacy-install baseline \
-             vs batched fused-setup path; setups/s covers the full miss -> learn -> CPU insert \
-             -> promote pipeline including advance(); digests are the engine's commutative \
-             decision fold and must match across arms and pipe counts\",\n",
+            "  \"note\": \"correctness gate, no wall-clock fields: one workload through \
+             per-packet process_packet and chunked process_batch_into at every pipe count; \
+             digests are the engine's commutative decision fold and must match across arms \
+             and pipe counts; every value is deterministic; setup rates live in benchmark/ \
+             (churn workload: setups_per_s, conn_table.install_ns_per_entry)\",\n",
         );
-        s.push_str(&format!(
-            "  \"gate_speedup\": {:.3},\n  \"speedup_floor\": {:.1},\n  \
-             \"speedup_target\": {:.1},\n",
-            self.gate_speedup(),
-            SPEEDUP_FLOOR,
-            SPEEDUP_TARGET,
-        ));
         s.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"storm\": {}, \"setups\": {}, \"packets\": {}, \
-                 \"baseline_ns\": {}, \"batched_ns\": {}, \
-                 \"baseline_setups_per_sec\": {:.0}, \"batched_setups_per_sec\": {:.0}, \
-                 \"speedup\": {:.3}, \"learn_depth_p50\": {}, \"learn_depth_p90\": {}, \
+                 \"learn_depth_p50\": {}, \"learn_depth_p90\": {}, \
                  \"learn_depth_max\": {}, \"transit_fill_peak\": {:.4}, \
                  \"pcc_violations\": {}, \"overflow_drops\": {}, \"digest\": \"{:016x}\", \
                  \"digests_match_arms\": {}, \"digests_match_pipes\": {}}}{}\n",
                 p.storm,
                 p.setups,
                 p.packets,
-                p.baseline_ns,
-                p.batched_ns,
-                p.baseline_setups_per_sec,
-                p.batched_setups_per_sec,
-                p.speedup,
                 p.learn_depth_p50,
                 p.learn_depth_p90,
                 p.learn_depth_max,
@@ -286,7 +209,7 @@ fn flow_tuple(g: u32) -> FiveTuple {
     FiveTuple::tcp(Addr::v4_indexed(100, g, 1024 + (g % 251) as u16), vip().0)
 }
 
-fn churn_cfg(total_flows: u32, legacy: bool) -> SilkRoadConfig {
+fn churn_cfg(total_flows: u32) -> SilkRoadConfig {
     SilkRoadConfig {
         conn_capacity: (total_flows as usize) * 2,
         // Same geometry as the saturation/wall sweeps: wide digests and
@@ -294,7 +217,6 @@ fn churn_cfg(total_flows: u32, legacy: bool) -> SilkRoadConfig {
         // digest-identity gate.
         digest_bits: 24,
         transit_bytes: 4_096,
-        legacy_setup: legacy,
         ..Default::default()
     }
 }
@@ -312,12 +234,10 @@ struct Wave {
     data: Vec<PacketMeta>,
     /// The wave w-2 cohort, closed once its last data packet is served.
     closes: Vec<FiveTuple>,
-    /// Whether this wave is inside the timed window.
-    timed: bool,
 }
 
-/// Prebuild the whole workload so the timed loops never allocate or
-/// synthesize packets.
+/// Prebuild the whole workload once per storm factor; every run replays
+/// the identical packets.
 fn build_waves(p: &ChurnParams, storm: u32) -> Vec<Wave> {
     let flows = p.flows_per_wave;
     (0..p.warmup_waves + p.waves)
@@ -343,86 +263,54 @@ fn build_waves(p: &ChurnParams, storm: u32) -> Vec<Wave> {
             } else {
                 Vec::new()
             };
-            Wave {
-                syns,
-                data,
-                closes,
-                timed: w >= p.warmup_waves,
-            }
+            Wave { syns, data, closes }
         })
         .collect()
 }
 
-/// A stable 64-bit encoding of a decision's externally visible fields —
-/// the same fold as the engine's streaming digest
-/// ([`silkroad::StreamStats`]) and the replay driver, so churn digests
-/// are comparable across every harness.
-fn decision_word(d: &ForwardDecision) -> u64 {
-    let path = match d.path {
-        DataPath::AsicConnTable => 1u64,
-        DataPath::AsicVipTable => 2,
-        DataPath::SoftwareRedirect => 3,
-        DataPath::Dropped => 4,
-        DataPath::NotVip => 5,
-    };
-    let mut w = splitmix64(path | (u64::from(d.conn_table_hit) << 3));
-    if let Some(v) = d.version {
-        w ^= splitmix64(0x7665_7273 ^ u64::from(v.0));
-    }
-    if let Some(dip) = d.dip {
-        // 18 bytes holds the longest encoded address (v6 + port).
-        let mut bytes = [0u8; 18];
-        let n = dip.0.encode_to(&mut bytes, 0);
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in bytes.get(..n).unwrap_or(&[]) {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        w ^= h;
-    }
-    w
+/// Per-connection consistency witness: a flow's first DIP is its DIP
+/// forever — across retransmissions, data, and pool updates.
+#[derive(Default)]
+struct PccWitness {
+    first_dip: FxHashMap<FiveTuple, Dip>,
+    violations: u64,
 }
 
-/// Decision folder for verification runs: commutative digest plus the
-/// per-connection consistency check (a flow's first DIP is its DIP
-/// forever — across retransmissions, data, and pool updates).
+impl PccWitness {
+    fn note(&mut self, pkt: &PacketMeta, d: &ForwardDecision) {
+        if let Some(chosen) = d.dip {
+            if *self.first_dip.entry(pkt.tuple).or_insert(chosen) != chosen {
+                self.violations += 1;
+            }
+        }
+    }
+}
+
+/// Decision folder: the engine's commutative digest plus the PCC witness.
 struct Folder {
     steer: FlowSteering,
-    first_dip: FxHashMap<FiveTuple, Dip>,
+    pcc: PccWitness,
     digest: u64,
-    pcc_violations: u64,
 }
 
 impl Folder {
     fn new(seed: u64) -> Folder {
         Folder {
             steer: FlowSteering::new(seed, 1),
-            first_dip: FxHashMap::default(),
+            pcc: PccWitness::default(),
             digest: 0,
-            pcc_violations: 0,
         }
     }
 
     fn note(&mut self, pkt: &PacketMeta, d: &ForwardDecision) {
-        self.digest = self.digest.wrapping_add(splitmix64(
-            self.steer.flow_hash(&pkt.tuple) ^ decision_word(d),
-        ));
-        if let Some(chosen) = d.dip {
-            match self.first_dip.entry(pkt.tuple) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if *e.get() != chosen {
-                        self.pcc_violations += 1;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(chosen);
-                }
-            }
-        }
+        self.digest = self.digest.wrapping_add(packet_digest(&self.steer, pkt, d));
+        self.pcc.note(pkt, d);
     }
 }
 
-/// Push one span of packets through the engine on the selected arm,
-/// folding decisions when a `folder` is supplied (verification runs).
+/// Push one span of packets through the engine on the selected arm
+/// (chunked `process_batch_into`, or one `process_packet` per packet),
+/// folding every decision.
 fn process_span(
     sw: &mut MultiPipeSwitch,
     span: &[PacketMeta],
@@ -430,35 +318,26 @@ fn process_span(
     batch: usize,
     batched: bool,
     out: &mut Vec<ForwardDecision>,
-    mut folder: Option<&mut Folder>,
+    folder: &mut Folder,
 ) {
     if batched {
         for chunk in span.chunks(batch) {
             out.clear();
             sw.process_batch_into(chunk, now, out);
-            if let Some(f) = folder.as_deref_mut() {
-                for (pkt, d) in chunk.iter().zip(out.iter()) {
-                    f.note(pkt, d);
-                }
+            for (pkt, d) in chunk.iter().zip(out.iter()) {
+                folder.note(pkt, d);
             }
         }
     } else {
         for pkt in span {
             let d = sw.process_packet(pkt, now);
-            if let Some(f) = folder.as_deref_mut() {
-                f.note(pkt, &d);
-            }
+            folder.note(pkt, &d);
         }
     }
 }
 
-/// What one run over the workload produced. `elapsed_ns` covers only the
-/// timed waves' *setup path* — the SYN bursts plus the drain `advance`
-/// that pushes them through learn→insert→promote. Witness data packets
-/// and closes are correctness machinery (PCC/digest folding happens in
-/// the verify runs) and stay outside the measured windows.
+/// What one run over the workload produced.
 struct RunOut {
-    elapsed_ns: u64,
     packets: u64,
     digest: u64,
     pcc_violations: u64,
@@ -468,29 +347,14 @@ struct RunOut {
 }
 
 /// Drive the prebuilt workload through one engine configuration.
-///
-/// `batched` selects the arm (chunked `process_batch_into` vs one
-/// `process_packet` per packet) *and* the install path (`legacy_setup`
-/// re-hashing for the baseline). `verify` folds every decision instead
-/// of timing — verification work stays out of the measured windows.
-/// Wall-clock reads are banned in model crates (clippy.toml) but are
-/// the entire point of this harness.
-#[allow(clippy::disallowed_methods)]
-fn run_workload(
-    p: &ChurnParams,
-    waves: &[Wave],
-    pipes: usize,
-    batched: bool,
-    verify: bool,
-) -> RunOut {
-    use std::time::Instant;
+/// `batched` selects the arm; the install pipeline is the same either way.
+fn run_workload(p: &ChurnParams, waves: &[Wave], pipes: usize, batched: bool) -> RunOut {
     let total_flows = (p.warmup_waves + p.waves) * p.flows_per_wave;
-    let cfg = churn_cfg(total_flows, !batched);
-    let seed = cfg.seed;
+    let cfg = churn_cfg(total_flows);
+    let mut folder = Folder::new(cfg.seed);
     let mut sw = MultiPipeSwitch::inline(cfg, pipes);
     sw.add_vip(vip(), (1..=16).map(dip).collect())
         .expect("churn VIP registers");
-    let mut folder = Folder::new(seed);
     let mut out: Vec<ForwardDecision> = Vec::with_capacity(p.batch);
     let mut depth_samples = Vec::with_capacity(p.waves as usize);
     let mut transit_peak = 0f64;
@@ -501,11 +365,11 @@ fn run_workload(
     let drain = Duration::from_millis(1)
         + Duration::from_micros(5 * u64::from(p.flows_per_wave))
         + Duration::from_millis(1);
-    let mut setup_ns = 0u128;
-    let mut timed_idx = 0u32;
-    for wave in waves {
+    for (w, wave) in (0u32..).zip(waves) {
+        // Position inside the counted window (`None` during lead-in).
+        let counted = w.checked_sub(p.warmup_waves);
         let mut update: Option<PoolUpdate> = None;
-        if wave.timed {
+        if let Some(i) = counted {
             // Two pool updates land mid-run so the transit/PCC
             // machinery is exercised while connections are in flight.
             // Add-then-Remove of the *same* DIP: a Remove followed by an
@@ -513,13 +377,12 @@ fn run_workload(
             // which substitutes the new DIP into the redeemed version and
             // legitimately remaps live connections — not what a PCC
             // witness should count as a violation.
-            if timed_idx == p.waves / 3 {
+            if i == p.waves / 3 {
                 update = Some(PoolUpdate::Add(dip(17)));
             }
-            if timed_idx == 2 * p.waves / 3 {
+            if i == 2 * p.waves / 3 {
                 update = Some(PoolUpdate::Remove(dip(17)));
             }
-            timed_idx += 1;
         }
         // Updates are requested *mid-burst*: at a wave boundary nothing is
         // outstanding and the 3-step protocol collapses to an immediate
@@ -532,36 +395,17 @@ fn run_workload(
         } else {
             0
         };
-        let t_burst = Instant::now();
-        process_span(
-            &mut sw,
-            &wave.syns[..split],
-            now,
-            p.batch,
-            batched,
-            &mut out,
-            verify.then_some(&mut folder),
-        );
+        let (head, tail) = wave.syns.split_at(split);
+        process_span(&mut sw, head, now, p.batch, batched, &mut out, &mut folder);
         if let Some(op) = update {
             let _ = sw.request_update(vip(), op, now);
         }
-        process_span(
-            &mut sw,
-            &wave.syns[split..],
-            now,
-            p.batch,
-            batched,
-            &mut out,
-            verify.then_some(&mut folder),
-        );
-        if wave.timed {
-            setup_ns += t_burst.elapsed().as_nanos();
-        }
+        process_span(&mut sw, tail, now, p.batch, batched, &mut out, &mut folder);
         packets += wave.syns.len() as u64;
         // Sample the learn queue and transit bloom at their wave peak
         // (after the burst, before the drain), then run the pipeline so
         // every setup is installed before data arrives.
-        if wave.timed && !verify {
+        if counted.is_some() {
             depth_samples.push(
                 (0..pipes)
                     .filter_map(|i| sw.pipe(i))
@@ -575,11 +419,7 @@ fn run_workload(
             transit_peak = transit_peak.max(fill);
         }
         now = now.saturating_add(drain);
-        let t_drain = Instant::now();
         sw.advance(now);
-        if wave.timed {
-            setup_ns += t_drain.elapsed().as_nanos();
-        }
         process_span(
             &mut sw,
             &wave.data,
@@ -587,7 +427,7 @@ fn run_workload(
             p.batch,
             batched,
             &mut out,
-            verify.then_some(&mut folder),
+            &mut folder,
         );
         packets += wave.data.len() as u64;
         for t in &wave.closes {
@@ -595,16 +435,14 @@ fn run_workload(
         }
         now = now.saturating_add(Duration::from_millis(1));
     }
-    let elapsed_ns = setup_ns as u64;
     let overflow_drops = (0..pipes)
         .filter_map(|i| sw.pipe(i))
         .map(|pi| pi.switch().learn_overflow_drops())
         .sum();
     RunOut {
-        elapsed_ns,
         packets,
         digest: folder.digest,
-        pcc_violations: folder.pcc_violations,
+        pcc_violations: folder.pcc.violations,
         depth_samples,
         transit_peak,
         overflow_drops,
@@ -619,51 +457,38 @@ fn percentile(sorted: &[usize], q: f64) -> usize {
     sorted.get(idx).copied().unwrap_or(0)
 }
 
-/// Measure one storm factor: verification runs first (they also warm
-/// the process — the saturation sweep's cold-start lesson), then the
-/// paired timed arms.
+/// Measure one storm factor: the per-packet run, then the batched path
+/// at every swept pipe count. All digests must agree bit-for-bit; depth
+/// and fill samples are reported from the 1-pipe runs.
 fn measure_storm(p: &ChurnParams, storm: u32) -> ChurnPoint {
     let waves = build_waves(p, storm);
-    // Verification: per-packet baseline, then the batched path at every
-    // swept pipe count. All must agree bit-for-bit.
-    let vbase = run_workload(p, &waves, 1, false, true);
-    let mut pipe_digests = Vec::with_capacity(p.pipe_counts.len());
-    let mut pcc_violations = vbase.pcc_violations;
-    for &pipes in &p.pipe_counts {
-        let v = run_workload(p, &waves, pipes, true, true);
-        pcc_violations += v.pcc_violations;
-        pipe_digests.push(v.digest);
-    }
-    let digest = pipe_digests.first().copied().unwrap_or(0);
-    let digests_match_arms = vbase.digest == digest;
-    let digests_match_pipes = pipe_digests.iter().all(|&d| d == digest);
-    // Timed arms, 1 pipe each, identical workload.
-    let base = run_workload(p, &waves, 1, false, false);
-    let bat = run_workload(p, &waves, 1, true, false);
-    let setups = u64::from(p.waves) * u64::from(p.flows_per_wave);
-    let mut depths = bat.depth_samples.clone();
+    let per_packet = run_workload(p, &waves, 1, false);
+    let batched: Vec<RunOut> = p
+        .pipe_counts
+        .iter()
+        .map(|&pipes| run_workload(p, &waves, pipes, true))
+        .collect();
+    let first = batched.first().unwrap_or(&per_packet);
+    let digest = first.digest;
+    let mut depths = first.depth_samples.clone();
     depths.sort_unstable();
-    let secs = |ns: u64| ns.max(1) as f64 / 1e9;
-    let baseline_setups_per_sec = setups as f64 / secs(base.elapsed_ns);
-    let batched_setups_per_sec = setups as f64 / secs(bat.elapsed_ns);
     ChurnPoint {
         storm,
-        setups,
-        packets: bat.packets,
-        baseline_ns: base.elapsed_ns,
-        batched_ns: bat.elapsed_ns,
-        baseline_setups_per_sec,
-        batched_setups_per_sec,
-        speedup: batched_setups_per_sec / baseline_setups_per_sec.max(f64::MIN_POSITIVE),
+        setups: u64::from(p.waves) * u64::from(p.flows_per_wave),
+        packets: first.packets,
         learn_depth_p50: percentile(&depths, 0.50),
         learn_depth_p90: percentile(&depths, 0.90),
         learn_depth_max: depths.last().copied().unwrap_or(0),
-        transit_fill_peak: bat.transit_peak.max(base.transit_peak),
-        pcc_violations,
-        overflow_drops: bat.overflow_drops.max(base.overflow_drops),
+        transit_fill_peak: first.transit_peak.max(per_packet.transit_peak),
+        pcc_violations: per_packet.pcc_violations
+            + batched.iter().map(|r| r.pcc_violations).sum::<u64>(),
+        overflow_drops: batched
+            .iter()
+            .map(|r| r.overflow_drops)
+            .fold(per_packet.overflow_drops, u64::max),
         digest,
-        digests_match_arms,
-        digests_match_pipes,
+        digests_match_arms: per_packet.digest == digest,
+        digests_match_pipes: batched.iter().all(|r| r.digest == digest),
     }
 }
 
@@ -677,8 +502,6 @@ pub fn run_with(params: ChurnParams, smoke: bool) -> ChurnBench {
     ChurnBench {
         smoke,
         params,
-        host_cores: sr_exec::available_cores(),
-        peak_rss_bytes: crate::rss::peak_rss_bytes(),
         points,
     }
 }
@@ -757,30 +580,15 @@ pub fn flood_with(waves: u32, syns_per_wave: u32, background: u32) -> FloodRepor
         sw.advance(now);
     }
     let bg_data: Vec<PacketMeta> = bg.iter().map(|t| PacketMeta::data(*t, 800)).collect();
-    let mut first_dip: FxHashMap<FiveTuple, Dip> = FxHashMap::default();
-    let mut pcc_violations = 0u64;
-    let check_bg = |sw: &mut MultiPipeSwitch,
-                    first_dip: &mut FxHashMap<FiveTuple, Dip>,
-                    pcc: &mut u64,
-                    now: Nanos| {
+    let mut pcc = PccWitness::default();
+    let check_bg = |sw: &mut MultiPipeSwitch, pcc: &mut PccWitness, now: Nanos| {
         for chunk in bg_data.chunks(1_024) {
             for (pkt, d) in chunk.iter().zip(sw.process_batch(chunk, now)) {
-                if let Some(chosen) = d.dip {
-                    match first_dip.entry(pkt.tuple) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            if *e.get() != chosen {
-                                *pcc += 1;
-                            }
-                        }
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            v.insert(chosen);
-                        }
-                    }
-                }
+                pcc.note(pkt, &d);
             }
         }
     };
-    check_bg(&mut sw, &mut first_dip, &mut pcc_violations, now);
+    check_bg(&mut sw, &mut pcc, now);
 
     // The flood: every wave is a fresh block of unique SYNs, replayed
     // in one burst at the wave timestamp.
@@ -805,14 +613,14 @@ pub fn flood_with(waves: u32, syns_per_wave: u32, background: u32) -> FloodRepor
         expired += sw.expire_idle(now);
         // Background keeps serving (and refreshing its idle timers)
         // through the flood.
-        check_bg(&mut sw, &mut first_dip, &mut pcc_violations, now);
+        check_bg(&mut sw, &mut pcc, now);
         installed_peak = installed_peak.max(sw.conn_count());
     }
     // Let everything the flood installed go idle and reclaim it.
     now = now.saturating_add(idle).saturating_add(wave_period);
     sw.advance(now);
     expired += sw.expire_idle(now);
-    check_bg(&mut sw, &mut first_dip, &mut pcc_violations, now);
+    check_bg(&mut sw, &mut pcc, now);
 
     let waves_per_idle = idle.div_duration(wave_period) as usize;
     FloodReport {
@@ -828,7 +636,7 @@ pub fn flood_with(waves: u32, syns_per_wave: u32, background: u32) -> FloodRepor
         installed_final: sw.conn_count(),
         expired,
         live_bound: background as usize + filter_capacity * (waves_per_idle + 2),
-        pcc_violations,
+        pcc_violations: pcc.violations,
     }
 }
 
@@ -859,8 +667,6 @@ mod tests {
         for p in &b.points {
             assert_eq!(p.setups, 3 * 128);
             assert_eq!(p.overflow_drops, 0, "non-flood sweep shed setups");
-            assert!(p.baseline_setups_per_sec > 0.0);
-            assert!(p.batched_setups_per_sec > 0.0);
             assert!(p.learn_depth_max >= p.learn_depth_p50);
             // Every wave buffers its full cohort before the drain.
             assert_eq!(p.learn_depth_max, 128);
@@ -871,9 +677,6 @@ mod tests {
         for key in [
             "\"bench\": \"churn\"",
             "\"smoke\": true",
-            "\"host_cores\"",
-            "\"peak_rss_bytes\"",
-            "\"speedup\"",
             "\"learn_depth_p90\"",
             "\"transit_fill_peak\"",
             "\"pcc_violations\": 0",

@@ -22,8 +22,6 @@
 //! * **Insert fraction** — how much of the churn each design pushes
 //!   through its install path (SilkRoad ~1.0, Concury only
 //!   transition-window newborns, the hybrid only update-crossing flows).
-//! * **Steady-state throughput** — wall-clock packets/s over the settled
-//!   population, where the version-in-packet fast path earns its keep.
 //! * **srcheck placement** — each algorithm's [`AlgoName::layout`] must
 //!   place on the Tofino-class chip model.
 //!
@@ -54,8 +52,8 @@ pub struct CompareParams {
     pub waves: u32,
     /// Brand-new flows per wave.
     pub flows_per_wave: u32,
-    /// Timed passes over the settled population for the throughput
-    /// column.
+    /// Extra passes over the settled population: a design that remaps
+    /// settled flows must show it in the PCC column.
     pub steady_passes: u32,
 }
 
@@ -111,8 +109,6 @@ pub struct AlgoPoint {
     pub stamp_checks: u64,
     /// Round trips that lost the tag or broke the frame (must be 0).
     pub stamp_failures: u64,
-    /// Wall-clock packets/s over the settled population.
-    pub steady_pps: f64,
     /// Whether [`AlgoName::layout`] places on the Tofino-class chip.
     pub placeable: bool,
     /// The layout's total SRAM bytes (srcheck resource model).
@@ -126,8 +122,6 @@ pub struct CompareBench {
     pub smoke: bool,
     /// Parameters the run used.
     pub params: CompareParams,
-    /// Cores on the host that ran the bench.
-    pub host_cores: usize,
     /// One row per algorithm (matrix order, or a single `--algo` row).
     pub points: Vec<AlgoPoint>,
 }
@@ -163,14 +157,13 @@ impl CompareBench {
             "  \"steady_passes\": {},\n",
             self.params.steady_passes
         ));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
         s.push_str(
             "  \"note\": \"identical deterministic workload (waves of new flows + data + \
              closes, two mid-run DIP-pool updates) through every sr-algo zoo member; \
              sram_bytes_per_conn is measured peak state over the live connections it \
              covered; model_bits_per_entry is the shared sr_algo::cost formula; \
-             pcc_violations counts unique remapped connections; steady_pps is wall-clock \
-             and host-dependent, everything else is deterministic\",\n",
+             pcc_violations counts unique remapped connections; every value is \
+             deterministic\",\n",
         );
         s.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
@@ -180,7 +173,7 @@ impl CompareBench {
                  \"state_bytes_peak\": {}, \"live_at_state_peak\": {}, \
                  \"sram_bytes_per_conn\": {:.3}, \"model_bits_per_entry\": {}, \
                  \"table_bytes\": {}, \"pcc_violations\": {}, \"false_hits\": {}, \
-                 \"stamp_checks\": {}, \"stamp_failures\": {}, \"steady_pps\": {:.0}, \
+                 \"stamp_checks\": {}, \"stamp_failures\": {}, \
                  \"placeable\": {}, \"layout_sram_bytes\": {}}}{}\n",
                 p.algo,
                 p.packets,
@@ -198,7 +191,6 @@ impl CompareBench {
                 p.false_hits,
                 p.stamp_checks,
                 p.stamp_failures,
-                p.steady_pps,
                 p.placeable,
                 p.layout_sram_bytes,
                 if i + 1 == self.points.len() { "" } else { "," }
@@ -281,7 +273,7 @@ fn build_waves(p: &CompareParams) -> Vec<Wave> {
         .collect()
 }
 
-/// The settled population the throughput passes replay: data for the two
+/// The settled population the steady passes replay: data for the two
 /// cohorts still open after the final wave.
 fn build_steady(p: &CompareParams) -> Vec<PacketMeta> {
     let flows = p.flows_per_wave;
@@ -554,20 +546,15 @@ struct DriveOut {
     live_peak: u64,
     state_bytes_peak: u64,
     live_at_state_peak: u64,
-    steady_pps: f64,
 }
 
 /// Drive the prebuilt workload plus steady passes through one arm.
-/// Wall-clock reads are banned in model crates (clippy.toml) but the
-/// throughput column is exactly a wall-clock measurement.
-#[allow(clippy::disallowed_methods)]
 fn drive(
     arm: &mut dyn CompareArm,
     p: &CompareParams,
     waves: &[Wave],
     steady: &[PacketMeta],
 ) -> DriveOut {
-    use std::time::Instant;
     let mut ctx = DriveCtx {
         stamps: FxHashMap::default(),
         first: FxHashMap::default(),
@@ -617,18 +604,14 @@ fn drive(
         live -= wave.closes.len() as u64;
         now = now.saturating_add(Duration::from_millis(1));
     }
-    // Steady state: timed passes over the settled population. Decisions
-    // still feed the PCC check (a design that remaps settled flows must
-    // show it), but each connection counts at most once.
-    let t0 = Instant::now();
+    // Steady state: passes over the settled population. Decisions still
+    // feed the PCC check (a design that remaps settled flows must show
+    // it), but each connection counts at most once.
     for _ in 0..p.steady_passes {
         for pkt in steady {
             ctx.step(arm, pkt, now);
         }
     }
-    let elapsed_ns = t0.elapsed().as_nanos().max(1);
-    let steady_packets = steady.len() as u64 * u64::from(p.steady_passes);
-    let steady_pps = steady_packets as f64 / (elapsed_ns as f64 / 1e9);
     DriveOut {
         packets: ctx.packets,
         pcc_violations: ctx.first.values().filter(|v| v.1).count() as u64,
@@ -638,7 +621,6 @@ fn drive(
         live_peak,
         state_bytes_peak,
         live_at_state_peak,
-        steady_pps,
     }
 }
 
@@ -685,7 +667,6 @@ fn measure(algo: AlgoName, p: &CompareParams, waves: &[Wave], steady: &[PacketMe
         false_hits: arm.false_hits(),
         stamp_checks: d.stamp_checks,
         stamp_failures: d.stamp_failures,
-        steady_pps: d.steady_pps,
         placeable: report.is_placeable(),
         layout_sram_bytes: layout.resource_usage().sram_bytes as u64,
     }
@@ -707,7 +688,6 @@ pub fn run_with(params: CompareParams, smoke: bool, only: Option<AlgoName>) -> C
     CompareBench {
         smoke,
         params,
-        host_cores: sr_exec::available_cores(),
         points,
     }
 }
@@ -767,7 +747,6 @@ mod tests {
         assert!(b.points.iter().all(|p| p.placeable), "a layout failed");
         for p in &b.points {
             assert_eq!(p.setups, 5 * 128);
-            assert!(p.steady_pps > 0.0);
             assert!(p.live_peak >= p.live_at_state_peak);
         }
         let json = b.to_json();

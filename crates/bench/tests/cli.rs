@@ -214,3 +214,54 @@ fn help_lists_the_verification_targets() {
         assert!(stdout.contains(target), "help omits '{target}'");
     }
 }
+
+/// Run `repro` from a scratch directory (targets that write a
+/// `BENCH_*.json` write it to the working directory); returns the output
+/// and the scratch path, which the caller removes.
+fn repro_in_scratch(name: &str, args: &[&str]) -> (std::process::Output, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("repro-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir scratch");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    (out, dir)
+}
+
+/// `churn` is a correctness gate, not a stopwatch: the smoke profile
+/// exits 0 on digest identity alone, prints no rate or speedup, and the
+/// JSON it writes carries no wall-clock or host field.
+#[test]
+fn churn_smoke_is_an_untimed_gate() {
+    let (out, dir) = repro_in_scratch("churn", &["churn", "--smoke"]);
+    let json = std::fs::read_to_string(dir.join("BENCH_churn.json"));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        stdout.contains("decision digest identity (arms, pipe counts): OK"),
+        "stdout: {stdout}"
+    );
+    let json = json.expect("BENCH_churn.json written");
+    for banned in ["speedup", "setups/s", "_per_sec", "_ns\"", "host_cores"] {
+        assert!(!stdout.contains(banned), "'{banned}' in stdout: {stdout}");
+        assert!(!json.contains(banned), "'{banned}' in json: {json}");
+    }
+    assert!(json.contains("\"digests_match_arms\": true"), "{json}");
+    assert!(json.contains("\"digests_match_pipes\": true"), "{json}");
+    assert!(json.contains("\"pcc_violations\": 0"), "{json}");
+}
+
+/// `churn --flood` is pass/fail: the filter sheds, state stays bounded,
+/// background PCC holds — and no JSON is written.
+#[test]
+fn churn_flood_smoke_passes_and_writes_nothing() {
+    let (out, dir) = repro_in_scratch("flood", &["churn", "--smoke", "--flood"]);
+    let wrote = dir.join("BENCH_churn.json").exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(stdout.contains("filter overflow drops"), "stdout: {stdout}");
+    assert!(!wrote, "flood must not write BENCH_churn.json");
+}

@@ -1,5 +1,6 @@
 //! SilkRoad switch configuration.
 
+use crate::dataplane::{MAX_BLOOM_HASHES, MAX_PACKET_HASHES};
 use sr_asic::{LearningFilterConfig, SwitchCpuConfig};
 use sr_types::{Duration, TypeError};
 
@@ -56,12 +57,10 @@ pub struct SilkRoadConfig {
     pub idle_timeout: Duration,
     /// RNG seed for all hash functions in this switch.
     pub seed: u64,
-    /// Route installs through the legacy per-packet pipeline (re-hash the
-    /// key on the switch CPU instead of reusing the packet-time hashes).
-    /// Decisions and table state are bit-identical either way; the churn
-    /// benchmark flips this on for its paired pre-change baseline arm.
-    pub legacy_setup: bool,
 }
+
+// `validate`'s constraint strings spell these bounds out.
+const _: () = assert!(MAX_PACKET_HASHES - 2 == 6 && MAX_BLOOM_HASHES == 8);
 
 impl Default for SilkRoadConfig {
     fn default() -> Self {
@@ -81,7 +80,6 @@ impl Default for SilkRoadConfig {
             syn_redirect_delay: Duration::from_millis(2),
             idle_timeout: Duration::from_secs(120),
             seed: 0x51_1c_0a_d0,
-            legacy_setup: false,
         }
     }
 }
@@ -130,11 +128,21 @@ impl SilkRoadConfig {
                 got: self.version_bits as u64,
             });
         }
-        if self.conn_stages < 2 {
+        // Upper bounds are the packet path's fixed hash-lane budgets
+        // (`KeyHasher::new` asserts them): ConnTable stages share the
+        // eager list with the match-field and DIP-select hashes.
+        if !(2..=MAX_PACKET_HASHES - 2).contains(&self.conn_stages) {
             return Err(TypeError::OutOfRange {
                 what: "conn_stages",
-                constraint: "2..",
+                constraint: "2..=6",
                 got: self.conn_stages as u64,
+            });
+        }
+        if self.transit_hashes > MAX_BLOOM_HASHES {
+            return Err(TypeError::OutOfRange {
+                what: "transit_hashes",
+                constraint: "..=8",
+                got: self.transit_hashes as u64,
             });
         }
         if self.conn_capacity == 0 {
@@ -152,6 +160,20 @@ impl SilkRoadConfig {
         1u32 << self.version_bits.min(16)
     }
 
+    /// The ConnTable's on-chip entry layout: digest match field, action
+    /// data per the mapping mode, 6 bits of packing overhead (§6.1).
+    pub fn conn_table_spec(&self) -> sr_asic::TableSpec {
+        sr_asic::TableSpec {
+            match_bits: self.digest_bits as u32,
+            action_bits: match self.mapping {
+                ConnMapping::Version => self.version_bits as u32,
+                // Fallback: action carries a full IPv6 DIP + port.
+                ConnMapping::DirectDip => 144,
+            },
+            overhead_bits: 6,
+        }
+    }
+
     /// The physical pipeline layout this configuration provisions, as the
     /// layout verifier ([`sr_asic::check`]) sees it.
     ///
@@ -164,12 +186,7 @@ impl SilkRoadConfig {
     /// unplaceable and the verifier rejects it.
     pub fn pipeline_program(&self) -> sr_asic::PipelineProgram {
         let chip = sr_asic::ChipSpec::tofino_class();
-        let entry_bits = match self.mapping {
-            // Mirrors `ConnTable::new`'s on-chip entry layouts.
-            ConnMapping::Version => self.digest_bits as u32 + self.version_bits as u32 + 6,
-            ConnMapping::DirectDip => self.digest_bits as u32 + 144 + 6,
-        };
-        let sram = sr_asic::SramSpec { entry_bits };
+        let sram = self.conn_table_spec().sram();
         let mut span = self.conn_stages as u32;
         loop {
             let per_stage = (self.conn_capacity as u64).div_ceil(span as u64);
@@ -294,6 +311,42 @@ mod tests {
         assert!(prog.registers.is_empty());
         let report = cfg.check_layout();
         assert!(report.is_placeable(), "{}", report.render());
+    }
+
+    #[test]
+    fn validation_bounds_hash_lane_counts() {
+        // The largest layouts `KeyHasher::new` accepts validate...
+        let max = SilkRoadConfig {
+            conn_stages: MAX_PACKET_HASHES - 2,
+            transit_hashes: MAX_BLOOM_HASHES,
+            ..Default::default()
+        };
+        assert!(max.validate().is_ok());
+        // ...and one lane more is a typed error, not a constructor panic.
+        let stages = SilkRoadConfig {
+            conn_stages: MAX_PACKET_HASHES - 1,
+            ..Default::default()
+        };
+        assert!(matches!(
+            stages.validate(),
+            Err(TypeError::OutOfRange {
+                what: "conn_stages",
+                got: 7,
+                ..
+            })
+        ));
+        let blooms = SilkRoadConfig {
+            transit_hashes: MAX_BLOOM_HASHES + 1,
+            ..Default::default()
+        };
+        assert!(matches!(
+            blooms.validate(),
+            Err(TypeError::OutOfRange {
+                what: "transit_hashes",
+                got: 9,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! switch keeps the same information in CPU memory.
 
 use crate::config::{ConnMapping, SilkRoadConfig};
-use sr_asic::table::{ExactMatchTable, MatchMode, TableSpec};
-use sr_hash::cuckoo::{CuckooError, InsertOutcome, LookupHit};
+use sr_asic::table::{MatchMode, TableSpec};
+use sr_hash::cuckoo::{CuckooError, CuckooTable, InsertOutcome, LookupHit};
 use sr_types::{Nanos, PoolVersion, TupleKey, Vip};
 
 /// Value stored per connection — field-for-field the algorithm boundary's
@@ -18,28 +18,25 @@ pub type ConnValue = sr_algo::ConnRecord;
 
 /// The ConnTable.
 pub struct ConnTable {
-    table: ExactMatchTable<ConnValue>,
+    /// The multi-stage cuckoo store (behaviour).
+    table: CuckooTable<ConnValue>,
+    /// The on-chip entry layout (SRAM cost).
+    spec: TableSpec,
     mapping: ConnMapping,
     /// When the last aging scan ran.
     last_scan: Nanos,
 }
 
+/// A marking lookup's owned result (see [`ConnTable::lookup_marking`]).
+fn marked(hit: LookupHit<'_, ConnValue>) -> (ConnValue, bool, Option<TupleKey>) {
+    let resident = (!hit.exact).then(|| TupleKey::from_bytes(hit.resident_key));
+    (*hit.value, hit.exact, resident)
+}
+
 impl ConnTable {
     /// Build from the switch configuration.
     pub fn new(cfg: &SilkRoadConfig) -> ConnTable {
-        let spec = match cfg.mapping {
-            ConnMapping::Version => TableSpec {
-                match_bits: cfg.digest_bits as u32,
-                action_bits: cfg.version_bits as u32,
-                overhead_bits: 6,
-            },
-            // Fallback: action carries a full IPv6 DIP + port.
-            ConnMapping::DirectDip => TableSpec {
-                match_bits: cfg.digest_bits as u32,
-                action_bits: 144,
-                overhead_bits: 6,
-            },
-        };
+        let spec = cfg.conn_table_spec();
         let match_mode = match &cfg.digest_bits_per_stage {
             Some(bits) => MatchMode::DigestPerStage { bits: bits.clone() },
             None => MatchMode::Digest {
@@ -47,13 +44,13 @@ impl ConnTable {
             },
         };
         ConnTable {
-            table: ExactMatchTable::new(
+            table: CuckooTable::new(spec.cuckoo_config(
                 cfg.conn_capacity,
                 cfg.conn_stages,
-                spec,
                 match_mode,
                 cfg.seed ^ 0xc0_44,
-            ),
+            )),
+            spec,
             mapping: cfg.mapping,
             last_scan: Nanos::ZERO,
         }
@@ -66,7 +63,7 @@ impl ConnTable {
 
     /// The per-entry SRAM spec (digest / action / overhead widths).
     pub fn spec(&self) -> &TableSpec {
-        self.table.spec()
+        &self.spec
     }
 
     /// ASIC lookup.
@@ -90,15 +87,9 @@ impl ConnTable {
     ///
     /// Returns `(value, exact, resident)` where `resident` carries the
     /// resident entry's key *only on a false hit* (the repair path needs it
-    /// to relocate the resident); exact hits allocate nothing.
+    /// to relocate the resident); exact hits copy no key.
     pub fn lookup_marking(&mut self, key: &[u8]) -> Option<(ConnValue, bool, Option<TupleKey>)> {
-        let hit = self.table.lookup_marking(key)?;
-        let resident = if hit.exact {
-            None
-        } else {
-            Some(TupleKey::from_bytes(hit.resident_key))
-        };
-        Some((*hit.value, hit.exact, resident))
+        self.table.lookup_marking(key).map(marked)
     }
 
     /// [`ConnTable::lookup_marking`] from precomputed hashes (the hash-once
@@ -110,15 +101,9 @@ impl ConnTable {
         stage_hashes: &[u64],
         match_hash: u64,
     ) -> Option<(ConnValue, bool, Option<TupleKey>)> {
-        let hit = self
-            .table
-            .lookup_marking_pre(key, stage_hashes, match_hash)?;
-        let resident = if hit.exact {
-            None
-        } else {
-            Some(TupleKey::from_bytes(hit.resident_key))
-        };
-        Some((*hit.value, hit.exact, resident))
+        self.table
+            .lookup_marking_pre(key, stage_hashes, match_hash)
+            .map(marked)
     }
 
     /// Warm the cache lines a prehashed lookup will touch: the per-stage
@@ -135,16 +120,10 @@ impl ConnTable {
         self.table.prefetch_entry_pre(stage_hashes, match_hash);
     }
 
-    /// The table's layout generation: coordinates from [`ConnTable::locate`]
-    /// are valid only while this is unchanged.
-    pub fn epoch(&self) -> u64 {
-        self.table.epoch()
-    }
-
     /// First half of a split marking lookup: the `(stage, slot)` a prehashed
     /// probe would hit, with the entry's cache line already warming. No side
-    /// effects; resolve with [`ConnTable::lookup_marking_at`] while the
-    /// epoch is unchanged.
+    /// effects; resolve with [`ConnTable::lookup_marking_at`] before the
+    /// next table mutation (install, remove, relocate, aging).
     pub fn locate(&self, key: &[u8], stage_hashes: &[u64], match_hash: u64) -> Option<(u32, u32)> {
         self.table.locate_pre(key, stage_hashes, match_hash)
     }
@@ -158,13 +137,7 @@ impl ConnTable {
         slot: u32,
         key: &[u8],
     ) -> (ConnValue, bool, Option<TupleKey>) {
-        let hit = self.table.lookup_marking_at(stage, slot, key);
-        let resident = if hit.exact {
-            None
-        } else {
-            Some(TupleKey::from_bytes(hit.resident_key))
-        };
-        (*hit.value, hit.exact, resident)
+        marked(self.table.lookup_marking_at(stage, slot, key))
     }
 
     /// Per-stage bucket-hash functions (for assembling a hash-once list).
@@ -250,27 +223,18 @@ impl ConnTable {
 
     /// Provisioned capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.table.capacity()
+        self.table.config().total_slots()
     }
 
-    /// Occupancy fraction.
-    pub fn load_factor(&self) -> f64 {
-        self.table.load_factor()
-    }
-
-    /// SRAM bytes provisioned.
+    /// SRAM bytes provisioned (whole geometry, not just occupied entries)
+    /// — what Fig 12 reports.
     pub fn provisioned_bytes(&self) -> u64 {
-        self.table.provisioned_bytes()
+        self.spec.bytes_for(self.capacity() as u64)
     }
 
-    /// SRAM bytes for occupied entries.
+    /// SRAM bytes for the *occupied* entries only.
     pub fn occupied_bytes(&self) -> u64 {
-        self.table.occupied_bytes()
-    }
-
-    /// Iterate entries (software side — expiry scans, version migration).
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &ConnValue)> {
-        self.table.iter()
+        self.spec.bytes_for(self.len() as u64)
     }
 
     /// Remove all entries pinned to `version` of `vip`, returning them
@@ -315,6 +279,23 @@ mod tests {
         let removed = t.remove(b"conn-1").unwrap();
         assert_eq!(removed.version, PoolVersion(3));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn roundtrip_with_sram_accounting() {
+        let mut t = table();
+        assert!(t.capacity() >= 4_096);
+        assert!(t.provisioned_bytes() > 0);
+        assert_eq!(t.occupied_bytes(), 0);
+        t.install(b"key-a", value(1)).unwrap();
+        t.install(b"key-b", value(2)).unwrap();
+        assert_eq!(t.len(), 2);
+        // Two 28-bit entries pack into one 112-bit (14-byte) SRAM word.
+        assert_eq!(t.spec().entry_bits(), 28);
+        assert_eq!(t.occupied_bytes(), 14);
+        assert_eq!(t.lookup(b"key-a").unwrap().value.version, PoolVersion(1));
+        assert_eq!(t.remove(b"key-b").unwrap().version, PoolVersion(2));
+        assert!(!t.lookup(b"key-b").is_some_and(|hit| hit.exact));
     }
 
     #[test]

@@ -19,8 +19,8 @@ pub struct LearnMeta {
     /// The DIP that version's pool hashed the connection to.
     pub dip: Dip,
     /// The packet-time ConnTable hashes, carried to install time so the
-    /// cuckoo insert never re-hashes the key ([`ConnHashes::empty`] when
-    /// the producer has no hash pass, e.g. control-plane tests).
+    /// cuckoo insert never re-hashes the key ([`ConnHashes::empty`] only
+    /// in control-plane unit tests, which never reach a ConnTable).
     pub hashes: ConnHashes,
 }
 

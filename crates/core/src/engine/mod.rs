@@ -61,6 +61,7 @@ use sr_exec::{spsc, Consumer, Producer};
 use sr_hash::{splitmix64, HashFn};
 use sr_types::{Dip, FiveTuple, Nanos, PacketMeta, PoolVersion, TypeError, Vip};
 use std::sync::Arc;
+pub use worker::packet_digest;
 use worker::{answer_query, worker_loop, BatchBuf, Done, Job, Query, QueryReply};
 
 /// Longest inline address encoding ([`sr_types::Addr::encode_to`]):

@@ -242,8 +242,11 @@ pub(crate) fn fold_batch(steering: &FlowSteering, buf: &mut BatchBuf) {
     buf.folded_digest = digest;
 }
 
-/// One packet's digest contribution (see [`fold_batch`]).
-pub(crate) fn packet_digest(steering: &FlowSteering, pkt: &PacketMeta, d: &ForwardDecision) -> u64 {
+/// One packet's contribution to the commutative decision digest that
+/// [`crate::StreamStats`] reports: harnesses driving the synchronous
+/// entry points fold with this so their digests are comparable with the
+/// streaming path's (combine contributions by wrapping addition).
+pub fn packet_digest(steering: &FlowSteering, pkt: &PacketMeta, d: &ForwardDecision) -> u64 {
     splitmix64(steering.flow_hash(&pkt.tuple) ^ decision_word(d))
 }
 

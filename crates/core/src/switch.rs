@@ -323,64 +323,46 @@ impl SilkRoadSwitch {
     /// Learn batches and CPU completions drain through recycled buffers —
     /// at steady state a wakeup allocates nothing.
     ///
-    /// The batched pipeline (`legacy_setup` off) pops every CPU completion
-    /// due before the next learning-filter notification in one pass and
-    /// prefetches the next install's ConnTable buckets while the current
-    /// one runs; the legacy path wakes per event, which is the pre-change
-    /// behaviour the churn bench's baseline arm measures. Both orders
-    /// observe identical state: a filter drain only moves events into the
-    /// CPU queue (completion times are fixed at submit), and an install
-    /// touches neither the filter nor its deadline.
+    /// Each wakeup pops every CPU completion due before the next
+    /// learning-filter notification in one pass and prefetches the next
+    /// install's ConnTable buckets while the current one runs. Batching the
+    /// pops observes the same state as waking per event: a filter drain
+    /// only moves events into the CPU queue (completion times are fixed at
+    /// submit), and an install touches neither the filter nor its deadline.
     pub fn advance(&mut self, now: Nanos) {
         // Any control-plane activity may edit pools; drop the resolve memo
         // before it can be consulted again.
         self.resolve_memo = None;
         let mut jobs = std::mem::take(&mut self.install_scratch);
-        if self.cfg.legacy_setup {
-            while let Some(t) = self.control.next_wakeup() {
-                if t > now {
-                    break;
-                }
-                self.control.drain_learning(t);
-                jobs.clear();
-                self.control.pop_installs_into(t, &mut jobs);
-                for inst in jobs.drain(..) {
-                    self.handle_install(inst, false);
-                }
+        while let Some(t) = self.control.next_wakeup() {
+            if t > now {
+                break;
             }
-        } else {
-            while let Some(t) = self.control.next_wakeup() {
-                if t > now {
-                    break;
+            self.control.drain_learning(t);
+            let bound = match self.control.learning_deadline() {
+                Some(d) if d <= now => d,
+                _ => now,
+            };
+            jobs.clear();
+            self.control.pop_installs_into(bound, &mut jobs);
+            // When this batch drained the pipeline dry (the common wave
+            // shape: every learned connection's install is due), the
+            // popped jobs are exactly the in-flight membership — settle
+            // the set with one bulk clear after the loop instead of a
+            // hashed removal per job. The per-VIP outstanding counters
+            // still step per install: an update transition firing
+            // mid-batch snapshots them.
+            let bulk = !jobs.is_empty() && self.control.drained_pipeline_empty();
+            for i in 0..jobs.len() {
+                if let Some(next) = jobs.get(i + 1) {
+                    let h = &next.job.meta.hashes;
+                    self.conn_table
+                        .prefetch_entry(h.stage_hashes(), h.match_hash());
                 }
-                self.control.drain_learning(t);
-                let bound = match self.control.learning_deadline() {
-                    Some(d) if d <= now => d,
-                    _ => now,
-                };
-                jobs.clear();
-                self.control.pop_installs_into(bound, &mut jobs);
-                // When this batch drained the pipeline dry (the common
-                // wave shape: every learned connection's install is due),
-                // the popped jobs are exactly the in-flight membership —
-                // settle the set with one bulk clear after the loop
-                // instead of a hashed removal per job. The per-VIP
-                // outstanding counters still step per install: an update
-                // transition firing mid-batch snapshots them.
-                let bulk = !jobs.is_empty() && self.control.drained_pipeline_empty();
-                for i in 0..jobs.len() {
-                    if let Some(next) = jobs.get(i + 1) {
-                        let h = &next.job.meta.hashes;
-                        if h.stages() == self.cfg.conn_stages {
-                            self.conn_table
-                                .prefetch_entry(h.stage_hashes(), h.match_hash());
-                        }
-                    }
-                    self.handle_install(jobs[i], bulk);
-                }
-                if bulk {
-                    self.control.clear_in_flight();
-                }
+                self.handle_install(jobs[i], bulk);
+            }
+            if bulk {
+                self.control.clear_in_flight();
             }
         }
         jobs.clear();
@@ -460,8 +442,8 @@ impl SilkRoadSwitch {
     /// exception — a SYN falsely hitting a resident entry, whose §4.2
     /// repair mutates the table and replays the miss path — flushes the
     /// deferred misses (they precede it in packet order), runs the repair,
-    /// and finishes the chunk on the sequential path (the relocate bumped
-    /// the table epoch, invalidating the remaining located coordinates).
+    /// and finishes the chunk on the sequential path (the relocate
+    /// invalidated the remaining located coordinates).
     fn process_chunk(
         &mut self,
         chunk: &[PacketMeta],
@@ -1268,24 +1250,18 @@ impl SilkRoadSwitch {
         if self.control.has_closed_early() && self.control.take_closed_early(key.as_slice()) {
             self.stats.installs_skipped_closed += 1;
         } else if self.vips.contains_key(&vip) {
-            // The batched setup path replays the packet-time hash pass the
-            // learn event carried instead of re-hashing the key on the
-            // CPU; `legacy_setup` (and hash-less producers) re-hash.
-            // Placement and decisions are bit-identical either way.
+            // Every learn event raised inside a switch carries the
+            // packet-time hash pass (`HashedKey::conn_hashes`), so the
+            // CPU never re-hashes the key.
             let hashes = job.meta.hashes;
-            let pre = !self.cfg.legacy_setup && hashes.stages() == self.cfg.conn_stages;
+            debug_assert_eq!(hashes.stages(), self.cfg.conn_stages);
+            let (stage_hashes, match_hash) = (hashes.stage_hashes(), hashes.match_hash());
             // Install-time collision pre-check: if another resident already
             // aliases this digest+bucket, relocate it first so the new
             // entry's packets do not shadow-match (§4.2).
-            let probe = if pre {
-                self.conn_table.lookup_pre(
-                    key.as_slice(),
-                    hashes.stage_hashes(),
-                    hashes.match_hash(),
-                )
-            } else {
-                self.conn_table.lookup(key.as_slice())
-            };
+            let probe = self
+                .conn_table
+                .lookup_pre(key.as_slice(), stage_hashes, match_hash);
             let vacant = probe.is_none();
             let resident = match probe {
                 Some(hit) if !hit.exact => Some(TupleKey::from_bytes(hit.resident_key)),
@@ -1302,26 +1278,16 @@ impl SilkRoadSwitch {
                 dip: job.meta.dip,
                 arrived: job.arrived,
             };
-            let installed = if pre && vacant {
+            let installed = if vacant {
                 // The pre-check above just probed these hashes and missed,
                 // and nothing has touched the table since: the insert can
                 // skip its duplicate scan and, for alias-free free-slot
                 // landings, the shadowing re-probe.
-                self.conn_table.install_vacant_pre(
-                    key.as_slice(),
-                    hashes.stage_hashes(),
-                    hashes.match_hash(),
-                    value,
-                )
-            } else if pre {
-                self.conn_table.install_pre(
-                    key.as_slice(),
-                    hashes.stage_hashes(),
-                    hashes.match_hash(),
-                    value,
-                )
+                self.conn_table
+                    .install_vacant_pre(key.as_slice(), stage_hashes, match_hash, value)
             } else {
-                self.conn_table.install(key.as_slice(), value)
+                self.conn_table
+                    .install_pre(key.as_slice(), stage_hashes, match_hash, value)
             };
             match installed {
                 Ok(_) => {

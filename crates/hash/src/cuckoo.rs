@@ -264,11 +264,6 @@ pub struct CuckooTable<V> {
     len: usize,
     /// Cumulative count of BFS-driven entry moves (for CPU-cost stats).
     total_moves: u64,
-    /// Layout generation: bumped by every mutation that can move, add, or
-    /// remove entries. A pipelined caller that located a slot with
-    /// [`CuckooTable::locate_pre`] compares epochs to detect that its
-    /// coordinates may have gone stale before resolving them.
-    epoch: u64,
     /// Software-side index of resident keys by collision class (digest mode
     /// only). Stage digests are prefixes of one shared hash, so any two keys
     /// that alias at *any* stage share the narrowest-width digest; indexing
@@ -432,7 +427,6 @@ impl<V: Clone> CuckooTable<V> {
                 .collect(),
             len: 0,
             total_moves: 0,
-            epoch: 0,
             alias,
             shadow_repairs: 0,
             scratch: InsertScratch::default(),
@@ -697,11 +691,6 @@ impl<V: Clone> CuckooTable<V> {
         Some(self.hit_at(stage, slot, exact))
     }
 
-    /// The table's current layout generation (see the `epoch` field).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// First half of a split probe: find the `(stage, slot)` a prehashed
     /// probe would hit, scanning only the match-field plane, and touch the
     /// winning entry's first cache line so its load is in flight by the
@@ -712,8 +701,8 @@ impl<V: Clone> CuckooTable<V> {
     /// In digest mode the slot choice depends only on the match-field
     /// plane, exactly like [`CuckooTable::probe_pre`]; full-key mode also
     /// needs the key compare to skip fingerprint aliases, so it falls back
-    /// to the fused probe. Coordinates are only valid while
-    /// [`CuckooTable::epoch`] is unchanged.
+    /// to the fused probe. Coordinates are only valid until the next
+    /// mutation (insert, remove, relocate, retain).
     pub fn locate_pre(
         &self,
         key: &[u8],
@@ -771,12 +760,12 @@ impl<V: Clone> CuckooTable<V> {
     /// [`CuckooTable::locate_pre`] — dereference the entry, compare the
     /// full key for exactness, and set the hit bit on an exact match,
     /// producing the same result the fused marking lookup would have.
-    /// Callers must verify the epoch is unchanged since `locate_pre`.
+    /// Callers must not have mutated the table since `locate_pre`.
     pub fn lookup_marking_at(&mut self, stage: u32, slot: u32, key: &[u8]) -> LookupHit<'_, V> {
         let (stage, slot) = (stage as usize, slot as usize);
         let e = self.slots[stage][slot]
             .as_mut()
-            .expect("located slot must be occupied at unchanged epoch");
+            .expect("located slot must be occupied: table mutated since locate_pre");
         let exact = e.key.as_slice() == key;
         if exact {
             e.hit = true;
@@ -784,13 +773,6 @@ impl<V: Clone> CuckooTable<V> {
         self.hit_at(stage, slot, exact)
     }
     // srlint: hot-path end
-
-    /// Look up with mutable access to the value (exact-key match only —
-    /// this is a software-side helper, not an ASIC path).
-    pub fn lookup_exact_mut(&mut self, key: &[u8]) -> Option<&mut V> {
-        let (stage, slot) = self.find_exact(key)?;
-        Some(&mut self.slots[stage][slot].as_mut().expect("occupied").value)
-    }
 
     fn find_exact(&self, key: &[u8]) -> Option<(usize, usize)> {
         for stage in 0..self.cfg.stages {
@@ -1052,7 +1034,6 @@ impl<V: Clone> CuckooTable<V> {
         scratch: &mut InsertScratch,
         record_moves: bool,
     ) -> Result<InsertOutcome, (CuckooError, Entry<V>)> {
-        self.epoch += 1;
         scratch.cand.clear();
         for stage in 0..self.cfg.stages {
             scratch.cand.push(match pre {
@@ -1211,7 +1192,6 @@ impl<V: Clone> CuckooTable<V> {
 
     /// Remove an entry by exact key.
     pub fn remove(&mut self, key: &[u8]) -> Result<V, CuckooError> {
-        self.epoch += 1;
         match self.find_exact(key) {
             Some((stage, slot)) => {
                 let e = self.slots[stage][slot].take().expect("occupied");
@@ -1285,7 +1265,6 @@ impl<V: Clone> CuckooTable<V> {
     /// Remove every entry for which `pred` returns false, returning the
     /// removed (key, value) pairs. Used for idle-connection expiry.
     pub fn retain<F: FnMut(&[u8], &V) -> bool>(&mut self, mut pred: F) -> Vec<(Box<[u8]>, V)> {
-        self.epoch += 1;
         let mut removed = Vec::new();
         for (stage, stage_mfs) in self.slots.iter_mut().zip(self.mfs.iter_mut()) {
             for (slot, mf) in stage.iter_mut().zip(stage_mfs.iter_mut()) {
@@ -1313,7 +1292,6 @@ impl<V: Clone> CuckooTable<V> {
         &mut self,
         mut pred: F,
     ) -> Vec<(Box<[u8]>, V)> {
-        self.epoch += 1;
         let mut removed = Vec::new();
         for (stage, stage_mfs) in self.slots.iter_mut().zip(self.mfs.iter_mut()) {
             for (slot, mf) in stage.iter_mut().zip(stage_mfs.iter_mut()) {
@@ -1506,12 +1484,14 @@ mod tests {
     }
 
     #[test]
-    fn lookup_exact_mut_updates() {
+    fn full_key_table_has_no_false_hits() {
         let mut t = small(MatchMode::FullKey);
-        t.insert(&key(1), 10).unwrap();
-        *t.lookup_exact_mut(&key(1)).unwrap() = 99;
-        assert_eq!(*t.lookup(&key(1)).unwrap().value, 99);
-        assert!(t.lookup_exact_mut(&key(2)).is_none());
+        t.insert(b"only", 1).unwrap();
+        for i in 0..10_000u32 {
+            if let Some(hit) = t.lookup(&key(i)) {
+                assert!(hit.exact, "full-key table produced inexact hit");
+            }
+        }
     }
 
     #[test]

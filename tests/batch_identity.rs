@@ -1,11 +1,12 @@
-//! Property tests: the batched connection-setup pipeline is
-//! observationally identical to the per-packet legacy pipeline.
+//! Property tests: the chunked batch path (`process_batch_into`) is
+//! observationally identical to one `process_packet` call per packet.
 //!
-//! The churn benchmark's speedup claim only means anything if the two
-//! arms are the *same machine* at different speeds. These properties
-//! drive randomized workloads — SYN storms with duplicated handshakes,
-//! interleaved data and early closes, and pool updates landing mid-burst
-//! while setups are in flight — through both arms and require:
+//! The sequential path is the reference the fused setup stage is checked
+//! against; both arms share the single learn → install pipeline. These
+//! properties drive randomized workloads — SYN storms with duplicated
+//! handshakes, interleaved data and early closes, and pool updates
+//! landing mid-burst while setups are in flight — through both arms and
+//! require:
 //!
 //! 1. **Decision identity**: every packet's [`ForwardDecision`] (DIP,
 //!    path, version, hit provenance) matches exactly, in order.
@@ -114,12 +115,11 @@ fn scenario() -> impl Strategy<Value = Scenario> {
 
 /// Drive one arm over the scenario and return (decisions, final per-flow
 /// decisions, conn_count).
-fn run_arm(s: &Scenario, legacy: bool) -> (Vec<ForwardDecision>, Vec<ForwardDecision>, usize) {
+fn run_arm(s: &Scenario, per_packet: bool) -> (Vec<ForwardDecision>, Vec<ForwardDecision>, usize) {
     let total: u32 = s.waves.iter().map(|w| w.new_flows).sum();
     let cfg = SilkRoadConfig {
         conn_capacity: (total as usize).max(64) * 4,
         digest_bits: 24,
-        legacy_setup: legacy,
         ..Default::default()
     };
     let mut sw = MultiPipeSwitch::inline(cfg, s.pipes);
@@ -129,7 +129,7 @@ fn run_arm(s: &Scenario, legacy: bool) -> (Vec<ForwardDecision>, Vec<ForwardDeci
     let mut decisions = Vec::new();
     let mut out: Vec<ForwardDecision> = Vec::new();
     let mut process = |sw: &mut MultiPipeSwitch, pkts: &[PacketMeta], now: Nanos| {
-        if legacy {
+        if per_packet {
             for p in pkts {
                 decisions.push(sw.process_packet(p, now));
             }
@@ -213,18 +213,18 @@ fn run_arm(s: &Scenario, legacy: bool) -> (Vec<ForwardDecision>, Vec<ForwardDeci
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Batched and legacy arms produce identical decision streams and
+    /// Batched and per-packet arms produce identical decision streams and
     /// identical post-drain state over randomized churn workloads.
     #[test]
     fn batched_setup_matches_per_packet(s in scenario()) {
         let (bat_dec, bat_fin, bat_conns) = run_arm(&s, false);
-        let (leg_dec, leg_fin, leg_conns) = run_arm(&s, true);
-        prop_assert_eq!(bat_dec.len(), leg_dec.len());
-        for (i, (b, l)) in bat_dec.iter().zip(&leg_dec).enumerate() {
+        let (pp_dec, pp_fin, pp_conns) = run_arm(&s, true);
+        prop_assert_eq!(bat_dec.len(), pp_dec.len());
+        for (i, (b, l)) in bat_dec.iter().zip(&pp_dec).enumerate() {
             prop_assert_eq!(b, l, "decision {} diverged (batch {})", i, s.batch);
         }
-        prop_assert_eq!(bat_conns, leg_conns, "connection counts diverged");
-        for (i, (b, l)) in bat_fin.iter().zip(&leg_fin).enumerate() {
+        prop_assert_eq!(bat_conns, pp_conns, "connection counts diverged");
+        for (i, (b, l)) in bat_fin.iter().zip(&pp_fin).enumerate() {
             prop_assert_eq!(b, l, "post-drain resolution diverged for flow {}", i);
         }
     }

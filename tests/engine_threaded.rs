@@ -39,6 +39,15 @@ fn conn(i: u32) -> FiveTuple {
     FiveTuple::tcp(Addr::v4_indexed(100, i, 1024 + (i % 13) as u16), vip().0)
 }
 
+/// The shutdown test counts this *process's* `sr-pipe-*` threads, and the
+/// harness runs tests on parallel threads — so every test that spawns
+/// workers holds this lock for its duration. (The guarded value is `()`:
+/// a poisoned lock, left by another test's failure, is still valid.)
+fn worker_census_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn build(pipes: usize, threaded: bool) -> MultiPipeSwitch {
     let mut sw = MultiPipeSwitch::with_options(
         cfg(),
@@ -116,6 +125,7 @@ fn churn_script(sw: &mut MultiPipeSwitch) -> StreamStats {
 
 #[test]
 fn control_churn_concurrent_with_streaming_keeps_decisions_identical() {
+    let _census = worker_census_lock();
     let runs = [(1, false), (4, false), (1, true), (2, true), (4, true)];
     let mut stats: Vec<(usize, bool, StreamStats)> = Vec::new();
     for (pipes, threaded) in runs {
@@ -134,6 +144,7 @@ fn control_churn_concurrent_with_streaming_keeps_decisions_identical() {
 
 #[test]
 fn streamed_and_sync_traffic_interleave_identically_across_backends() {
+    let _census = worker_census_lock();
     // process_packet/process_batch quiesce the target worker, so mixing
     // them with streaming is an ordering torture test: every sync call is
     // a barrier on one pipe while others may still hold staged batches.
@@ -178,6 +189,7 @@ fn streamed_and_sync_traffic_interleave_identically_across_backends() {
 
 #[test]
 fn shutdown_with_in_flight_batches_never_hangs_or_leaks_workers() {
+    let _census = worker_census_lock();
     // Threads named sr-pipe-* must all be gone after each drop; /proc is
     // the ground truth on Linux (skip the count elsewhere).
     fn worker_threads() -> Option<usize> {
@@ -232,6 +244,7 @@ fn shutdown_with_in_flight_batches_never_hangs_or_leaks_workers() {
 
 #[test]
 fn queries_are_consistent_while_streams_are_in_flight() {
+    let _census = worker_census_lock();
     let mut sw = build(4, true);
     let syns: Vec<PacketMeta> = (0..FLOWS).map(|i| PacketMeta::syn(conn(i))).collect();
     sw.process_batch(&syns, Nanos::ZERO);

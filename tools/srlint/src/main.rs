@@ -38,10 +38,12 @@
 //!
 //! Intentional exceptions live in `tools/srlint/allow.list`, keyed by
 //! `path<TAB>rule<TAB>trimmed-line-content` — content-keyed, so an entry
-//! survives line-number churn but dies with the code it excuses.
+//! survives line-number churn but dies with the code it excuses: an entry
+//! that matches nothing is itself an error.
 //!
-//! Exit status: 0 clean, 1 violations, 2 usage/io error. Run from the
-//! workspace root (or pass the root as the first argument).
+//! Exit status: 0 clean, 1 violations or unused allowlist entries,
+//! 2 usage/io error. Run from the workspace root (or pass the root as the
+//! first argument).
 
 #![forbid(unsafe_code)]
 
@@ -154,32 +156,40 @@ fn main() {
         println!("{}:{}: {}: {}", v.path, v.line, v.rule, v.message);
         println!("    {}", v.content);
     }
-    for (i, used) in used_allow.iter().enumerate() {
-        if !used {
-            let (p, r, c) = &allow[i];
-            eprintln!("srlint: note: unused allow.list entry: {p}\t{r}\t{c}");
-        }
+    // A stale exception is a violation too: the list must shrink with the
+    // code it excuses, or it silently pre-approves the next offender.
+    let unused: Vec<_> = allow
+        .iter()
+        .zip(&used_allow)
+        .filter(|(_, used)| !**used)
+        .map(|(entry, _)| entry)
+        .collect();
+    for (p, r, c) in &unused {
+        println!("tools/srlint/allow.list: unused entry: {p}\t{r}\t{c}");
     }
-    if violations.is_empty() {
+    if violations.is_empty() && unused.is_empty() {
         println!(
             "srlint: clean ({} files, {} allowlisted exception{})",
             files.len(),
             allowed,
             if allowed == 1 { "" } else { "s" }
         );
-    } else {
-        println!(
-            "srlint: {} violation{} ({} files, {} allowlisted)",
-            violations.len(),
-            if violations.len() == 1 { "" } else { "s" },
-            files.len(),
-            allowed
-        );
-        println!(
-            "    (intentional? add `path<TAB>rule<TAB>line-content` to tools/srlint/allow.list)"
-        );
-        std::process::exit(1);
+        return;
     }
+    println!(
+        "srlint: {} violation{}, {} unused allow.list entr{} ({} files, {} allowlisted)",
+        violations.len(),
+        if violations.len() == 1 { "" } else { "s" },
+        unused.len(),
+        if unused.len() == 1 { "y" } else { "ies" },
+        files.len(),
+        allowed
+    );
+    println!(
+        "    (intentional? add `path<TAB>rule<TAB>line-content` to tools/srlint/allow.list; \
+         unused entries must be deleted)"
+    );
+    std::process::exit(1);
 }
 
 /// Recursively collect `.rs` files, skipping `vendor/` and `target/`.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate (see ROADMAP.md): release build, full test
 # suite, formatting + warning-free clippy over every first-party crate,
-# the srlint source gate, the srcheck pipeline-layout gate, and the
-# release-mode allocation regression.
+# the srlint source gate, the srcheck pipeline-layout gate, the repro
+# smoke gates, the release-mode allocation regression, and the repo
+# benchmark's smoke pass.
 #
 # Clippy/fmt run per first-party package rather than --workspace: the
 # vendored stand-ins under vendor/ mirror upstream APIs and are exempt
@@ -74,13 +75,14 @@ FLEET_TMP="$(mktemp -d)"
 ( cd "$FLEET_TMP" && "$OLDPWD/target/release/repro" fleet --smoke > /dev/null )
 rm -rf "$FLEET_TMP"
 
-# Churn smoke: the batched connection-setup sweep plus the SYN-flood
+# Churn smoke: the connection-setup correctness gate plus the SYN-flood
 # scenario. Hard gates inside the binary: decision digests bit-identical
-# between the batched and per-packet arms and across 1/2/4 pipes; the
-# flood must overflow the learning filter without installing junk state
-# and with zero PCC violations on the background flows. (The speedup
-# floor applies to full runs only — smoke timings are too noisy.)
-echo "== repro churn --smoke (batched setup sweep + SYN flood)"
+# between the batched and per-packet arms and across 1/2/4 pipes, zero
+# PCC violations, zero learning-filter drops; the flood must overflow
+# the learning filter without installing junk state and with zero PCC
+# violations on the background flows. Nothing is timed — setup rates
+# are the benchmark's `churn` workload.
+echo "== repro churn --smoke (setup digest-identity gate + SYN flood)"
 CHURN_TMP="$(mktemp -d)"
 (
     cd "$CHURN_TMP"
@@ -127,5 +129,13 @@ cargo test --test alloc_regression --release
 
 echo "== benches compile"
 cargo bench --workspace --no-run
+
+# The repo benchmark (BENCHMARK.json, benchmark/): all six workloads at
+# 1/16 size. A correctness pass, not a timing gate — every run is judged
+# by its own PCC/checksum oracle and traced/untraced digests must agree.
+# To compare a change against its parent, run the full suite on both and
+# `bash benchmark/run.sh --compare before.json after.json`.
+echo "== benchmark smoke (six workloads, oracle + digest checks)"
+bash benchmark/run.sh --smoke > /dev/null
 
 echo "verify: OK"
