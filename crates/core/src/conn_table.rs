@@ -248,6 +248,20 @@ impl ConnTable {
     pub fn total_moves(&self) -> u64 {
         self.table.total_moves()
     }
+
+    /// Digest-shadowing repairs the table could not complete (see
+    /// [`CuckooTable::shadow_repair_failed`]): each may leave a resident
+    /// connection whose packets false-hit another entry.
+    pub fn shadow_repair_failed(&self) -> u64 {
+        self.table.shadow_repair_failed()
+    }
+
+    /// Full lookups spent keeping residents unshadowed (see
+    /// [`CuckooTable::repair_probes`]) — the exact, host-independent cost
+    /// of the write path's §4.2 check.
+    pub fn repair_probes(&self) -> u64 {
+        self.table.repair_probes()
+    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,11 @@ pub struct SwitchStats {
     pub syn_repairs: u64,
     /// Resident entries relocated to another stage during repair.
     pub relocations: u64,
+    /// ConnTable digest-shadowing repairs left incomplete (relocation
+    /// budget spent, or no stage left for the shadowing entry): a resident
+    /// connection may be false-hitting another's entry. A counted PCC
+    /// degradation, 0 in every healthy run.
+    pub shadow_repair_failed: u64,
     /// SYNs redirected because they falsely matched TransitTable in step 2.
     pub transit_syn_redirects: u64,
     /// Learn events accepted into the pipeline.
@@ -72,6 +77,7 @@ impl SwitchStats {
         self.digest_false_hits += other.digest_false_hits;
         self.syn_repairs += other.syn_repairs;
         self.relocations += other.relocations;
+        self.shadow_repair_failed += other.shadow_repair_failed;
         self.transit_syn_redirects += other.transit_syn_redirects;
         self.learns += other.learns;
         self.installs += other.installs;
@@ -98,8 +104,12 @@ impl fmt::Display for SwitchStats {
         writeln!(f, "packets:            {}", self.packets)?;
         writeln!(
             f,
-            "  conn-table hits:  {} ({} false, {} SYN repairs, {} relocations)",
-            self.conn_table_hits, self.digest_false_hits, self.syn_repairs, self.relocations
+            "  conn-table hits:  {} ({} false, {} SYN repairs, {} relocations, {} repairs failed)",
+            self.conn_table_hits,
+            self.digest_false_hits,
+            self.syn_repairs,
+            self.relocations,
+            self.shadow_repair_failed
         )?;
         writeln!(
             f,
@@ -143,12 +153,14 @@ mod tests {
         let mut a = SwitchStats {
             packets: 3,
             closes: 1,
+            shadow_repair_failed: 1,
             ..Default::default()
         };
         a.fallback_pins_by_vip.insert(vip, 2);
         let mut b = SwitchStats {
             packets: 4,
             installs: 5,
+            shadow_repair_failed: 2,
             ..Default::default()
         };
         b.fallback_pins_by_vip.insert(vip, 1);
@@ -156,6 +168,8 @@ mod tests {
         assert_eq!(a.packets, 7);
         assert_eq!(a.closes, 1);
         assert_eq!(a.installs, 5);
+        assert_eq!(a.shadow_repair_failed, 3);
+        assert!(a.to_string().contains("3 repairs failed"));
         assert_eq!(a.fallback_pins(vip), 3);
     }
 }

@@ -779,13 +779,21 @@ impl SilkRoadSwitch {
         self.stats.digest_false_hits += 1;
         self.stats.syn_repairs += 1;
         if let Some(resident) = resident {
-            if self.conn_table.relocate(resident.as_slice()).is_ok() {
-                self.stats.relocations += 1;
-            }
+            self.relocate_resident(&resident);
         }
         let mut d = self.miss_path(pkt, view, hashed, now);
         d.path = DataPath::SoftwareRedirect;
         d
+    }
+
+    /// §4.2 software repair: move a resident entry that a new connection
+    /// false-hits to another stage. The relocation runs the table's own
+    /// shadowing repair, so its failure count is re-read here.
+    fn relocate_resident(&mut self, resident: &TupleKey) {
+        if self.conn_table.relocate(resident.as_slice()).is_ok() {
+            self.stats.relocations += 1;
+        }
+        self.stats.shadow_repair_failed = self.conn_table.shadow_repair_failed();
     }
 
     /// Step 2 of the pipeline: the fallback-table probe (overflow /
@@ -1268,9 +1276,7 @@ impl SilkRoadSwitch {
                 _ => None,
             };
             if let Some(resident) = resident {
-                if self.conn_table.relocate(resident.as_slice()).is_ok() {
-                    self.stats.relocations += 1;
-                }
+                self.relocate_resident(&resident);
             }
             let value = ConnValue {
                 vip,
@@ -1289,6 +1295,7 @@ impl SilkRoadSwitch {
                 self.conn_table
                     .install_pre(key.as_slice(), stage_hashes, match_hash, value)
             };
+            self.stats.shadow_repair_failed = self.conn_table.shadow_repair_failed();
             match installed {
                 Ok(_) => {
                     self.stats.installs += 1;

@@ -33,8 +33,8 @@
 //! `MultiPipeSwitch` steering/dispatch path in
 //! `crates/core/src/engine/mod.rs`, and the run-to-completion worker
 //! loop — steer, fold, batch apply — in
-//! `crates/core/src/engine/worker.rs`). Code from `#[cfg(test)]` onward
-//! is exempt.
+//! `crates/core/src/engine/worker.rs`). Code from the first file-scope
+//! `#[cfg(test)]` item onward is exempt.
 //!
 //! Intentional exceptions live in `tools/srlint/allow.list`, keyed by
 //! `path<TAB>rule<TAB>trimmed-line-content` — content-keyed, so an entry
@@ -285,8 +285,10 @@ fn lint_source(rel: &str, text: &str) -> Vec<Violation> {
             _ => {}
         }
         // Test code (and everything after it — test modules close the
-        // files in this workspace) is exempt from all line rules.
-        if trimmed.starts_with("#[cfg(test)]") {
+        // files in this workspace) is exempt from all line rules. Only a
+        // file-scope item counts: an indented `#[cfg(test)]` gates one
+        // field, statement or method and the code after it is still live.
+        if raw.starts_with("#[cfg(test)]") {
             break;
         }
         let code = strip_strings_and_comments(raw);
@@ -541,6 +543,17 @@ mod tests {
                        fn t(x: &[u8]) { x[0]; None::<u8>.unwrap(); }\n\
                    }\n";
         assert!(rules("crates/core/src/switch.rs", src).is_empty());
+    }
+
+    #[test]
+    fn nested_cfg_test_does_not_end_linting() {
+        // A test-only field early in a file must not blind the gate to the
+        // hot regions below it.
+        let src = "struct T {\n    #[cfg(test)]\n    bypass: bool,\n}\n\
+                   // srlint: hot-path begin\n\
+                   fn f(x: &[u8]) -> u8 { x[0] }\n\
+                   // srlint: hot-path end\n";
+        assert_eq!(rules("crates/hash/src/cuckoo.rs", src), ["no-index"]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 # Tier-1 verification gate (see ROADMAP.md): release build, full test
 # suite, formatting + warning-free clippy over every first-party crate,
 # the srlint source gate, the srcheck pipeline-layout gate, the repro
-# smoke gates, the release-mode allocation regression, and the repo
-# benchmark's smoke pass.
+# smoke gates, the release-mode allocation regression, the repo
+# benchmark's smoke pass, and its hit-1m seed-204 PCC regression gate.
 #
 # Clippy/fmt run per first-party package rather than --workspace: the
 # vendored stand-ins under vendor/ mirror upstream APIs and are exempt
@@ -137,5 +137,16 @@ cargo bench --workspace --no-run
 # `bash benchmark/run.sh --compare before.json after.json`.
 echo "== benchmark smoke (six workloads, oracle + digest checks)"
 bash benchmark/run.sh --smoke > /dev/null
+
+# PCC regression gate: hit-1m seed 204 holds two flows that share the
+# 16-bit digest and the same word in stages 0 *and* 1. Until the repair
+# excluded every shared stage, relocation bounced the pair between the
+# two words, gave up silently, and one flow was steered through the
+# other's entry. A million-flow fill plus a 1 s window, ~15 s. The
+# result line is printed so the CI job log keeps it.
+echo "== benchmark hit-1m seed 204 (digest-shadowing PCC regression gate)"
+seed204="$(bash benchmark/run.sh --workload hit-1m --seed 204 --seconds 1 --trace 0 | tail -1)"
+echo "$seed204"
+grep -q '"correct": true' <<< "$seed204"
 
 echo "verify: OK"
