@@ -4,33 +4,143 @@
 //! 5-tuple. Action data is the DIP-pool version (6 bits) in the paper's
 //! design, or the DIP itself in the §4.2 fallback mode. The software shadow
 //! (full keys, arrival times) rides along in the entry value — the real
-//! switch keeps the same information in CPU memory.
+//! switch keeps the same information in CPU memory. Here it is one cache
+//! line per slot: callers see [`ConnValue`]s, a slot stores one packed to
+//! 18 bytes beside its key (see [`ConnTable::host_bytes`]).
 
 use crate::config::{ConnMapping, SilkRoadConfig};
 use sr_asic::table::{MatchMode, TableSpec};
 use sr_hash::cuckoo::{CuckooError, CuckooTable, InsertOutcome, LookupHit};
-use sr_types::{Nanos, PoolVersion, TupleKey, Vip};
+use sr_hash::FxHashMap;
+use sr_types::{Dip, Nanos, PoolVersion, TupleKey, Vip};
+use std::hash::Hash;
 
 /// Value stored per connection — field-for-field the algorithm boundary's
 /// [`sr_algo::ConnRecord`] (vip, pinned version, learn-time DIP, arrival
 /// time), so SilkRoad's table plugs into the zoo without translation.
+/// This is what callers hand in and get back; a slot stores it packed.
 pub type ConnValue = sr_algo::ConnRecord;
+
+/// What every lookup returns: `(value, exact, resident)` (see
+/// [`ConnTable::lookup_marking`]).
+type ConnLookup = (ConnValue, bool, Option<TupleKey>);
+
+/// A [`ConnValue`] as its slot stores it: the two endpoints as ids into the
+/// table's [`Endpoints`], 18 bytes of fields at 4-byte alignment instead of
+/// 56 bytes at 8, so key, hit bit and value share one 64-byte slot record.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, packed(4))]
+struct PackedConn {
+    arrived: u64,
+    vip: u32,
+    dip: u32,
+    version: u16,
+}
+
+// What `sr_hash::cuckoo` needs of a value to keep a slot at one cache line
+// (it asserts the record size for the widest such value beside its type).
+const _: () =
+    assert!(std::mem::size_of::<PackedConn>() <= 20 && std::mem::align_of::<PackedConn>() <= 4);
+
+/// Every distinct `T` a table has seen, numbered in order of first sight.
+/// Ids are never reused or dropped — a table sees a few VIPs and their
+/// DIPs, each a few dozen bytes — so an id stays valid for as long as any
+/// record holds it, across removes and re-installs.
+struct Interner<T> {
+    ids: FxHashMap<T, u32>,
+    items: Vec<T>,
+}
+
+impl<T> Default for Interner<T> {
+    fn default() -> Interner<T> {
+        Interner {
+            ids: FxHashMap::default(),
+            items: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy + Eq + Hash> Interner<T> {
+    /// The id of `item`, numbering it on first sight (the only time this
+    /// touches the allocator).
+    fn intern(&mut self, item: T) -> u32 {
+        *self.ids.entry(item).or_insert_with(|| {
+            let id = u32::try_from(self.items.len()).expect("fewer than 2^32 distinct endpoints");
+            self.items.push(item);
+            id
+        })
+    }
+
+    fn id(&self, item: &T) -> Option<u32> {
+        self.ids.get(item).copied()
+    }
+
+    fn host_bytes(&self) -> usize {
+        self.items.capacity() * std::mem::size_of::<T>()
+            + self.ids.capacity() * (std::mem::size_of::<(T, u32)>() + 1)
+    }
+
+    // srlint: hot-path begin
+    /// The item behind an id this interner handed out.
+    fn get(&self, id: u32) -> T {
+        self.items[id as usize]
+    }
+    // srlint: hot-path end
+}
+
+/// The VIPs and DIPs a table's records refer to by id.
+#[derive(Default)]
+struct Endpoints {
+    vips: Interner<Vip>,
+    dips: Interner<Dip>,
+}
+
+impl Endpoints {
+    fn pack(&mut self, v: ConnValue) -> PackedConn {
+        PackedConn {
+            arrived: v.arrived.0,
+            vip: self.vips.intern(v.vip),
+            dip: self.dips.intern(v.dip),
+            version: v.version.0,
+        }
+    }
+
+    // srlint: hot-path begin
+    fn unpack(&self, p: PackedConn) -> ConnValue {
+        ConnValue {
+            vip: self.vips.get(p.vip),
+            version: PoolVersion(p.version),
+            dip: self.dips.get(p.dip),
+            arrived: Nanos(p.arrived),
+        }
+    }
+
+    /// A table hit as its owned, unpacked result.
+    fn unpack_hit(&self, hit: LookupHit<'_, PackedConn>) -> ConnLookup {
+        let resident = (!hit.exact).then(|| TupleKey::from_bytes(hit.resident_key));
+        (self.unpack(*hit.value), hit.exact, resident)
+    }
+    // srlint: hot-path end
+
+    fn unpack_all(&self, removed: Vec<(TupleKey, PackedConn)>) -> Vec<(TupleKey, ConnValue)> {
+        removed
+            .into_iter()
+            .map(|(key, p)| (key, self.unpack(p)))
+            .collect()
+    }
+}
 
 /// The ConnTable.
 pub struct ConnTable {
     /// The multi-stage cuckoo store (behaviour).
-    table: CuckooTable<ConnValue>,
+    table: CuckooTable<PackedConn>,
+    /// The endpoints the packed records name by id.
+    ends: Endpoints,
     /// The on-chip entry layout (SRAM cost).
     spec: TableSpec,
     mapping: ConnMapping,
     /// When the last aging scan ran.
     last_scan: Nanos,
-}
-
-/// A marking lookup's owned result (see [`ConnTable::lookup_marking`]).
-fn marked(hit: LookupHit<'_, ConnValue>) -> (ConnValue, bool, Option<TupleKey>) {
-    let resident = (!hit.exact).then(|| TupleKey::from_bytes(hit.resident_key));
-    (*hit.value, hit.exact, resident)
 }
 
 impl ConnTable {
@@ -50,6 +160,7 @@ impl ConnTable {
                 match_mode,
                 cfg.seed ^ 0xc0_44,
             )),
+            ends: Endpoints::default(),
             spec,
             mapping: cfg.mapping,
             last_scan: Nanos::ZERO,
@@ -66,9 +177,10 @@ impl ConnTable {
         &self.spec
     }
 
-    /// ASIC lookup.
-    pub fn lookup(&self, key: &[u8]) -> Option<LookupHit<'_, ConnValue>> {
-        self.table.lookup(key)
+    /// ASIC lookup, for software inspection: no hit bit is set. Returns
+    /// `(value, exact, resident)` like [`ConnTable::lookup_marking`].
+    pub fn lookup(&self, key: &[u8]) -> Option<ConnLookup> {
+        self.table.lookup(key).map(|hit| self.ends.unpack_hit(hit))
     }
 
     /// [`ConnTable::lookup`] from precomputed hashes (the batched install
@@ -78,8 +190,10 @@ impl ConnTable {
         key: &[u8],
         stage_hashes: &[u64],
         match_hash: u64,
-    ) -> Option<LookupHit<'_, ConnValue>> {
-        self.table.lookup_pre(key, stage_hashes, match_hash)
+    ) -> Option<ConnLookup> {
+        self.table
+            .lookup_pre(key, stage_hashes, match_hash)
+            .map(|hit| self.ends.unpack_hit(hit))
     }
 
     /// ASIC lookup that also sets the entry's hit bit on an exact match
@@ -88,8 +202,10 @@ impl ConnTable {
     /// Returns `(value, exact, resident)` where `resident` carries the
     /// resident entry's key *only on a false hit* (the repair path needs it
     /// to relocate the resident); exact hits copy no key.
-    pub fn lookup_marking(&mut self, key: &[u8]) -> Option<(ConnValue, bool, Option<TupleKey>)> {
-        self.table.lookup_marking(key).map(marked)
+    pub fn lookup_marking(&mut self, key: &[u8]) -> Option<ConnLookup> {
+        self.table
+            .lookup_marking(key)
+            .map(|hit| self.ends.unpack_hit(hit))
     }
 
     /// [`ConnTable::lookup_marking`] from precomputed hashes (the hash-once
@@ -100,10 +216,10 @@ impl ConnTable {
         key: &[u8],
         stage_hashes: &[u64],
         match_hash: u64,
-    ) -> Option<(ConnValue, bool, Option<TupleKey>)> {
+    ) -> Option<ConnLookup> {
         self.table
             .lookup_marking_pre(key, stage_hashes, match_hash)
-            .map(marked)
+            .map(|hit| self.ends.unpack_hit(hit))
     }
 
     /// Warm the cache lines a prehashed lookup will touch: the per-stage
@@ -120,6 +236,7 @@ impl ConnTable {
         self.table.prefetch_entry_pre(stage_hashes, match_hash);
     }
 
+    // srlint: hot-path begin
     /// First half of a split marking lookup: the `(stage, slot)` a prehashed
     /// probe would hit, with the entry's cache line already warming. No side
     /// effects; resolve with [`ConnTable::lookup_marking_at`] before the
@@ -130,15 +247,17 @@ impl ConnTable {
 
     /// Second half of a split marking lookup — same result and side effects
     /// (hit bit on exact match) as [`ConnTable::lookup_marking_pre`] at the
-    /// located coordinates.
-    pub fn lookup_marking_at(
-        &mut self,
-        stage: u32,
-        slot: u32,
-        key: &[u8],
-    ) -> (ConnValue, bool, Option<TupleKey>) {
-        marked(self.table.lookup_marking_at(stage, slot, key))
+    /// located coordinates: one record line, then two reads of the
+    /// cache-resident endpoint lists.
+    // Inlined into the chunk loop: out of line, the 96-byte owned result is
+    // built in memory and re-read by the caller in other widths, and the
+    // store-forwarding stalls cost the cache-resident hit path ~15 %.
+    #[inline]
+    pub fn lookup_marking_at(&mut self, stage: u32, slot: u32, key: &[u8]) -> ConnLookup {
+        self.ends
+            .unpack_hit(self.table.lookup_marking_at(stage, slot, key))
     }
+    // srlint: hot-path end
 
     /// Per-stage bucket-hash functions (for assembling a hash-once list).
     pub fn stage_fns(&self) -> &[sr_hash::HashFn] {
@@ -153,13 +272,13 @@ impl ConnTable {
     /// Idle aging (clock algorithm): expire every entry that was installed
     /// before the previous scan and has not been exact-hit since. Returns
     /// the expired entries; resets the hit bits.
-    pub fn aging_scan(&mut self, now: Nanos) -> Vec<(Box<[u8]>, ConnValue)> {
-        let cutoff = self.last_scan;
+    pub fn aging_scan(&mut self, now: Nanos) -> Vec<(TupleKey, ConnValue)> {
+        let cutoff = self.last_scan.0;
         let expired = self
             .table
             .retain_hits(|_, v, hit| v.arrived >= cutoff || hit);
         self.last_scan = now;
-        expired
+        self.ends.unpack_all(expired)
     }
 
     /// Time of the last aging scan.
@@ -169,7 +288,8 @@ impl ConnTable {
 
     /// Install an entry (software path; timing is modelled by the CPU).
     pub fn install(&mut self, key: &[u8], value: ConnValue) -> Result<InsertOutcome, CuckooError> {
-        self.table.insert(key, value)
+        let packed = self.ends.pack(value);
+        self.table.insert(key, packed)
     }
 
     /// [`ConnTable::install`] from precomputed hashes — the batched setup
@@ -183,7 +303,8 @@ impl ConnTable {
         match_hash: u64,
         value: ConnValue,
     ) -> Result<InsertOutcome, CuckooError> {
-        self.table.insert_pre(key, stage_hashes, match_hash, value)
+        let packed = self.ends.pack(value);
+        self.table.insert_pre(key, stage_hashes, match_hash, packed)
     }
 
     /// [`ConnTable::install_pre`] when the install drain's own collision
@@ -197,13 +318,14 @@ impl ConnTable {
         match_hash: u64,
         value: ConnValue,
     ) -> Result<InsertOutcome, CuckooError> {
+        let packed = self.ends.pack(value);
         self.table
-            .insert_vacant_pre(key, stage_hashes, match_hash, value)
+            .insert_vacant_pre(key, stage_hashes, match_hash, packed)
     }
 
     /// Remove an entry on connection close/expiry.
     pub fn remove(&mut self, key: &[u8]) -> Result<ConnValue, CuckooError> {
-        self.table.remove(key)
+        self.table.remove(key).map(|p| self.ends.unpack(p))
     }
 
     /// Relocate a resident entry to another stage (digest-collision repair).
@@ -237,11 +359,25 @@ impl ConnTable {
         self.spec.bytes_for(self.len() as u64)
     }
 
+    /// Host bytes the software shadow owns (see
+    /// [`CuckooTable::host_bytes`]), endpoint lists included: what the
+    /// model spends to stand in for [`ConnTable::provisioned_bytes`] of
+    /// SRAM.
+    pub fn host_bytes(&self) -> usize {
+        self.table.host_bytes() + self.ends.vips.host_bytes() + self.ends.dips.host_bytes()
+    }
+
     /// Remove all entries pinned to `version` of `vip`, returning them
-    /// (version-exhaustion migration to the fallback table).
-    pub fn evict_version(&mut self, vip: Vip, version: PoolVersion) -> Vec<(Box<[u8]>, ConnValue)> {
-        self.table
-            .retain(|_, v| !(v.vip == vip && v.version == version))
+    /// (version-exhaustion migration to the fallback table). A VIP no
+    /// record has ever named has nothing to evict and costs no scan.
+    pub fn evict_version(&mut self, vip: Vip, version: PoolVersion) -> Vec<(TupleKey, ConnValue)> {
+        let Some(vip) = self.ends.vips.id(&vip) else {
+            return Vec::new();
+        };
+        let evicted = self
+            .table
+            .retain(|_, v| !(v.vip == vip && v.version == version.0));
+        self.ends.unpack_all(evicted)
     }
 
     /// Cumulative cuckoo moves (CPU cost diagnostic).
@@ -267,7 +403,8 @@ impl ConnTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sr_types::{Addr, Dip};
+    use proptest::prelude::*;
+    use sr_types::Addr;
 
     fn value(ver: u16) -> ConnValue {
         ConnValue {
@@ -286,9 +423,9 @@ mod tests {
     fn install_lookup_remove() {
         let mut t = table();
         t.install(b"conn-1", value(3)).unwrap();
-        let hit = t.lookup(b"conn-1").unwrap();
-        assert!(hit.exact);
-        assert_eq!(hit.value.version, PoolVersion(3));
+        let (hit, exact, _) = t.lookup(b"conn-1").unwrap();
+        assert!(exact);
+        assert_eq!(hit.version, PoolVersion(3));
         assert_eq!(t.len(), 1);
         let removed = t.remove(b"conn-1").unwrap();
         assert_eq!(removed.version, PoolVersion(3));
@@ -307,9 +444,9 @@ mod tests {
         // Two 28-bit entries pack into one 112-bit (14-byte) SRAM word.
         assert_eq!(t.spec().entry_bits(), 28);
         assert_eq!(t.occupied_bytes(), 14);
-        assert_eq!(t.lookup(b"key-a").unwrap().value.version, PoolVersion(1));
+        assert_eq!(t.lookup(b"key-a").unwrap().0.version, PoolVersion(1));
         assert_eq!(t.remove(b"key-b").unwrap().version, PoolVersion(2));
-        assert!(!t.lookup(b"key-b").is_some_and(|hit| hit.exact));
+        assert!(!t.lookup(b"key-b").is_some_and(|(_, exact, _)| exact));
     }
 
     #[test]
@@ -328,7 +465,11 @@ mod tests {
         .unwrap();
         let evicted = t.evict_version(value(1).vip, PoolVersion(1));
         assert_eq!(evicted.len(), 1);
-        assert_eq!(&*evicted[0].0, b"a");
+        assert_eq!(evicted[0].0.as_slice(), b"a");
+        assert_eq!(t.len(), 2);
+        // A VIP no record ever named: nothing to evict, nothing scanned.
+        let stranger = Vip(Addr::v4(20, 0, 0, 3, 80));
+        assert!(t.evict_version(stranger, PoolVersion(1)).is_empty());
         assert_eq!(t.len(), 2);
     }
 
@@ -347,12 +488,12 @@ mod tests {
         t.install(b"young", young).unwrap();
         let expired = t.aging_scan(Nanos::from_secs(120));
         assert_eq!(expired.len(), 1);
-        assert_eq!(&*expired[0].0, b"old-idle");
+        assert_eq!(expired[0].0.as_slice(), b"old-idle");
         assert!(t.lookup(b"old-busy").is_some());
         assert!(t.lookup(b"young").is_some());
         // Hit bits reset: old-busy expires next time if untouched.
         let expired = t.aging_scan(Nanos::from_secs(240));
-        let keys: Vec<&[u8]> = expired.iter().map(|(k, _)| k.as_ref()).collect();
+        let keys: Vec<&[u8]> = expired.iter().map(|(k, _)| k.as_slice()).collect();
         assert!(keys.contains(&b"old-busy".as_ref()));
     }
 
@@ -365,7 +506,7 @@ mod tests {
             t.install(&i.to_be_bytes(), value(1)).unwrap();
         }
         for i in 0..500u32 {
-            assert!(t.lookup(&i.to_be_bytes()).unwrap().exact);
+            assert!(t.lookup(&i.to_be_bytes()).unwrap().1);
         }
     }
 
@@ -377,5 +518,118 @@ mod tests {
         let dip_mode = ConnTable::new(&cfg);
         // Direct-DIP entries are far wider: more SRAM for same capacity.
         assert!(dip_mode.provisioned_bytes() > 3 * version_mode.provisioned_bytes());
+    }
+
+    fn endpoint(v6: bool, idx: u32, port: u16) -> Addr {
+        if v6 {
+            Addr::v6_indexed(0x0a0a, idx, port)
+        } else {
+            Addr::v4_indexed(10, idx, port)
+        }
+    }
+
+    fn edge_or_any<T: Copy + std::fmt::Debug + 'static>(
+        edges: [T; 2],
+        any: impl Strategy<Value = T> + 'static,
+    ) -> impl Strategy<Value = T> {
+        prop_oneof![Just(edges[0]), Just(edges[1]), any]
+    }
+
+    fn conn_value() -> impl Strategy<Value = ConnValue> {
+        let addr =
+            || (any::<bool>(), 0u32..8, any::<u16>()).prop_map(|(v6, i, p)| endpoint(v6, i, p));
+        (
+            addr(),
+            addr(),
+            edge_or_any([0, u16::MAX], any::<u16>()),
+            edge_or_any([0, u64::MAX], any::<u64>()),
+        )
+            .prop_map(|(vip, dip, version, arrived)| ConnValue {
+                vip: Vip(vip),
+                version: PoolVersion(version),
+                dip: Dip(dip),
+                arrived: Nanos(arrived),
+            })
+    }
+
+    proptest! {
+        /// Whatever mix of v4/v6 endpoints, versions and arrival times a
+        /// table has packed, every record unpacks to the value it was
+        /// given — including after later values have grown the interners.
+        #[test]
+        fn pack_unpack_round_trips(vals in proptest::collection::vec(conn_value(), 1..64)) {
+            let mut ends = Endpoints::default();
+            let packed: Vec<PackedConn> = vals.iter().map(|v| ends.pack(*v)).collect();
+            for (v, p) in vals.iter().zip(packed) {
+                prop_assert_eq!(ends.unpack(p), *v);
+            }
+        }
+    }
+
+    #[test]
+    fn edge_values_and_wide_ids_round_trip_through_the_table() {
+        let mut t = table();
+        // Both families on both sides, at both ends of version and time.
+        for (i, v6) in [(0u32, false), (1, true)] {
+            for version in [0, u16::MAX] {
+                for arrived in [0, u64::MAX] {
+                    let v = ConnValue {
+                        vip: Vip(endpoint(v6, i, 80)),
+                        version: PoolVersion(version),
+                        dip: Dip(endpoint(!v6, i, 20)),
+                        arrived: Nanos(arrived),
+                    };
+                    t.install(b"edge", v).unwrap();
+                    assert_eq!(t.lookup(b"edge").unwrap().0, v);
+                    assert_eq!(t.remove(b"edge").unwrap(), v);
+                }
+            }
+        }
+        // 70 000 distinct DIPs: ids run past what a u16 could name.
+        let dip = |i: u32| Dip(endpoint(i % 2 == 1, i, 20));
+        let seen = t.ends.dips.items.len() as u32;
+        for i in 0..70_000 {
+            let v = ConnValue {
+                dip: dip(i),
+                ..value(1)
+            };
+            t.install(b"wide", v).unwrap();
+            assert_eq!(t.remove(b"wide").unwrap(), v);
+        }
+        assert_eq!(t.ends.dips.id(&dip(69_999)), Some(seen + 69_999));
+        // Ids are stable: removing every record of a DIP and installing it
+        // again names it by the id it always had, and grows nothing.
+        let (early, bytes) = (t.ends.dips.id(&dip(7)), t.host_bytes());
+        t.install(
+            b"again",
+            ConnValue {
+                dip: dip(7),
+                ..value(2)
+            },
+        )
+        .unwrap();
+        assert_eq!(t.ends.dips.id(&dip(7)), early);
+        assert_eq!(t.lookup(b"again").unwrap().0.dip, dip(7));
+        assert_eq!(t.host_bytes(), bytes);
+    }
+
+    #[test]
+    fn host_bytes_per_slot_stay_under_the_budget() {
+        // ~62 K slots under a 12-bit digest, filled to load 0.8 with
+        // 13-byte v4 keys: the collision classes are as deep as a 16-bit
+        // digest's at a million flows (see the same test in
+        // `sr_hash::cuckoo`), here with the real packed value in the record.
+        let mut cfg = SilkRoadConfig::small_test();
+        cfg.conn_capacity = 59_000;
+        cfg.digest_bits = 12;
+        let mut t = ConnTable::new(&cfg);
+        let vip = value(1).vip.0;
+        for i in 0..(t.capacity() as u32 * 8 / 10) {
+            let tuple = sr_types::FiveTuple::tcp(Addr::v4_indexed(100, i, 1024), vip);
+            t.install(TupleKey::new(&tuple).as_slice(), value(1))
+                .unwrap();
+        }
+        let per_slot = t.host_bytes() as f64 / t.capacity() as f64;
+        assert!(per_slot <= 100.0, "{per_slot} host bytes per slot");
     }
 }

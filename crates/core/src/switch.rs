@@ -1228,7 +1228,7 @@ impl SilkRoadSwitch {
         for (key, value) in evicted {
             state.manager.conn_removed(victim);
             self.fallback.insert(
-                TupleKey::from_bytes(&key),
+                key,
                 FallbackConn {
                     vip,
                     dip: value.dip,
@@ -1271,10 +1271,7 @@ impl SilkRoadSwitch {
                 .conn_table
                 .lookup_pre(key.as_slice(), stage_hashes, match_hash);
             let vacant = probe.is_none();
-            let resident = match probe {
-                Some(hit) if !hit.exact => Some(TupleKey::from_bytes(hit.resident_key)),
-                _ => None,
-            };
+            let resident = probe.and_then(|(_, _, resident)| resident);
             if let Some(resident) = resident {
                 self.relocate_resident(&resident);
             }

@@ -23,17 +23,21 @@
 //!   digest in the probed word *hits*, even if the underlying key differs —
 //!   that is the paper's false-positive case, repaired via
 //!   [`CuckooTable::relocate`].
+//!
+//! On the host a provisioned slot costs one cache line and a lane: an
+//! occupied slot is a 64-byte, line-aligned `Record` (32-bit match field,
+//! inline key of at most [`MAX_KEY_LEN`] bytes, hit bit, value), a vacant
+//! one the same 64 bytes with `Option`'s niche set, and probes scan a
+//! separate dense plane of 16-bit match-field lanes, so a hit reads one
+//! plane line per stage probed plus exactly one record line. Digest mode
+//! also keeps an `AliasIndex` for the shadowing repair: per collision
+//! class (`AliasClass`), the members' key bytes packed back to back.
+//! [`CuckooTable::host_bytes`] adds it all up.
 
 use crate::digest::DigestFn;
 use crate::hasher::HashFn;
+use sr_types::TupleKey;
 use std::collections::VecDeque;
-
-/// Sentinel in the match-field plane for a vacant slot. Digest-mode match
-/// fields are at most 32 bits wide, so they can never collide with it;
-/// full-key fingerprints are clamped one below it by [`stored_mf`], which
-/// is safe because full-key mode always verifies the stored key bytes on a
-/// match-field hit.
-const EMPTY_MF: u64 = u64::MAX;
 
 /// Sentinel in the 16-bit match-field *plane* for a vacant slot.
 /// [`plane_mf`] clamps stored values one below it.
@@ -41,13 +45,13 @@ const EMPTY_PLANE: u16 = u16::MAX;
 
 /// The 16-bit plane image of a match field: a prefilter, not the decision.
 /// A probe compares plane lanes first and confirms any lane hit against the
-/// entry's full [`stored_mf`] value, so the accept set is exactly the full
+/// record's full 32-bit field, so the accept set is exactly the full
 /// comparison's — equal fields always have equal plane images, and unequal
 /// plane images imply unequal fields. Sixteen bits keep the scanned plane
-/// four times denser than `u64` lanes (the paper's ConnTable digests are
-/// 16 bits anyway), so the hot probe loop stays cache-resident.
-fn plane_mf(mf: u64) -> u16 {
-    let t = stored_mf(mf) as u16;
+/// dense (the paper's ConnTable digests are 16 bits anyway), so the hot
+/// probe loop stays cache-resident.
+fn plane_mf(mf: u32) -> u16 {
+    let t = mf as u16;
     if t == EMPTY_PLANE {
         EMPTY_PLANE - 1
     } else {
@@ -55,50 +59,16 @@ fn plane_mf(mf: u64) -> u16 {
     }
 }
 
-/// Longest key the table stores, in bytes. Covers a v6 5-tuple key
-/// (37 bytes) with headroom. Keys are kept inline in the slot array so the
-/// verify-on-hit compare reads the same cache lines as the entry itself
-/// instead of chasing a per-entry heap pointer.
-pub const MAX_KEY_LEN: usize = 40;
+/// Longest key the table stores, in bytes: a v6 5-tuple key, the longest
+/// [`TupleKey`] holds. Keys are kept inline in the slot record, so the
+/// verify-on-hit compare reads the record's own cache line instead of
+/// chasing a per-entry heap pointer.
+pub const MAX_KEY_LEN: usize = sr_types::MAX_KEY_LEN;
 
 /// Stage-count bound for the probe's stack-resident word-index array
 /// (tables with more stages fall back to the serial walk; the paper's
 /// configurations use 2–4).
 const MAX_PROBE_STAGES: usize = 8;
-
-/// A key stored inline in its slot (no heap indirection).
-#[derive(Clone, Copy, Debug)]
-struct InlineKey {
-    len: u8,
-    buf: [u8; MAX_KEY_LEN],
-}
-
-impl InlineKey {
-    fn new(key: &[u8]) -> InlineKey {
-        assert!(
-            key.len() <= MAX_KEY_LEN,
-            "cuckoo keys are at most {MAX_KEY_LEN} bytes, got {}",
-            key.len()
-        );
-        let mut buf = [0u8; MAX_KEY_LEN];
-        buf[..key.len()].copy_from_slice(key);
-        InlineKey {
-            len: key.len() as u8,
-            buf,
-        }
-    }
-
-    #[inline]
-    fn as_slice(&self) -> &[u8] {
-        &self.buf[..self.len as usize]
-    }
-}
-
-/// The canonical stored form of a match field: what a plane-lane hit is
-/// confirmed against, and the domain [`plane_mf`] projects into.
-fn stored_mf(mf: u64) -> u64 {
-    mf.min(EMPTY_MF - 1)
-}
 
 /// How entries are matched against probe keys.
 #[derive(Clone, Debug)]
@@ -174,25 +144,36 @@ impl CuckooConfig {
     }
 }
 
-/// One stored entry.
+/// One occupied slot: everything the software shadow keeps for an entry,
+/// laid out so a hit costs one plane line per stage plus exactly one record
+/// line. `repr(C)` pins the field order and `align(64)` the line: with a
+/// value of at most 20 bytes at 4-byte alignment the record is 64 bytes,
+/// and the `bool` gives `Option` its niche, so a vacant slot costs nothing
+/// extra and needs no `V: Default`.
 #[derive(Clone, Debug)]
-struct Entry<V> {
+#[repr(C, align(64))]
+struct Record<V> {
+    /// What the ASIC compares: this stage's n-bit digest of the key (at
+    /// most 32 bits), or the low half of the key's fingerprint in `FullKey`
+    /// mode (the model compares `key` exactly in that mode; the fingerprint
+    /// only accelerates it).
+    match_field: u32,
     /// Full key, kept by the *software shadow* of the table — the paper:
     /// "The switch software has complete 5-tuple information for each
-    /// entry". The ASIC itself matches only on `match_field`. Stored
-    /// inline (max [`MAX_KEY_LEN`] bytes) so a probe's verify compare
-    /// stays within the entry's own cache lines.
-    key: InlineKey,
-    /// What the ASIC compares: the full-key bytes hashed down to a digest,
-    /// or a 64-bit fingerprint of the full key in `FullKey` mode (the model
-    /// compares `key` exactly in that mode; the fingerprint accelerates it).
-    match_field: u64,
+    /// entry". The ASIC itself matches only on `match_field`.
+    key: TupleKey,
     /// Per-entry hit bit, as real exact-match tables provide for idle
     /// aging: set by marking lookups, read and cleared by
     /// [`CuckooTable::retain_hits`].
     hit: bool,
     value: V,
 }
+
+// One slot, one cache line, for the widest value that fits beside the key.
+const _: () = assert!(
+    std::mem::size_of::<Option<Record<[u32; 5]>>>() == 64
+        && std::mem::align_of::<Record<[u32; 5]>>() == 64
+);
 
 /// Result of a lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -252,12 +233,12 @@ pub struct CuckooTable<V> {
     digests: Option<Vec<DigestFn>>,
     fingerprint: HashFn,
     /// `slots[stage][word * entries_per_word + way]`
-    slots: Vec<Vec<Option<Entry<V>>>>,
+    slots: Vec<Vec<Option<Record<V>>>>,
     /// Dense match-field plane mirroring `slots`: the ASIC's view of a
     /// word is its packed match fields, compared in parallel against the
     /// probe field. Keeping them in their own flat array means a probe
-    /// touches one cache line per stage instead of `entries_per_word` full
-    /// entry structs; the entry itself is only dereferenced on a
+    /// touches one cache line per stage instead of `entries_per_word`
+    /// record lines; the record itself is only dereferenced on a
     /// match-field hit (and the hit confirmed against the full field — see
     /// [`plane_mf`]). `EMPTY_PLANE` marks vacant slots.
     mfs: Vec<Vec<u16>>,
@@ -289,12 +270,11 @@ pub struct CuckooTable<V> {
 }
 
 /// Resident keys grouped by narrowest-stage digest (see `CuckooTable.alias`).
-/// Members are inline keys, a class whose last member leaves keeps its
-/// (empty) slot, and the map is pre-sized for the worst case at
-/// construction: class bookkeeping sits on the connection-setup path, and
-/// both choices keep registering/deregistering a key off the allocator.
-/// The retained footprint is bounded by the digest space (at most
-/// `2^bits` classes) and the table capacity.
+/// A class whose last member leaves keeps its (empty) slot, and the map is
+/// pre-sized for the worst case at construction: class bookkeeping sits on
+/// the connection-setup path, and both choices keep registering and
+/// deregistering a key off the allocator. The retained footprint is bounded
+/// by the digest space (at most `2^bits` classes) and the table capacity.
 struct AliasIndex {
     digest: DigestFn,
     classes: crate::FxHashMap<u32, AliasClass>,
@@ -310,64 +290,145 @@ impl AliasIndex {
             _ => self.digest.digest(key),
         }
     }
+
+    /// Drop a resident key from its collision class.
+    fn remove(&mut self, key: &[u8]) {
+        if let Some(members) = self.classes.get_mut(&self.digest.digest(key)) {
+            members.remove(key);
+        }
+    }
+
+    /// Bytes owned: the pre-sized map's buckets and every spilled class
+    /// buffer. The map keeps an eighth of its buckets free, so it holds
+    /// `capacity * 8 / 7` of them, each with one control byte.
+    fn host_bytes(&self) -> usize {
+        let bucket = std::mem::size_of::<(u32, AliasClass)>() + 1;
+        let spilled = self.classes.values().map(|c| match c {
+            AliasClass::Inline { .. } => 0,
+            AliasClass::Spilled(v) => v.capacity(),
+        });
+        self.classes.capacity() * 8 / 7 * bucket + spilled.sum::<usize>()
+    }
 }
 
-/// One digest-collision class. At realistic digest widths almost every
-/// class holds one resident (~99.7% of inserts land in an empty class at
-/// 24 bits) and two covers the stray birthday pair, so the first two
-/// members live inline and the spill `Vec` is only allocated for a
-/// three-way collision. Combined with the pre-reserved `classes` map,
-/// registering a key on the connection-setup path stays off the
-/// allocator.
-#[derive(Default)]
-struct AliasClass {
-    /// First two members, oldest first; filled before `rest` is touched.
-    inline: [Option<InlineKey>; 2],
-    /// Spill for third-and-later members (three-way digest collisions are
-    /// birthday-cubed rare), oldest first.
-    rest: Vec<InlineKey>,
+/// Bytes a class holds without a heap buffer: two v4 5-tuple keys or one
+/// v6 key, each behind its length byte.
+const ALIAS_INLINE_BYTES: usize = 1 + MAX_KEY_LEN;
+
+/// How far a spilled class buffer grows at a time (or by an eighth, once
+/// that is more). A 16-bit digest under a million flows spills all 65 536
+/// classes to ~16 keys each; doubling would leave every buffer a third
+/// empty beside the smaller ones it outgrew, while classes growing through
+/// the same few sizes hand their cast-offs to each other.
+const SPILL_STEP: usize = 64;
+
+/// One digest-collision class: its members' key bytes, each behind a length
+/// byte, back to back and oldest first (14 bytes for a v4 5-tuple). The
+/// repair screen hashes every member of a class, so they sit in one
+/// contiguous buffer and no slot record is dereferenced per member. At
+/// realistic digest widths almost every class holds one resident (~99.7%
+/// of inserts land in an empty class at 24 bits), so the first
+/// [`ALIAS_INLINE_BYTES`] live in the class itself and registering a lone
+/// key — or a v4 pair — stays off the allocator; a class that outgrows
+/// them spills to a heap buffer it then keeps.
+enum AliasClass {
+    Inline {
+        used: u8,
+        buf: [u8; ALIAS_INLINE_BYTES],
+    },
+    Spilled(Vec<u8>),
+}
+
+impl Default for AliasClass {
+    fn default() -> AliasClass {
+        AliasClass::Inline {
+            used: 0,
+            buf: [0; ALIAS_INLINE_BYTES],
+        }
+    }
+}
+
+/// The keys of a packed member buffer (see [`AliasClass`]), in order.
+fn packed_keys(mut bytes: &[u8]) -> impl Iterator<Item = &[u8]> {
+    std::iter::from_fn(move || {
+        let (&len, rest) = bytes.split_first()?;
+        let (key, rest) = rest.split_at(usize::from(len));
+        bytes = rest;
+        Some(key)
+    })
 }
 
 impl AliasClass {
+    /// The packed members.
+    fn bytes(&self) -> &[u8] {
+        match self {
+            AliasClass::Inline { used, buf } => &buf[..usize::from(*used)],
+            AliasClass::Spilled(v) => v,
+        }
+    }
+
     fn is_empty(&self) -> bool {
-        self.inline[0].is_none()
+        self.bytes().is_empty()
     }
 
-    /// Append a member, preserving insertion order (members always read
-    /// oldest-first, so shadowing repair visits keys in the same order
-    /// the old flat-`Vec` layout did).
-    fn push(&mut self, key: InlineKey) {
-        for slot in &mut self.inline {
-            if slot.is_none() {
-                *slot = Some(key);
-                return;
+    /// Append a member (members always read oldest-first, so the shadowing
+    /// repair visits keys in insertion order).
+    fn push(&mut self, key: &[u8]) {
+        let len = u8::try_from(key.len()).expect("keys are at most MAX_KEY_LEN bytes");
+        match self {
+            AliasClass::Inline { used, buf } => {
+                let at = usize::from(*used);
+                let end = at + 1 + key.len();
+                if let Some(dst) = buf.get_mut(at..end) {
+                    dst[0] = len;
+                    dst[1..].copy_from_slice(key);
+                    *used = end as u8;
+                } else {
+                    let mut v = Vec::with_capacity(at + SPILL_STEP);
+                    v.extend_from_slice(&buf[..at]);
+                    v.push(len);
+                    v.extend_from_slice(key);
+                    *self = AliasClass::Spilled(v);
+                }
+            }
+            AliasClass::Spilled(v) => {
+                if v.capacity() - v.len() <= key.len() {
+                    v.reserve_exact(SPILL_STEP.max(v.capacity() / 8));
+                }
+                v.push(len);
+                v.extend_from_slice(key);
             }
         }
-        self.rest.push(key);
     }
 
-    /// Drop every member equal to `key`, compacting survivors forward so
-    /// the oldest-first order is maintained.
-    fn retain_not(&mut self, key: &[u8]) {
-        self.rest.retain(|k| k.as_slice() != key);
-        for slot in &mut self.inline {
-            if slot.is_some_and(|k| k.as_slice() == key) {
-                *slot = None;
+    /// Drop the member equal to `key`, closing the gap so the survivors
+    /// stay contiguous and oldest-first.
+    fn remove(&mut self, key: &[u8]) {
+        let mut at = 0;
+        for k in self.iter() {
+            if k == key {
+                break;
             }
+            at += 1 + k.len();
         }
-        if self.inline[0].is_none() {
-            self.inline[0] = self.inline[1].take();
+        if at == self.bytes().len() {
+            return; // not a member
         }
-        for slot in &mut self.inline {
-            if slot.is_none() && !self.rest.is_empty() {
-                *slot = Some(self.rest.remove(0));
+        let end = at + 1 + key.len();
+        match self {
+            AliasClass::Inline { used, buf } => {
+                buf.copy_within(end..usize::from(*used), at);
+                *used -= (end - at) as u8;
+            }
+            AliasClass::Spilled(v) => {
+                v.drain(at..end);
             }
         }
     }
 
     /// The members, oldest first.
-    fn iter(&self) -> impl Iterator<Item = &InlineKey> {
-        self.inline.iter().flatten().chain(&self.rest)
+    fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        packed_keys(self.bytes())
     }
 }
 
@@ -384,7 +445,7 @@ struct Node {
 /// re-find it.
 #[derive(Clone, Copy)]
 struct Touched {
-    key: InlineKey,
+    key: TupleKey,
     stage: usize,
     slot: usize,
 }
@@ -411,14 +472,15 @@ struct InsertScratch {
     moved: Vec<Touched>,
     /// Shadowing-repair work queue: keys whose position just changed.
     touched: VecDeque<Touched>,
-    /// Snapshot of one collision class while the repair relocates members.
-    members: Vec<InlineKey>,
+    /// Snapshot of one collision class's packed members (see
+    /// [`AliasClass`]) while the repair relocates them.
+    members: Vec<u8>,
 }
 
 impl InsertScratch {
     /// Start a repair queue: the residents the placement displaced, then
     /// the key it placed.
-    fn queue_touched(&mut self, key: InlineKey, stage: usize, slot: usize) {
+    fn queue_touched(&mut self, key: TupleKey, stage: usize, slot: usize) {
         self.touched.clear();
         self.touched.extend(self.moved.drain(..));
         self.touched.push_back(Touched { key, stage, slot });
@@ -540,23 +602,20 @@ impl<V: Clone> CuckooTable<V> {
 
     /// The ASIC-visible match field at a stage, from the precomputed output
     /// of [`CuckooTable::match_fn`] over the key.
-    fn match_field_from(&self, stage: usize, match_hash: u64) -> u64 {
+    fn match_field_from(&self, stage: usize, match_hash: u64) -> u32 {
         match &self.digests {
-            Some(ds) => ds[stage].digest_of(match_hash) as u64,
-            None => match_hash,
+            Some(ds) => ds[stage].digest_of(match_hash),
+            None => match_hash as u32,
         }
     }
 
     /// The ASIC-visible match field for a key *at a given stage*. In digest
-    /// mode this is that stage's n-bit digest; in full-key mode a 64-bit
-    /// fingerprint of the key (the model additionally compares the stored
-    /// key bytes, so the fingerprint is only an accelerator and cannot
-    /// cause false positives).
-    fn match_field_at(&self, stage: usize, key: &[u8]) -> u64 {
-        match &self.digests {
-            Some(ds) => ds[stage].digest(key) as u64,
-            None => self.fingerprint.hash(key),
-        }
+    /// mode this is that stage's n-bit digest; in full-key mode the low
+    /// half of a 64-bit fingerprint of the key (the model additionally
+    /// compares the stored key bytes, so the fingerprint is only an
+    /// accelerator and cannot cause false positives).
+    fn match_field_at(&self, stage: usize, key: &[u8]) -> u32 {
+        self.match_field_from(stage, self.match_fn().hash(key))
     }
 
     fn is_digest_mode(&self) -> bool {
@@ -571,11 +630,10 @@ impl<V: Clone> CuckooTable<V> {
     // srlint: hot-path begin
     /// Scan one word for a match-field hit; returns `(slot, exact)`. The
     /// scan reads the dense match-field plane — the ASIC compares a word's
-    /// packed fields in parallel — and dereferences a full entry only on
-    /// field equality. Full-key clamping (see [`stored_mf`]) can alias two
-    /// fingerprints at the plane level; the key comparison disambiguates.
-    fn probe_word(&self, stage: usize, word: usize, mf: u64, key: &[u8]) -> Option<(usize, bool)> {
-        let probe64 = stored_mf(mf);
+    /// packed fields in parallel — and dereferences a record only on field
+    /// equality. Two full-key fingerprints can share their stored half; the
+    /// key comparison disambiguates.
+    fn probe_word(&self, stage: usize, word: usize, mf: u32, key: &[u8]) -> Option<(usize, bool)> {
         let probe = plane_mf(mf);
         let mfs = &self.mfs[stage];
         for slot in self.slot_range(word) {
@@ -587,7 +645,7 @@ impl<V: Clone> CuckooTable<V> {
                 .expect("match field set on vacant slot");
             // The plane lane is a 16-bit prefilter; confirm on the full
             // stored field before accepting (see `plane_mf`).
-            if stored_mf(e.match_field) != probe64 {
+            if e.match_field != mf {
                 continue;
             }
             let exact = e.key.as_slice() == key;
@@ -702,22 +760,20 @@ impl<V: Clone> CuckooTable<V> {
         }
     }
 
-    /// Warm the entry a prehashed probe would dereference: replays the
+    /// Warm the record a prehashed probe would dereference: replays the
     /// match-field scan (cheap once [`CuckooTable::prefetch_words_pre`] has
-    /// pulled the words in) and touches the winning slot's entry, whose
-    /// inline key the real probe will compare. Pure reads — no hit-bit or
-    /// stats side effects.
+    /// pulled the words in) and reads the winning slot's stored field —
+    /// one touch brings in the whole line-aligned record, inline key
+    /// included. Pure reads — no hit-bit or stats side effects.
     pub fn prefetch_entry_pre(&self, stage_hashes: &[u64], match_hash: u64) {
         for (stage, &h) in stage_hashes.iter().enumerate().take(self.cfg.stages) {
             let mf = self.match_field_from(stage, match_hash);
-            let probe64 = stored_mf(mf);
             let probe = plane_mf(mf);
             let word = self.word_from(h);
             for slot in self.slot_range(word) {
                 if self.mfs[stage][slot] == probe {
                     if let Some(e) = &self.slots[stage][slot] {
-                        std::hint::black_box(e.key.len);
-                        if stored_mf(e.match_field) != probe64 {
+                        if std::hint::black_box(e.match_field) != mf {
                             continue;
                         }
                     }
@@ -742,11 +798,12 @@ impl<V: Clone> CuckooTable<V> {
     }
 
     /// First half of a split probe: find the `(stage, slot)` a prehashed
-    /// probe would hit, scanning only the match-field plane, and touch the
-    /// winning entry's first cache line so its load is in flight by the
-    /// time [`CuckooTable::lookup_marking_at`] dereferences it. No side
+    /// probe would hit, scanning the match-field plane and confirming the
+    /// lane hit on the record's stored field — the one read that puts the
+    /// record's cache line in flight before
+    /// [`CuckooTable::lookup_marking_at`] dereferences it. No side
     /// effects — a pipelined caller runs `locate_pre` for a whole chunk of
-    /// packets, then resolves each, overlapping the entries' cache misses.
+    /// packets, then resolves each, overlapping the records' cache misses.
     ///
     /// In digest mode the slot choice depends only on the match-field
     /// plane, exactly like [`CuckooTable::probe_pre`]; full-key mode also
@@ -780,7 +837,6 @@ impl<V: Clone> CuckooTable<V> {
         }
         for (stage, &word) in words.iter().enumerate().take(self.cfg.stages) {
             let mf = self.match_field_from(stage, match_hash);
-            let probe64 = stored_mf(mf);
             let probe = plane_mf(mf);
             let mfs = &self.mfs[stage];
             for slot in self.slot_range(word) {
@@ -790,15 +846,9 @@ impl<V: Clone> CuckooTable<V> {
                         .expect("match field set on vacant slot");
                     // Plane lanes are a prefilter; confirm on the full
                     // stored field (see `plane_mf`).
-                    if stored_mf(e.match_field) != probe64 {
+                    if e.match_field != mf {
                         continue;
                     }
-                    // Touch both ends of the entry: it is wider than one
-                    // cache line, and the resolve half reads the key,
-                    // the value, and the hit flag.
-                    std::hint::black_box(e.key.len);
-                    std::hint::black_box(e.key.buf[MAX_KEY_LEN - 1]);
-                    std::hint::black_box(e.hit);
                     return Some((stage as u32, slot as u32));
                 }
             }
@@ -807,7 +857,7 @@ impl<V: Clone> CuckooTable<V> {
     }
 
     /// Second half of a split probe: resolve coordinates returned by
-    /// [`CuckooTable::locate_pre`] — dereference the entry, compare the
+    /// [`CuckooTable::locate_pre`] — dereference the record, compare the
     /// full key for exactness, and set the hit bit on an exact match,
     /// producing the same result the fused marking lookup would have.
     /// Callers must not have mutated the table since `locate_pre`.
@@ -837,9 +887,9 @@ impl<V: Clone> CuckooTable<V> {
 
     // srlint: hot-path begin
     /// The slot of `word` at `stage` storing exactly `key`. `lane` is the
-    /// key's plane image at that stage: an entry holding the key carries
-    /// it, so the dense `u16` plane is compared first and the wide entry is
-    /// dereferenced only on a lane match — at a million flows the entry
+    /// key's plane image at that stage: a record holding the key carries
+    /// it, so the dense `u16` plane is compared first and the record is
+    /// dereferenced only on a lane match — at a million flows the record
     /// array is DRAM-resident and the plane word is one cache line.
     fn find_in_word(&self, stage: usize, word: usize, lane: u16, key: &[u8]) -> Option<usize> {
         let range = self.slot_range(word);
@@ -942,10 +992,10 @@ impl<V: Clone> CuckooTable<V> {
         value: V,
         probed_miss: bool,
     ) -> Result<InsertOutcome, CuckooError> {
-        let entry = Entry {
-            key: InlineKey::new(key),
+        let entry = Record {
             // Placeholder; `insert_entry` stamps the landing stage's field.
             match_field: 0,
+            key: TupleKey::from_bytes(key),
             hit: false,
             value,
         };
@@ -992,20 +1042,8 @@ impl<V: Clone> CuckooTable<V> {
         };
         let members = a.classes.entry(class).or_default();
         let lone = members.is_empty();
-        members.push(InlineKey::new(key));
+        members.push(key);
         lone
-    }
-
-    /// Drop a key from its collision class. The class `Vec` is kept even
-    /// when emptied so churn over the same digest space reuses its capacity
-    /// (see [`AliasIndex`]).
-    fn alias_remove(&mut self, key: &[u8]) {
-        if let Some(a) = &mut self.alias {
-            let class = a.digest.digest(key);
-            if let Some(members) = a.classes.get_mut(&class) {
-                members.retain_not(key);
-            }
-        }
     }
 
     /// Restore the invariant that every *resident* key's own lookup is an
@@ -1042,12 +1080,19 @@ impl<V: Clone> CuckooTable<V> {
             {
                 let a = self.alias.as_ref().expect("checked above");
                 match a.classes.get(&a.class_of(k.as_slice(), pre)) {
-                    Some(m) => scratch.members.extend(m.iter().copied()),
+                    Some(m) => scratch.members.extend_from_slice(m.bytes()),
                     None => continue,
                 }
             }
-            for mi in 0..scratch.members.len() {
-                let resident = scratch.members[mi];
+            // Each member is copied out of the snapshot in turn: the
+            // relocation below needs the scratch to itself.
+            let mut at = 0;
+            loop {
+                let next = packed_keys(&scratch.members[at..]).next();
+                let Some(resident) = next.map(TupleKey::from_bytes) else {
+                    break;
+                };
+                at += 1 + resident.len();
                 self.repair_probes += 1;
                 let Some(shadower) = self.shadower_of(resident.as_slice(), pre) else {
                     continue;
@@ -1127,7 +1172,6 @@ impl<V: Clone> CuckooTable<V> {
             let word = t.slot / self.cfg.entries_per_word;
             members
                 .iter()
-                .map(InlineKey::as_slice)
                 .filter(|&m| m == key || self.word_of(t.stage, m) == word)
                 .all(|m| {
                     probes += 1;
@@ -1140,13 +1184,13 @@ impl<V: Clone> CuckooTable<V> {
 
     /// The resident whose entry `key`'s own lookup falsely hits, if any.
     /// `pre` short-cuts the hashing when `key` is the just-inserted key.
-    fn shadower_of(&self, key: &[u8], pre: Option<(&[u8], &[u64], u64)>) -> Option<InlineKey> {
+    fn shadower_of(&self, key: &[u8], pre: Option<(&[u8], &[u64], u64)>) -> Option<TupleKey> {
         let hit = match pre {
             Some((pk, hs, mh)) if pk == key => self.lookup_pre(key, hs, mh),
             _ => self.lookup(key),
         };
         match hit {
-            Some(h) if !h.exact => Some(InlineKey::new(h.resident_key)),
+            Some(h) if !h.exact => Some(TupleKey::from_bytes(h.resident_key)),
             _ => None,
         }
     }
@@ -1202,12 +1246,12 @@ impl<V: Clone> CuckooTable<V> {
     /// cloned it up front.
     fn insert_entry(
         &mut self,
-        entry: Entry<V>,
+        entry: Record<V>,
         exclude: u64,
         pre: Option<(&[u64], u64)>,
         scratch: &mut InsertScratch,
         record_moves: bool,
-    ) -> Result<(InsertOutcome, usize), (CuckooError, Entry<V>)> {
+    ) -> Result<(InsertOutcome, usize), (CuckooError, Record<V>)> {
         scratch.cand.clear();
         for stage in 0..self.cfg.stages {
             scratch.cand.push(match pre {
@@ -1220,7 +1264,7 @@ impl<V: Clone> CuckooTable<V> {
         // per-stage mode). Vacancy is read off the dense match-field plane
         // (`EMPTY_PLANE` marks free slots) — the same cache lines a caller
         // that just probed these words still has warm — instead of the
-        // wide entry array.
+        // record array.
         for stage in 0..self.cfg.stages {
             if exclude & (1 << stage) != 0 {
                 continue;
@@ -1376,7 +1420,9 @@ impl<V: Clone> CuckooTable<V> {
                 let e = self.slots[stage][slot].take().expect("occupied");
                 self.mfs[stage][slot] = EMPTY_PLANE;
                 self.len -= 1;
-                self.alias_remove(key);
+                if let Some(a) = &mut self.alias {
+                    a.remove(key);
+                }
                 Ok(e.value)
             }
             None => Err(CuckooError::NotFound),
@@ -1395,7 +1441,7 @@ impl<V: Clone> CuckooTable<V> {
         let result = self
             .relocate_raw(key, 0, &mut scratch)
             .map(|(stage, slot)| {
-                scratch.queue_touched(InlineKey::new(key), stage, slot);
+                scratch.queue_touched(TupleKey::from_bytes(key), stage, slot);
                 self.repair_shadowed(&mut scratch, None);
                 stage
             });
@@ -1441,54 +1487,58 @@ impl<V: Clone> CuckooTable<V> {
     }
 
     /// Remove every entry for which `pred` returns false, returning the
-    /// removed (key, value) pairs. Used for idle-connection expiry.
-    pub fn retain<F: FnMut(&[u8], &V) -> bool>(&mut self, mut pred: F) -> Vec<(Box<[u8]>, V)> {
-        let mut removed = Vec::new();
-        for (stage, stage_mfs) in self.slots.iter_mut().zip(self.mfs.iter_mut()) {
-            for (slot, mf) in stage.iter_mut().zip(stage_mfs.iter_mut()) {
-                if let Some(e) = slot {
-                    if !pred(e.key.as_slice(), &e.value) {
-                        let e = slot.take().expect("occupied");
-                        *mf = EMPTY_PLANE;
-                        removed.push((Box::<[u8]>::from(e.key.as_slice()), e.value));
-                        self.len -= 1;
-                    }
-                }
-            }
-        }
-        for (key, _) in &removed {
-            self.alias_remove(key);
-        }
-        removed
+    /// removed (key, value) pairs — keys inline, so a sweep costs one
+    /// allocation however many entries it expires. Hit bits are left alone.
+    pub fn retain<F: FnMut(&[u8], &V) -> bool>(&mut self, mut pred: F) -> Vec<(TupleKey, V)> {
+        self.sweep(false, |k, v, _| pred(k, v))
     }
 
     /// Clock-algorithm aging sweep: `pred` sees each entry's key, value, and
     /// current hit bit, and decides whether it survives. Survivors get their
     /// hit bit cleared (arming the next sweep); non-survivors are removed
-    /// and returned.
+    /// and returned, as by [`CuckooTable::retain`].
     pub fn retain_hits<F: FnMut(&[u8], &V, bool) -> bool>(
         &mut self,
+        pred: F,
+    ) -> Vec<(TupleKey, V)> {
+        self.sweep(true, pred)
+    }
+
+    fn sweep<F: FnMut(&[u8], &V, bool) -> bool>(
+        &mut self,
+        clear_hits: bool,
         mut pred: F,
-    ) -> Vec<(Box<[u8]>, V)> {
+    ) -> Vec<(TupleKey, V)> {
         let mut removed = Vec::new();
         for (stage, stage_mfs) in self.slots.iter_mut().zip(self.mfs.iter_mut()) {
             for (slot, mf) in stage.iter_mut().zip(stage_mfs.iter_mut()) {
-                if let Some(e) = slot {
-                    if pred(e.key.as_slice(), &e.value, e.hit) {
+                let Some(e) = slot else { continue };
+                if pred(e.key.as_slice(), &e.value, e.hit) {
+                    if clear_hits {
                         e.hit = false;
-                    } else {
-                        let e = slot.take().expect("occupied");
-                        *mf = EMPTY_PLANE;
-                        removed.push((Box::<[u8]>::from(e.key.as_slice()), e.value));
-                        self.len -= 1;
                     }
+                } else if let Some(e) = slot.take() {
+                    *mf = EMPTY_PLANE;
+                    self.len -= 1;
+                    if let Some(a) = &mut self.alias {
+                        a.remove(e.key.as_slice());
+                    }
+                    removed.push((e.key, e.value));
                 }
             }
         }
-        for (key, _) in &removed {
-            self.alias_remove(key);
-        }
         removed
+    }
+
+    /// Host bytes the table owns: the slot records, the match-field plane
+    /// and the alias index, as capacity times element size. A count of the
+    /// layout, not a measurement — equal on every host.
+    pub fn host_bytes(&self) -> usize {
+        let slots = self.slots.iter().map(Vec::capacity).sum::<usize>();
+        let lanes = self.mfs.iter().map(Vec::capacity).sum::<usize>();
+        slots * std::mem::size_of::<Option<Record<V>>>()
+            + lanes * std::mem::size_of::<u16>()
+            + self.alias.as_ref().map_or(0, AliasIndex::host_bytes)
     }
 }
 
@@ -1758,6 +1808,32 @@ mod tests {
         }
     }
 
+    /// The alias index's invariant: every resident appears exactly once, in
+    /// the class of its narrowest digest; every class member is resident;
+    /// members read oldest-first. The callers insert ever-larger values, so
+    /// oldest-first reads as ascending values.
+    fn check_alias_consistent(t: &CuckooTable<u32>) {
+        let a = t.alias.as_ref().expect("digest mode");
+        let mut members = 0;
+        for (class, c) in &a.classes {
+            let mut newest = None;
+            for m in c.iter() {
+                assert_eq!(a.digest.digest(m), *class, "{m:?} in the wrong class");
+                let (stage, slot) = t.find_exact(m).expect("class member is resident");
+                let value = t.slots[stage][slot].as_ref().map(|e| e.value);
+                assert!(
+                    newest < value,
+                    "class {class} reads {newest:?} before {value:?}"
+                );
+                newest = value;
+                members += 1;
+            }
+        }
+        // Members are resident and distinct within their class (values are
+        // strictly ascending), so equal counts put every resident in once.
+        assert_eq!(members, t.len());
+    }
+
     fn digest_table(bits: u8, words_per_stage: usize, seed: u64) -> CuckooTable<u32> {
         CuckooTable::new(CuckooConfig {
             stages: 4,
@@ -1790,6 +1866,7 @@ mod tests {
             for bits in [8u8, 9, 10] {
                 let mut t = digest_table(bits, 64, seed);
                 let check = |t: &CuckooTable<u32>| {
+                    check_alias_consistent(t);
                     if t.shadow_repair_failed() == 0 {
                         check_no_shadowing(t);
                     }
@@ -1813,6 +1890,11 @@ mod tests {
                     let _ = t.relocate(&key(i));
                     check(&t);
                 }
+                // Sweeps only vacate slots, but they edit the classes too.
+                t.retain(|_, v| v % 5 != 0);
+                check(&t);
+                t.retain_hits(|_, v, _| v % 3 != 0);
+                check(&t);
                 assert!(
                     t.shadow_repairs() > 0,
                     "population too small to exercise the repair (seed {seed}, {bits} bits)"
@@ -1834,7 +1916,7 @@ mod tests {
         // shadower's current stage bounces the pair between the two shared
         // words until the budget is gone and leaves one of them shadowed.
         let mut t = small(MatchMode::Digest { bits: 8 });
-        let mut seen: crate::FxHashMap<(u64, usize, usize), u32> = Default::default();
+        let mut seen: crate::FxHashMap<(u32, usize, usize), u32> = Default::default();
         let (a, b) = (0u32..)
             .find_map(|i| {
                 let k = key(i);
@@ -1889,6 +1971,8 @@ mod tests {
                 assert!(screened.mfs == full.mfs, "planes, {ctx}");
                 if step % 8 == 0 || step + 1 == steps {
                     assert!(screened.iter().eq(full.iter()), "placement, {ctx}");
+                    check_alias_consistent(&screened);
+                    check_alias_consistent(&full);
                 }
                 assert_eq!(screened.shadow_repairs(), full.shadow_repairs(), "{ctx}");
                 assert_eq!(
@@ -2079,5 +2163,27 @@ mod tests {
         }
         // At 90% load, at least some inserts must have required moves.
         assert!(t.total_moves() > 0);
+    }
+
+    #[test]
+    fn host_bytes_per_slot_stays_near_one_line() {
+        // 65 536 slots under a 12-bit digest, filled to load 0.8 with
+        // 13-byte (v4 5-tuple sized) keys: ~13 residents per collision
+        // class, the ratio a 16-bit digest has at a million flows, and the
+        // pre-sized class map (4 096 classes) is a few bytes per slot
+        // instead of the whole budget. One 64-byte record, a 2-byte plane
+        // lane and the packed alias bytes must come in under 100 B/slot;
+        // the 112-byte entries and 41-byte alias copies this replaced cost
+        // about 170.
+        let mut t = digest_table(12, 4096, 5);
+        let slots = t.config().total_slots();
+        for i in 0..(slots as u32 * 8 / 10) {
+            let mut k = [0u8; 13];
+            k[..4].copy_from_slice(&i.to_be_bytes());
+            t.insert(&k, i).unwrap();
+        }
+        let per_slot = t.host_bytes() as f64 / slots as f64;
+        assert!(per_slot <= 100.0, "{per_slot} host bytes per slot");
+        assert!(per_slot >= 66.0, "{per_slot}: records or plane not counted");
     }
 }

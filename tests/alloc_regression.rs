@@ -308,11 +308,11 @@ fn wire_parse_steer_resolve_rewrite_is_allocation_free_v6() {
 /// drain `advance`, i.e. the exact window the churn benchmark times.
 ///
 /// Digest width is 24 bits — the churn benchmark's configuration (§6.1's
-/// wider point). Digest-collision classes keep two members inline, so
-/// only a *three-way* digest collision ever reaches the allocator; at 24
-/// bits that is birthday-cubed rare (and absent for these deterministic
-/// keys), while 16-bit tables at high occupancy can legitimately hit a
-/// handful per cohort.
+/// wider point). Digest-collision classes keep a v4 pair or one v6 key
+/// inline, so only a *three-way* v4 digest collision (a two-way v6 one)
+/// ever reaches the allocator; at 24 bits that is birthday rare (and
+/// absent for these deterministic keys), while 16-bit tables at high
+/// occupancy can legitimately hit a handful per cohort.
 fn setup_cohort(
     vip_addr: Addr,
     dips: Vec<Dip>,

@@ -3,7 +3,8 @@
 # suite, formatting + warning-free clippy over every first-party crate,
 # the srlint source gate, the srcheck pipeline-layout gate, the repro
 # smoke gates, the release-mode allocation regression, the repo
-# benchmark's smoke pass, and its hit-1m seed-204 PCC regression gate.
+# benchmark's smoke pass, and its hit-1m seed-204 PCC and peak-RSS
+# regression gates.
 #
 # Clippy/fmt run per first-party package rather than --workspace: the
 # vendored stand-ins under vendor/ mirror upstream APIs and are exempt
@@ -144,9 +145,18 @@ bash benchmark/run.sh --smoke > /dev/null
 # two words, gave up silently, and one flow was steered through the
 # other's entry. A million-flow fill plus a 1 s window, ~15 s. The
 # result line is printed so the CI job log keeps it.
-echo "== benchmark hit-1m seed 204 (digest-shadowing PCC regression gate)"
+#
+# The same line carries the run's peak RSS, which repeats to 0.1 % on one
+# host: 412 MB with one 64-byte record per ConnTable slot (518 MB with
+# the 112-byte entries before it). Above 430 the table has grown back.
+echo "== benchmark hit-1m seed 204 (digest-shadowing PCC + peak-RSS regression gates)"
 seed204="$(bash benchmark/run.sh --workload hit-1m --seed 204 --seconds 1 --trace 0 | tail -1)"
 echo "$seed204"
 grep -q '"correct": true' <<< "$seed204"
+rss_mb="$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9]*\).*/\1/p' <<< "$seed204")"
+if [ -z "$rss_mb" ] || [ "$rss_mb" -gt 430 ]; then
+    echo "hit-1m peak RSS ${rss_mb:-unreadable} MB exceeds the 430 MB gate" >&2
+    exit 1
+fi
 
 echo "verify: OK"
