@@ -7,9 +7,10 @@
 //! pipe (core-pinned where the OS allows), the steer thread streams
 //! batches through [`MultiPipeSwitch::stream_batch`] without waiting for
 //! completions, and the reported rate is packets over elapsed
-//! wall-clock — spawn/join, ring transfer, and adoption costs included.
-//! This is exactly the figure engine v1's per-batch fan-out could not
-//! scale: its thread spawn/join per batch swamped the per-pipe wins.
+//! wall-clock — spawn/join, ring transfer, and control round-trips
+//! included. This is exactly the figure engine v1's per-batch fan-out
+//! could not scale: its thread spawn/join per batch swamped the per-pipe
+//! wins.
 //!
 //! Correctness rides along: every streamed decision folds into a
 //! commutative digest ([`silkroad::StreamStats`]), and the sweep

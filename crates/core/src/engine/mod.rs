@@ -14,23 +14,25 @@
 //!   never touches pipe state; batches travel through bounded SPSC
 //!   rings ([`sr_exec::spsc`]) and buffers are recycled, so the steady
 //!   state neither spawns, joins, nor allocates.
-//! * **Control plane** — calls are published as immutable ops in an
-//!   epoch-versioned `ControlLog`; every job carries an epoch stamp
-//!   and workers adopt ops at batch boundaries, exactly up to each
-//!   stamp. Op/batch interleaving is therefore caller-sequence
-//!   determined — identical in every pipe and for every pipe count —
-//!   preserving bit-identical decisions and PCC under concurrent
-//!   updates (see `engine/control.rs`).
+//! * **Control plane** — each call travels as a control op in the same
+//!   FIFO job ring as the batches, one copy per pipe it concerns, and the
+//!   facade waits for every such pipe's reply before returning. Op/batch
+//!   interleaving is therefore the caller's program order — identical in
+//!   every pipe and for every pipe count — preserving bit-identical
+//!   decisions and PCC under concurrent updates.
 //! * **Streaming** — [`MultiPipeSwitch::stream_batch`] keeps all pipes
 //!   busy without waiting per batch; decisions fold into a commutative
 //!   digest so sustained wall-clock benchmarks (`repro wall`) can prove
 //!   decision identity across pipe counts at full speed.
 //!
-//! The [`MultiPipeSwitch::inline`] backend keeps the v1 single-threaded
-//! broadcast shape (no worker threads, deterministic, observable via
-//! [`MultiPipeSwitch::pipe`]) for harnesses that need it; both backends
-//! share the steering, op-application, and fold code, and the test
-//! suite pins them decision-identical.
+//! Each pipe sits behind one *lane* with two operations, send a job and
+//! receive a completion. A threaded lane pushes to and pops from its
+//! worker's rings; the [`MultiPipeSwitch::inline`] backend's lanes own
+//! their pipes and run each job at once through the worker's own loop
+//! body (`worker::run_job`), queueing the completion. Every facade
+//! method is written once on top of the lanes, so the inline backend —
+//! deterministic, threadless, observable via [`MultiPipeSwitch::pipe`] —
+//! runs exactly the code the workers run, minus the ring hop.
 //!
 //! Invariants the steering upholds (unchanged from v1):
 //!
@@ -44,7 +46,6 @@
 //!   multiply-shift, the same unbiased scaling [`sr_hash::ecmp_select`]
 //!   uses, so a uniform trace spreads evenly across any pipe count.
 
-mod control;
 mod worker;
 
 use crate::config::SilkRoadConfig;
@@ -55,14 +56,14 @@ use crate::pool::PoolUpdate;
 use crate::stats::SwitchStats;
 use crate::switch::SilkRoadSwitch;
 use crate::update::UpdatePhase;
-use control::{apply_op, ControlLog, ControlOp};
 use sr_asic::MeterConfig;
 use sr_exec::{spsc, Consumer, Producer};
 use sr_hash::{splitmix64, HashFn};
 use sr_types::{Dip, FiveTuple, Nanos, PacketMeta, PoolVersion, TypeError, Vip};
-use std::sync::Arc;
-pub use worker::packet_digest;
-use worker::{answer_query, worker_loop, BatchBuf, Done, Job, Query, QueryReply};
+use std::collections::VecDeque;
+pub(crate) use worker::ControlOp;
+pub use worker::{packet_digest, running_workers};
+use worker::{run_job, worker_loop, BatchBuf, Done, Job, Query, QueryReply};
 
 /// Longest inline address encoding ([`sr_types::Addr::encode_to`]):
 /// 16 bytes of IPv6 plus the 2-byte port.
@@ -181,18 +182,30 @@ pub struct StreamStats {
     pub digest: u64,
 }
 
-/// The single-threaded backend: pipes and staging lanes owned by the
-/// facade, ops applied at publish time.
-struct InlineState {
-    pipes: Vec<Pipe>,
-    lanes: Vec<BatchBuf>,
+/// Where a lane's jobs run: the one place the two backends differ.
+/// (The inline variant holds a whole shard; lanes are built once and
+/// never moved afterwards, so the size gap costs nothing.)
+#[allow(clippy::large_enum_variant)]
+enum Link {
+    /// On the caller's thread, at once; completions wait in a queue
+    /// pre-sized like a worker's completion ring, so it never grows.
+    Inline {
+        pipe: Pipe,
+        steering: FlowSteering,
+        done: VecDeque<Done>,
+    },
+    /// On the pipe's resident worker thread.
+    Worker {
+        jobs: Producer<Job>,
+        done: Consumer<Done>,
+        join: Option<std::thread::JoinHandle<()>>,
+    },
 }
 
-/// One worker's ring endpoints and recycled buffers.
-struct WorkerLink {
+/// One pipe's lane: where its jobs go, plus the batch buffers it recycles.
+struct Lane {
     id: usize,
-    jobs: Producer<Job>,
-    done: Consumer<Done>,
+    link: Link,
     /// Buffers at home (not staged, not in flight). Boxed because the
     /// same allocation shuttles through `Job::Batch`/`Done::Batch` — the
     /// ring moves one pointer, never the buffer's inline storage.
@@ -200,68 +213,102 @@ struct WorkerLink {
     free: Vec<Box<BatchBuf>>,
     /// Buffer being filled by the current steer pass.
     staged: Option<Box<BatchBuf>>,
-    /// Batches dispatched and not yet completed.
+    /// Batches sent and not yet received back.
     in_flight: usize,
-    join: Option<std::thread::JoinHandle<()>>,
 }
 
-impl WorkerLink {
-    /// Send a job; panics if the worker died (its ring closed). A dead
-    /// worker is a bug, not a recoverable condition — its shard state is
-    /// gone.
+// srlint: hot-path begin
+impl Lane {
+    /// Send a job: an inline lane runs it now. Panics if the lane's worker
+    /// died (its ring closed) — a dead worker is a bug, not a recoverable
+    /// condition: its shard state is gone.
     fn send(&mut self, job: Job) {
-        if self.jobs.push(job).is_err() {
+        if let Job::Batch(_) = job {
+            self.in_flight += 1;
+        }
+        let sent = match &mut self.link {
+            Link::Inline {
+                pipe,
+                steering,
+                done,
+            } => {
+                done.push_back(run_job(pipe, steering, job));
+                true
+            }
+            Link::Worker { jobs, .. } => jobs.push(job).is_ok(),
+        };
+        if !sent {
             panic!("pipe worker {} terminated unexpectedly", self.id);
         }
     }
 
-    /// Receive one completion; panics if the worker died.
+    /// Receive the oldest completion; panics if the lane's worker died.
     fn recv(&mut self) -> Done {
-        match self.done.pop() {
-            Some(d) => d,
-            None => panic!("pipe worker {} terminated unexpectedly", self.id),
+        let done = match &mut self.link {
+            Link::Inline { done, .. } => done.pop_front(),
+            Link::Worker { done, .. } => done.pop(),
+        };
+        let Some(done) = done else {
+            panic!("pipe worker {} terminated unexpectedly", self.id);
+        };
+        done
+    }
+
+    /// Complete a received batch: fold a streamed one into `acc` (a
+    /// synchronous one, whose decisions the caller has read, adds
+    /// nothing) and put the buffer back, emptied.
+    fn recycle(&mut self, mut buf: Box<BatchBuf>, acc: &mut StreamStats) {
+        self.in_flight -= 1;
+        acc.packets += buf.folded_packets;
+        acc.digest = acc.digest.wrapping_add(buf.folded_digest);
+        buf.reset();
+        self.free.push(buf);
+    }
+
+    /// Receive the reply to a synchronous job, recycling the streamed
+    /// batches ahead of it in the ring.
+    fn reply(&mut self, acc: &mut StreamStats) -> Done {
+        loop {
+            match self.recv() {
+                Done::Batch(buf) if buf.fold => self.recycle(buf, acc),
+                done => return done,
+            }
+        }
+    }
+
+    /// Send a synchronous job and wait for its reply.
+    fn call(&mut self, job: Job, acc: &mut StreamStats) -> Done {
+        self.send(job);
+        self.reply(acc)
+    }
+
+    /// A free buffer, waiting for a streamed batch to complete when every
+    /// buffer is in flight (stream backpressure).
+    fn take_buf(&mut self, acc: &mut StreamStats) -> Box<BatchBuf> {
+        loop {
+            if let Some(buf) = self.free.pop() {
+                return buf;
+            }
+            if let Done::Batch(buf) = self.recv() {
+                self.recycle(buf, acc);
+            }
+        }
+    }
+
+    /// Wait for every batch in flight.
+    fn drain(&mut self, acc: &mut StreamStats) {
+        while self.in_flight > 0 {
+            if let Done::Batch(buf) = self.recv() {
+                self.recycle(buf, acc);
+            }
         }
     }
 }
-
-/// Wait until `link` has no batches in flight, folding completed
-/// streaming batches into the accumulators.
-fn quiesce_link(link: &mut WorkerLink, packets: &mut u64, digest: &mut u64) {
-    while link.in_flight > 0 {
-        if let Done::Batch(mut buf) = link.recv() {
-            link.in_flight -= 1;
-            *packets += buf.folded_packets;
-            *digest = digest.wrapping_add(buf.folded_digest);
-            buf.reset();
-            link.free.push(buf);
-        }
-    }
-}
-
-/// Take a free buffer from `link`, blocking on a completion when all of
-/// its buffers are in flight (stream backpressure).
-fn take_buf(link: &mut WorkerLink, packets: &mut u64, digest: &mut u64) -> Box<BatchBuf> {
-    loop {
-        if let Some(buf) = link.free.pop() {
-            return buf;
-        }
-        if let Done::Batch(mut buf) = link.recv() {
-            link.in_flight -= 1;
-            *packets += buf.folded_packets;
-            *digest = digest.wrapping_add(buf.folded_digest);
-            buf.reset();
-            return buf;
-        }
-    }
-}
-
-enum Backend {
-    Inline(InlineState),
-    Threaded(Vec<WorkerLink>),
-}
+// srlint: hot-path end
 
 /// A sharded SilkRoad switch: N [`Pipe`]s behind [`FlowSteering`], with
-/// an epoch-versioned control plane and aggregated counters.
+/// one lane per pipe carrying batches and control ops in program order,
+/// and aggregated counters.
 ///
 /// Per-flow behaviour is identical to a single [`SilkRoadSwitch`] built
 /// from the same configuration: every pipe uses the same hash seed, and
@@ -269,11 +316,9 @@ enum Backend {
 pub struct MultiPipeSwitch {
     cfg: SilkRoadConfig,
     steering: FlowSteering,
-    log: Arc<ControlLog>,
-    backend: Backend,
-    /// Streaming fold accumulators (see [`StreamStats`]).
-    accum_packets: u64,
-    accum_digest: u64,
+    lanes: Vec<Lane>,
+    /// Streamed batches folded since the last drain.
+    acc: StreamStats,
 }
 
 impl MultiPipeSwitch {
@@ -321,74 +366,58 @@ impl MultiPipeSwitch {
             report.render()
         );
         let steering = FlowSteering::new(cfg.seed, pipes);
-        let log = Arc::new(ControlLog::new());
         let depth = opts.ring_depth.max(1);
-        let backend = if opts.threaded {
-            let cores = sr_exec::available_cores();
-            let links = (0..pipes)
-                .map(|id| {
-                    let pipe = Pipe {
-                        id,
-                        // Same seed in every pipe: hash families (digest,
-                        // bucket, select, bloom) are identical chip-wide,
-                        // so a flow's decision does not depend on which
-                        // pipe it steers to.
-                        switch: SilkRoadSwitch::new(per_pipe.clone()),
-                    };
-                    let (jobs_tx, jobs_rx) = spsc::<Job>(depth);
-                    // Completions: up to `depth` batches plus a control or
-                    // query reply can be outstanding; the worker must be
-                    // able to push its final completions during shutdown
-                    // without blocking forever.
-                    let (done_tx, done_rx) = spsc::<Done>(depth + 2);
-                    let worker_steering = steering.clone();
-                    let worker_log = Arc::clone(&log);
+        let cores = sr_exec::available_cores();
+        let lanes = (0..pipes)
+            .map(|id| {
+                let pipe = Pipe {
+                    id,
+                    // Same seed in every pipe: hash families (digest,
+                    // bucket, select, bloom) are identical chip-wide, so
+                    // a flow's decision does not depend on which pipe it
+                    // steers to.
+                    switch: SilkRoadSwitch::new(per_pipe.clone()),
+                };
+                // Completions: up to `depth` batches plus a control or
+                // query reply can be outstanding; a worker must be able
+                // to push its final completions during shutdown without
+                // blocking forever.
+                let completions = depth + 2;
+                let steering = steering.clone();
+                let link = if opts.threaded {
+                    let (jobs, jobs_rx) = spsc::<Job>(depth);
+                    let (done_tx, done) = spsc::<Done>(completions);
                     let pin_core = (opts.pin_cores && cores >= 2).then_some(id % cores);
                     let join = std::thread::Builder::new()
                         .name(format!("sr-pipe-{id}"))
-                        .spawn(move || {
-                            worker_loop(
-                                pipe,
-                                worker_steering,
-                                worker_log,
-                                jobs_rx,
-                                done_tx,
-                                pin_core,
-                            )
-                        })
+                        .spawn(move || worker_loop(pipe, steering, jobs_rx, done_tx, pin_core))
                         .expect("spawn pipe worker");
-                    WorkerLink {
-                        id,
-                        jobs: jobs_tx,
-                        done: done_rx,
-                        free: (0..depth).map(|_| BatchBuf::boxed()).collect(),
-                        staged: None,
-                        in_flight: 0,
+                    Link::Worker {
+                        jobs,
+                        done,
                         join: Some(join),
                     }
-                })
-                .collect();
-            Backend::Threaded(links)
-        } else {
-            let inline_pipes: Vec<Pipe> = (0..pipes)
-                .map(|id| Pipe {
+                } else {
+                    Link::Inline {
+                        pipe,
+                        steering,
+                        done: VecDeque::with_capacity(completions),
+                    }
+                };
+                Lane {
                     id,
-                    switch: SilkRoadSwitch::new(per_pipe.clone()),
-                })
-                .collect();
-            let lanes = inline_pipes.iter().map(|_| *BatchBuf::boxed()).collect();
-            Backend::Inline(InlineState {
-                pipes: inline_pipes,
-                lanes,
+                    link,
+                    free: (0..depth).map(|_| BatchBuf::boxed()).collect(),
+                    staged: None,
+                    in_flight: 0,
+                }
             })
-        };
+            .collect();
         MultiPipeSwitch {
             cfg,
             steering,
-            log,
-            backend,
-            accum_packets: 0,
-            accum_digest: 0,
+            lanes,
+            acc: StreamStats::default(),
         }
     }
 
@@ -399,32 +428,31 @@ impl MultiPipeSwitch {
 
     /// Number of pipes.
     pub fn pipe_count(&self) -> usize {
-        match &self.backend {
-            Backend::Inline(st) => st.pipes.len(),
-            Backend::Threaded(links) => links.len(),
-        }
+        self.lanes.len()
     }
 
     /// Whether per-pipe worker threads are running.
     pub fn is_threaded(&self) -> bool {
-        matches!(self.backend, Backend::Threaded(_))
+        self.lanes
+            .iter()
+            .any(|lane| matches!(lane.link, Link::Worker { .. }))
     }
 
     /// One pipe, for per-pipe (lossless) counter inspection. `None` on
     /// the threaded backend, where workers own the pipes exclusively.
     pub fn pipe(&self, id: usize) -> Option<&Pipe> {
-        match &self.backend {
-            Backend::Inline(st) => st.pipes.get(id),
-            Backend::Threaded(_) => None,
+        match &self.lanes.get(id)?.link {
+            Link::Inline { pipe, .. } => Some(pipe),
+            Link::Worker { .. } => None,
         }
     }
 
     /// One pipe, mutably (see [`Pipe::switch_mut`] for the contract).
     /// `None` on the threaded backend.
     pub fn pipe_mut(&mut self, id: usize) -> Option<&mut Pipe> {
-        match &mut self.backend {
-            Backend::Inline(st) => st.pipes.get_mut(id),
-            Backend::Threaded(_) => None,
+        match &mut self.lanes.get_mut(id)?.link {
+            Link::Inline { pipe, .. } => Some(pipe),
+            Link::Worker { .. } => None,
         }
     }
 
@@ -436,44 +464,24 @@ impl MultiPipeSwitch {
     // ---- data plane ----------------------------------------------------
 
     // srlint: hot-path begin
-    /// Process one packet: steer, then run it through its pipe.
+    /// Process one packet: a one-packet batch on the lane it steers to.
     pub fn process_packet(&mut self, pkt: &PacketMeta, now: Nanos) -> ForwardDecision {
         let p = self.steering.pipe_for(&pkt.tuple);
-        match &mut self.backend {
-            Backend::Inline(st) => match st.pipes.get_mut(p) {
-                Some(pipe) => pipe.switch.process_packet(pkt, now),
-                // Unreachable: pipe_for maps into 0..pipes. Fail closed.
-                None => ForwardDecision::dropped(),
-            },
-            Backend::Threaded(links) => {
-                let epoch = self.log.epoch();
-                let (pa, da) = (&mut self.accum_packets, &mut self.accum_digest);
-                let Some(link) = links.get_mut(p) else {
-                    return ForwardDecision::dropped();
-                };
-                // Serialize behind any streamed batches on this pipe so
-                // the single-packet reply is unambiguous.
-                quiesce_link(link, pa, da);
-                let mut buf = take_buf(link, pa, da);
-                buf.reset();
-                buf.epoch = epoch;
-                buf.now = now;
-                buf.fold = false;
-                buf.idx.push(0);
-                buf.pkts.push(*pkt);
-                link.send(Job::Batch(buf));
-                link.in_flight += 1;
-                loop {
-                    if let Done::Batch(mut done) = link.recv() {
-                        link.in_flight -= 1;
-                        let d = done.out.first().copied();
-                        done.reset();
-                        link.free.push(done);
-                        return d.unwrap_or_else(ForwardDecision::dropped);
-                    }
-                }
-            }
+        let acc = &mut self.acc;
+        let Some(lane) = self.lanes.get_mut(p) else {
+            // Unreachable: pipe_for maps into 0..pipes. Fail closed.
+            return ForwardDecision::dropped();
+        };
+        let mut buf = lane.take_buf(acc);
+        buf.now = now;
+        buf.fold = false;
+        buf.pkts.push(*pkt);
+        let mut decision = ForwardDecision::dropped();
+        if let Done::Batch(buf) = lane.call(Job::Batch(buf), acc) {
+            decision = buf.out.first().copied().unwrap_or(decision);
+            lane.recycle(buf, acc);
         }
+        decision
     }
 
     /// Process a batch, returning decisions in input order.
@@ -484,10 +492,9 @@ impl MultiPipeSwitch {
     }
 
     /// [`MultiPipeSwitch::process_batch`] appending into a caller-owned
-    /// buffer. Steer every packet to its pipe's staging buffer, hand the
-    /// buffers to the pipes (inline on this thread, or to the resident
-    /// workers), then scatter each pipe's decisions back to input order.
-    /// Buffers are recycled, so the steady state allocates nothing.
+    /// buffer. Steer every packet to its lane's staging buffer, send every
+    /// lane its batch, then scatter each pipe's decisions back to input
+    /// order. Buffers are recycled, so the steady state allocates nothing.
     pub fn process_batch_into(
         &mut self,
         pkts: &[PacketMeta],
@@ -496,69 +503,11 @@ impl MultiPipeSwitch {
     ) {
         let base = out.len();
         out.resize(base + pkts.len(), ForwardDecision::dropped());
-        match &mut self.backend {
-            Backend::Inline(st) => {
-                for lane in &mut st.lanes {
-                    lane.reset();
-                }
-                for (i, pkt) in pkts.iter().enumerate() {
-                    let p = self.steering.pipe_for(&pkt.tuple);
-                    if let Some(lane) = st.lanes.get_mut(p) {
-                        lane.idx.push(i as u32);
-                        lane.pkts.push(*pkt);
-                    }
-                }
-                for (pipe, lane) in st.pipes.iter_mut().zip(st.lanes.iter_mut()) {
-                    pipe.switch
-                        .process_batch_into(&lane.pkts, now, &mut lane.out);
-                }
-                for lane in &st.lanes {
-                    scatter(lane, out, base);
-                }
-            }
-            Backend::Threaded(links) => {
-                let epoch = self.log.epoch();
-                let (pa, da) = (&mut self.accum_packets, &mut self.accum_digest);
-                for link in links.iter_mut() {
-                    // Streamed batches still in flight would race this
-                    // synchronous round-trip; drain them first.
-                    quiesce_link(link, pa, da);
-                    let mut buf = take_buf(link, pa, da);
-                    buf.reset();
-                    buf.epoch = epoch;
-                    buf.now = now;
-                    buf.fold = false;
-                    link.staged = Some(buf);
-                }
-                for (i, pkt) in pkts.iter().enumerate() {
-                    let p = self.steering.pipe_for(&pkt.tuple);
-                    if let Some(link) = links.get_mut(p) {
-                        if let Some(buf) = link.staged.as_mut() {
-                            buf.idx.push(i as u32);
-                            buf.pkts.push(*pkt);
-                        }
-                    }
-                }
-                for link in links.iter_mut() {
-                    if let Some(buf) = link.staged.take() {
-                        if buf.pkts.is_empty() {
-                            link.free.push(buf);
-                        } else {
-                            link.send(Job::Batch(buf));
-                            link.in_flight += 1;
-                        }
-                    }
-                }
-                for link in links.iter_mut() {
-                    while link.in_flight > 0 {
-                        if let Done::Batch(mut buf) = link.recv() {
-                            link.in_flight -= 1;
-                            scatter(&buf, out, base);
-                            buf.reset();
-                            link.free.push(buf);
-                        }
-                    }
-                }
+        self.dispatch(pkts, now, false);
+        for lane in &mut self.lanes {
+            if let Done::Batch(buf) = lane.reply(&mut self.acc) {
+                scatter(&buf, out, base);
+                lane.recycle(buf, &mut self.acc);
             }
         }
     }
@@ -569,54 +518,29 @@ impl MultiPipeSwitch {
     /// [`MultiPipeSwitch::stream_drain`]. Applies backpressure per pipe
     /// once `ring_depth` batches are in flight.
     pub fn stream_batch(&mut self, pkts: &[PacketMeta], now: Nanos) {
-        match &mut self.backend {
-            Backend::Inline(st) => {
-                for lane in &mut st.lanes {
-                    lane.reset();
-                }
-                for pkt in pkts.iter() {
-                    let p = self.steering.pipe_for(&pkt.tuple);
-                    if let Some(lane) = st.lanes.get_mut(p) {
-                        lane.pkts.push(*pkt);
-                    }
-                }
-                for (pipe, lane) in st.pipes.iter_mut().zip(st.lanes.iter_mut()) {
-                    pipe.switch
-                        .process_batch_into(&lane.pkts, now, &mut lane.out);
-                    worker::fold_batch(&self.steering, lane);
-                    self.accum_packets += lane.folded_packets;
-                    self.accum_digest = self.accum_digest.wrapping_add(lane.folded_digest);
-                }
+        self.dispatch(pkts, now, true);
+    }
+
+    /// Steer `pkts` into one staged buffer per lane and send each lane its
+    /// batch — an empty one too, so every pipe's control plane advances to
+    /// `now` on every batch, as a single switch's would.
+    fn dispatch(&mut self, pkts: &[PacketMeta], now: Nanos, fold: bool) {
+        for lane in &mut self.lanes {
+            let mut buf = lane.take_buf(&mut self.acc);
+            buf.now = now;
+            buf.fold = fold;
+            lane.staged = Some(buf);
+        }
+        for (i, pkt) in pkts.iter().enumerate() {
+            let p = self.steering.pipe_for(&pkt.tuple);
+            if let Some(buf) = self.lanes.get_mut(p).and_then(|l| l.staged.as_mut()) {
+                buf.idx.push(i as u32);
+                buf.pkts.push(*pkt);
             }
-            Backend::Threaded(links) => {
-                let epoch = self.log.epoch();
-                let (pa, da) = (&mut self.accum_packets, &mut self.accum_digest);
-                for link in links.iter_mut() {
-                    let mut buf = take_buf(link, pa, da);
-                    buf.reset();
-                    buf.epoch = epoch;
-                    buf.now = now;
-                    buf.fold = true;
-                    link.staged = Some(buf);
-                }
-                for pkt in pkts.iter() {
-                    let p = self.steering.pipe_for(&pkt.tuple);
-                    if let Some(link) = links.get_mut(p) {
-                        if let Some(buf) = link.staged.as_mut() {
-                            buf.pkts.push(*pkt);
-                        }
-                    }
-                }
-                for link in links.iter_mut() {
-                    if let Some(buf) = link.staged.take() {
-                        if buf.pkts.is_empty() {
-                            link.free.push(buf);
-                        } else {
-                            link.send(Job::Batch(buf));
-                            link.in_flight += 1;
-                        }
-                    }
-                }
+        }
+        for lane in &mut self.lanes {
+            if let Some(buf) = lane.staged.take() {
+                lane.send(Job::Batch(buf));
             }
         }
     }
@@ -625,96 +549,52 @@ impl MultiPipeSwitch {
     /// Wait for every in-flight streamed batch, then return and reset
     /// the fold accumulators.
     pub fn stream_drain(&mut self) -> StreamStats {
-        if let Backend::Threaded(links) = &mut self.backend {
-            let (pa, da) = (&mut self.accum_packets, &mut self.accum_digest);
-            for link in links.iter_mut() {
-                quiesce_link(link, pa, da);
-            }
+        for lane in &mut self.lanes {
+            lane.drain(&mut self.acc);
         }
-        let stats = StreamStats {
-            packets: self.accum_packets,
-            digest: self.accum_digest,
-        };
-        self.accum_packets = 0;
-        self.accum_digest = 0;
-        stats
+        std::mem::take(&mut self.acc)
     }
 
-    /// Close a connection. Steering picks the owning pipe here, at
-    /// publish time, so every backend (and every pipe count) skips the
-    /// op identically on non-owning pipes.
+    /// Close a connection on the pipe its flow steers to, the only pipe
+    /// that can hold its entry.
     pub fn close_connection(&mut self, tuple: &FiveTuple, now: Nanos) {
-        let pipe = self.steering.pipe_for(tuple);
-        let _ = self.control(ControlOp::CloseConn {
-            tuple: *tuple,
-            now,
-            pipe,
-        });
+        let p = self.steering.pipe_for(tuple);
+        if let Some(lane) = self.lanes.get_mut(p) {
+            let close = ControlOp::CloseConn { tuple: *tuple, now };
+            lane.call(Job::Control(close), &mut self.acc);
+        }
     }
 
-    // ---- control plane (published ops) ---------------------------------
+    // ---- control plane -------------------------------------------------
 
-    /// Publish one op and synchronously bring every pipe up to its epoch.
-    /// Returns the summed expiry count; the first error any pipe's
-    /// adoption produced wins (pipes hold identical control state, so
-    /// they fail identically).
-    fn control(&mut self, op: ControlOp) -> Result<usize, TypeError> {
-        match &mut self.backend {
-            Backend::Inline(st) => {
-                let mut expired = 0;
-                let mut first: Option<TypeError> = None;
-                for pipe in &mut st.pipes {
-                    let (e, r) = apply_op(pipe.id, &mut pipe.switch, &op);
-                    expired += e;
-                    if first.is_none() {
-                        first = r.err();
-                    }
-                }
-                match first {
-                    Some(e) => Err(e),
-                    None => Ok(expired),
-                }
-            }
-            Backend::Threaded(links) => {
-                let epoch = self.log.publish(op);
-                for link in links.iter_mut() {
-                    link.send(Job::Control { epoch });
-                }
-                let (pa, da) = (&mut self.accum_packets, &mut self.accum_digest);
-                let mut expired = 0;
-                let mut first: Option<TypeError> = None;
-                for link in links.iter_mut() {
-                    loop {
-                        match link.recv() {
-                            Done::Control(reply) => {
-                                expired += reply.expired;
-                                if first.is_none() {
-                                    first = reply.error;
-                                }
-                                break;
-                            }
-                            Done::Batch(mut buf) => {
-                                // A streamed batch completing while we
-                                // wait; fold and recycle it.
-                                link.in_flight -= 1;
-                                *pa += buf.folded_packets;
-                                *da = da.wrapping_add(buf.folded_digest);
-                                buf.reset();
-                                link.free.push(buf);
-                            }
-                            Done::Query(_) => {}
-                        }
-                    }
-                }
-                // Every pipe confirmed adoption: the grace period is over
-                // and the ops can be reclaimed.
-                self.log.truncate_to(epoch);
-                match first {
-                    Some(e) => Err(e),
-                    None => Ok(expired),
-                }
-            }
+    /// Send `job()` to every lane, then hand `take` each one's reply, in
+    /// pipe order.
+    fn round_trip(&mut self, job: impl Fn() -> Job, mut take: impl FnMut(Done)) {
+        for lane in &mut self.lanes {
+            lane.send(job());
         }
+        for lane in &mut self.lanes {
+            take(lane.reply(&mut self.acc));
+        }
+    }
+
+    /// Apply one op on every pipe and wait for each. Returns the summed
+    /// expiry count; the first error wins (pipes hold identical control
+    /// state, so they fail identically).
+    fn control(&mut self, op: ControlOp) -> Result<usize, TypeError> {
+        let mut expired = 0;
+        let mut first = None;
+        self.round_trip(
+            || Job::Control(op.clone()),
+            |done| match done {
+                Done::Control(Ok(n)) => expired += n,
+                Done::Control(Err(e)) => {
+                    first.get_or_insert(e);
+                }
+                _ => {}
+            },
+        );
+        first.map_or(Ok(expired), Err)
     }
 
     /// Register a VIP on every pipe.
@@ -781,54 +661,27 @@ impl MultiPipeSwitch {
     /// boxed because that is how `Done::Query` carries them off the ring.
     #[allow(clippy::vec_box)]
     fn query_all(&mut self, query: Query) -> Vec<Box<QueryReply>> {
-        match &mut self.backend {
-            Backend::Inline(st) => st
-                .pipes
-                .iter()
-                .map(|p| match answer_query(p, query) {
-                    Done::Query(r) => r,
-                    // answer_query only builds Query completions.
-                    _ => unreachable!(),
-                })
-                .collect(),
-            Backend::Threaded(links) => {
-                let epoch = self.log.epoch();
-                for link in links.iter_mut() {
-                    link.send(Job::Query { epoch, query });
+        let mut replies = Vec::with_capacity(self.lanes.len());
+        self.round_trip(
+            || Job::Query(query),
+            |done| {
+                if let Done::Query(reply) = done {
+                    replies.push(reply);
                 }
-                let (pa, da) = (&mut self.accum_packets, &mut self.accum_digest);
-                let mut replies = Vec::with_capacity(links.len());
-                for link in links.iter_mut() {
-                    loop {
-                        match link.recv() {
-                            Done::Query(r) => {
-                                replies.push(r);
-                                break;
-                            }
-                            Done::Batch(mut buf) => {
-                                link.in_flight -= 1;
-                                *pa += buf.folded_packets;
-                                *da = da.wrapping_add(buf.folded_digest);
-                                buf.reset();
-                                link.free.push(buf);
-                            }
-                            Done::Control(_) => {}
-                        }
-                    }
-                }
-                replies
-            }
-        }
+            },
+        );
+        replies
     }
 
-    /// Ask pipe 0 (authoritative for broadcast control state).
+    /// Ask pipe 0 only (authoritative for broadcast control state).
     fn query_first(&mut self, query: Query) -> Option<Box<QueryReply>> {
-        match &mut self.backend {
-            Backend::Inline(st) => st.pipes.first().map(|p| match answer_query(p, query) {
-                Done::Query(r) => r,
-                _ => unreachable!(),
-            }),
-            Backend::Threaded(_) => self.query_all(query).into_iter().next(),
+        match self
+            .lanes
+            .first_mut()?
+            .call(Job::Query(query), &mut self.acc)
+        {
+            Done::Query(reply) => Some(reply),
+            _ => None,
         }
     }
 
@@ -949,17 +802,19 @@ impl MultiPipeSwitch {
 
 impl Drop for MultiPipeSwitch {
     fn drop(&mut self) {
-        if let Backend::Threaded(links) = &mut self.backend {
-            // Close every job ring first: each worker drains its queued
-            // batches, then exits its loop and drops its done producer.
-            for link in links.iter_mut() {
-                link.jobs.close();
+        // Close every job ring first: each worker drains its queued
+        // jobs, then exits its loop and drops its done producer.
+        for lane in &mut self.lanes {
+            if let Link::Worker { jobs, .. } = &mut lane.link {
+                jobs.close();
             }
-            for link in links.iter_mut() {
+        }
+        for lane in &mut self.lanes {
+            if let Link::Worker { done, join, .. } = &mut lane.link {
                 // Drain completions until the worker's producer drops;
                 // this also unblocks a worker pushing into a full ring.
-                while link.done.pop().is_some() {}
-                if let Some(join) = link.join.take() {
+                while done.pop().is_some() {}
+                if let Some(join) = join.take() {
                     // A worker that panicked already reported on stderr;
                     // nothing useful to do with the payload in drop.
                     let _ = join.join();

@@ -1,4 +1,4 @@
-//! The per-pipe run-to-completion worker.
+//! The per-pipe run-to-completion worker and the messages it exchanges.
 //!
 //! One long-lived OS thread per pipe, owning its [`Pipe`] shard
 //! exclusively for the engine's whole lifetime: the steer thread never
@@ -8,28 +8,90 @@
 //! ring; batch buffers circulate steer → worker → steer and are reused,
 //! so the steady-state hot loop allocates nothing.
 //!
-//! Control-plane changes reach the worker as epoch stamps: every job
-//! carries the [`ControlLog`] epoch observed when it was created, and
-//! the worker adopts all ops up to exactly that stamp before acting on
-//! the job (see `engine::control`). Expiry counts and the first error
-//! produced by adopted ops accumulate in the worker and are reported on
-//! the next [`Job::Control`] reply.
+//! Control-plane changes travel in the same FIFO ring as the batches, as
+//! [`Job::Control`] ops, so every pipe applies ops and batches in the
+//! order the facade issued them. [`run_job`] is the whole loop body; the
+//! inline backend calls it directly on the caller's thread.
 
-use super::control::{apply_op, ControlLog, ControlOp};
 use super::{FlowSteering, Pipe, MAX_ADDR_BYTES};
 use crate::dataplane::{DataPath, ForwardDecision};
+use crate::health::HealthEvent;
 use crate::memory::MemoryBreakdown;
+use crate::pool::PoolUpdate;
 use crate::stats::SwitchStats;
 use crate::update::UpdatePhase;
+use sr_asic::MeterConfig;
 use sr_exec::{Consumer, Producer};
 use sr_hash::splitmix64;
-use sr_types::{Dip, Nanos, PacketMeta, PoolVersion, TypeError, Vip};
-use std::sync::Arc;
+use sr_types::{Dip, FiveTuple, Nanos, PacketMeta, PoolVersion, TypeError, Vip};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+
+/// One control-plane operation, applied by
+/// [`crate::SilkRoadSwitch::apply`] on each pipe it is sent to.
+#[derive(Clone, Debug)]
+pub(crate) enum ControlOp {
+    /// Register a VIP with its initial DIP pool (every pipe).
+    AddVip {
+        /// The VIP.
+        vip: Vip,
+        /// Initial pool members.
+        dips: Vec<Dip>,
+    },
+    /// Remove a VIP (every pipe).
+    RemoveVip {
+        /// The VIP.
+        vip: Vip,
+    },
+    /// Start a 3-step PCC pool update (every pipe).
+    RequestUpdate {
+        /// The VIP.
+        vip: Vip,
+        /// The pool change.
+        op: PoolUpdate,
+        /// Request time.
+        now: Nanos,
+    },
+    /// Apply health transitions (every pipe).
+    Health {
+        /// The transitions.
+        events: Vec<HealthEvent>,
+        /// Request time.
+        now: Nanos,
+    },
+    /// Attach a VIP meter (every pipe).
+    AttachMeter {
+        /// The VIP.
+        vip: Vip,
+        /// Meter parameters.
+        cfg: MeterConfig,
+    },
+    /// Detach a VIP meter (every pipe).
+    DetachMeter {
+        /// The VIP.
+        vip: Vip,
+    },
+    /// Run the control plane forward to `now` (every pipe).
+    Advance {
+        /// Target time.
+        now: Nanos,
+    },
+    /// Run an idle-expiry scan (every pipe; counts are summed).
+    ExpireIdle {
+        /// Scan time.
+        now: Nanos,
+    },
+    /// Close one connection. Sent only to the pipe the flow steers to:
+    /// flow-to-pipe affinity means no other pipe can hold its entry.
+    CloseConn {
+        /// The connection.
+        tuple: FiveTuple,
+        /// Close time.
+        now: Nanos,
+    },
+}
 
 /// A reusable steered batch travelling steer → worker → steer.
 pub(crate) struct BatchBuf {
-    /// Adopt ops up to this epoch before processing.
-    pub epoch: u64,
     /// Batch timestamp.
     pub now: Nanos,
     /// Streaming mode: fold decisions into (`folded_packets`,
@@ -51,7 +113,6 @@ impl BatchBuf {
     /// A fresh, empty buffer.
     pub(crate) fn boxed() -> Box<BatchBuf> {
         Box::new(BatchBuf {
-            epoch: 0,
             now: Nanos::ZERO,
             fold: false,
             idx: Vec::new(),
@@ -72,45 +133,30 @@ impl BatchBuf {
     }
 }
 
-/// Work sent to a pipe worker. Shutdown is the ring closing, not a
-/// variant, so queued jobs still drain during teardown.
+/// Work sent to a pipe. Shutdown is the ring closing, not a variant, so
+/// queued jobs still drain during teardown.
 pub(crate) enum Job {
-    /// Process a steered batch (after adopting up to its epoch).
+    /// Process a steered batch.
     Batch(Box<BatchBuf>),
-    /// Adopt up to `epoch` and reply with accumulated op outcomes.
-    Control {
-        /// Adoption target.
-        epoch: u64,
-    },
-    /// Adopt up to `epoch`, then answer a read-only query.
-    Query {
-        /// Adoption target.
-        epoch: u64,
-        /// What to read.
-        query: Query,
-    },
+    /// Apply a control op and reply with its outcome.
+    Control(ControlOp),
+    /// Answer a read-only query.
+    Query(Query),
 }
 
 /// Completion sent back to the steer thread.
 pub(crate) enum Done {
     /// A processed batch (buffer returns to the caller for reuse).
     Batch(Box<BatchBuf>),
-    /// Reply to [`Job::Control`].
-    Control(ControlReply),
+    /// Outcome of a [`Job::Control`]: connections expired, or the op's
+    /// error. Control state is identical in every pipe, so all pipes fail
+    /// (or succeed) identically.
+    Control(Result<usize, TypeError>),
     /// Reply to [`Job::Query`].
     Query(Box<QueryReply>),
 }
 
-/// Outcomes of every op adopted since the previous control reply.
-pub(crate) struct ControlReply {
-    /// Connections expired by adopted `ExpireIdle` ops.
-    pub expired: usize,
-    /// First error any adopted op produced. Control state is identical
-    /// in every pipe, so all pipes fail (or succeed) identically.
-    pub error: Option<TypeError>,
-}
-
-/// Read-only questions answered from a worker's pipe state.
+/// Read-only questions answered from a pipe's state.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Query {
     /// Merged switch counters.
@@ -156,62 +202,11 @@ pub(crate) enum QueryReply {
     NextWakeup(Option<Nanos>),
 }
 
-/// Adoption cursor plus the outcome accumulators carried between
-/// control replies.
-pub(crate) struct Adopter {
-    cursor: u64,
-    expired: usize,
-    error: Option<TypeError>,
-    /// Reused scratch for `Arc` refs copied out of the log.
-    ops: Vec<Arc<ControlOp>>,
-}
-
-impl Adopter {
-    pub(crate) fn new() -> Adopter {
-        Adopter {
-            cursor: 0,
-            expired: 0,
-            error: None,
-            ops: Vec::new(),
-        }
-    }
-
-    /// Apply every op in `(cursor, target]` to the pipe, in publication
-    /// order. Holds the log lock only while copying refs.
-    pub(crate) fn adopt_to(&mut self, pipe: &mut Pipe, log: &ControlLog, target: u64) {
-        if self.cursor >= target {
-            return;
-        }
-        self.ops.clear();
-        log.copy_range(self.cursor, target, &mut self.ops);
-        let id = pipe.id();
-        for op in &self.ops {
-            let (expired, result) = apply_op(id, pipe.switch_mut(), op);
-            self.expired += expired;
-            if self.error.is_none() {
-                self.error = result.err();
-            }
-        }
-        self.cursor = target;
-        // Drop the Arc refs now: retaining them would keep truncated ops
-        // alive until the next adoption.
-        self.ops.clear();
-    }
-
-    /// Take the accumulated outcomes for a control reply.
-    pub(crate) fn take_outcomes(&mut self) -> ControlReply {
-        ControlReply {
-            expired: std::mem::take(&mut self.expired),
-            error: self.error.take(),
-        }
-    }
-}
-
-/// Answer a query from the worker's pipe (allocates freely: this is the
-/// control plane).
-pub(crate) fn answer_query(pipe: &Pipe, query: Query) -> Done {
+/// Answer a query from the pipe (allocates freely: this is the control
+/// plane).
+fn answer_query(pipe: &Pipe, query: Query) -> Box<QueryReply> {
     let sw = pipe.switch();
-    let reply = match query {
+    Box::new(match query {
         Query::Stats => QueryReply::Stats(sw.stats().clone()),
         Query::ConnCount => QueryReply::ConnCount(sw.conn_count()),
         Query::UpdatePhase(vip) => QueryReply::UpdatePhase(sw.update_phase(vip)),
@@ -223,8 +218,7 @@ pub(crate) fn answer_query(pipe: &Pipe, query: Query) -> Done {
         Query::TransitCounters => QueryReply::TransitCounters(sw.transit_counters()),
         Query::Memory => QueryReply::Memory(sw.memory()),
         Query::NextWakeup => QueryReply::NextWakeup(sw.next_wakeup()),
-    };
-    Done::Query(Box::new(reply))
+    })
 }
 
 /// Fold a processed batch's decisions into a **commutative** digest:
@@ -233,7 +227,7 @@ pub(crate) fn answer_query(pipe: &Pipe, query: Query) -> Done {
 /// independent of batch boundaries, pipe count, and completion order —
 /// only the per-flow decisions matter. Streaming drivers compare these
 /// digests across pipe counts to prove decision identity at full speed.
-pub(crate) fn fold_batch(steering: &FlowSteering, buf: &mut BatchBuf) {
+fn fold_batch(steering: &FlowSteering, buf: &mut BatchBuf) {
     let mut digest = 0u64;
     for (pkt, d) in buf.pkts.iter().zip(buf.out.iter()) {
         digest = digest.wrapping_add(packet_digest(steering, pkt, d));
@@ -277,52 +271,69 @@ fn decision_word(d: &ForwardDecision) -> u64 {
     w
 }
 
-/// The worker thread body: adopt → process → complete, run to
-/// completion until the job ring closes. Buffer recycling keeps the
-/// steady state allocation-free; the loop itself is panic-free (a dead
-/// completion ring means the facade is gone — exit, don't unwind).
+// srlint: hot-path begin
+/// Run one job to completion on `pipe`: the worker thread's whole loop
+/// body, and what an inline lane runs on the caller's thread. Batch
+/// buffers are recycled, so a steady-state batch allocates nothing.
+pub(crate) fn run_job(pipe: &mut Pipe, steering: &FlowSteering, job: Job) -> Done {
+    match job {
+        Job::Batch(mut buf) => {
+            buf.out.clear();
+            pipe.switch
+                .process_batch_into(&buf.pkts, buf.now, &mut buf.out);
+            if buf.fold {
+                fold_batch(steering, &mut buf);
+            }
+            Done::Batch(buf)
+        }
+        Job::Control(op) => Done::Control(pipe.switch.apply(&op)),
+        Job::Query(query) => Done::Query(answer_query(pipe, query)),
+    }
+}
+// srlint: hot-path end
+
+/// Pipe worker threads started and not yet finished, process-wide.
+static RUNNING: AtomicUsize = AtomicUsize::new(0);
+
+/// How many pipe worker threads are running in this process, across all
+/// engines. A worker counts itself out as the last thing its thread does
+/// (unwinding included), so once every engine that spawned workers has
+/// been dropped — `Drop` joins them — this reads 0.
+pub fn running_workers() -> usize {
+    RUNNING.load(SeqCst)
+}
+
+/// The worker thread body: run jobs until the job ring closes. The loop
+/// itself is panic-free (a dead completion ring means the facade is
+/// gone — exit, don't unwind).
 pub(crate) fn worker_loop(
     mut pipe: Pipe,
     steering: FlowSteering,
-    log: Arc<ControlLog>,
     mut jobs: Consumer<Job>,
     mut done: Producer<Done>,
     pin_core: Option<usize>,
 ) {
+    /// Holds this thread's place in [`RUNNING`] (unwinding included).
+    struct Running;
+    impl Drop for Running {
+        fn drop(&mut self) {
+            RUNNING.fetch_sub(1, SeqCst);
+        }
+    }
+    RUNNING.fetch_add(1, SeqCst);
+    let running = Running;
     if let Some(core) = pin_core {
         // Best-effort: an unpinnable host just runs unpinned.
         let _ = sr_exec::pin_current_thread(core);
     }
-    let mut adopter = Adopter::new();
-    // srlint: hot-path begin
     while let Some(job) = jobs.pop() {
-        match job {
-            Job::Batch(mut buf) => {
-                adopter.adopt_to(&mut pipe, &log, buf.epoch);
-                buf.out.clear();
-                pipe.switch_mut()
-                    .process_batch_into(&buf.pkts, buf.now, &mut buf.out);
-                if buf.fold {
-                    fold_batch(&steering, &mut buf);
-                }
-                if done.push(Done::Batch(buf)).is_err() {
-                    break;
-                }
-            }
-            Job::Control { epoch } => {
-                adopter.adopt_to(&mut pipe, &log, epoch);
-                let reply = adopter.take_outcomes();
-                if done.push(Done::Control(reply)).is_err() {
-                    break;
-                }
-            }
-            Job::Query { epoch, query } => {
-                adopter.adopt_to(&mut pipe, &log, epoch);
-                if done.push(answer_query(&pipe, query)).is_err() {
-                    break;
-                }
-            }
+        if done.push(run_job(&mut pipe, &steering, job)).is_err() {
+            break;
         }
     }
-    // srlint: hot-path end
+    // Rings first (the facade stops waiting), then the shard, and counting
+    // out last: only a join, not the rings closing, guarantees a 0 count.
+    drop((jobs, done));
+    drop(pipe);
+    drop(running);
 }

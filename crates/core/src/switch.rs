@@ -18,6 +18,7 @@ use crate::config::{ConnMapping, SilkRoadConfig};
 use crate::conn_table::{ConnTable, ConnValue};
 use crate::control::{CompletedInstall, ControlPlane, LearnMeta, LearnOutcome};
 use crate::dataplane::{BloomHashes, DataPath, ForwardDecision, HashedKey, KeyHasher};
+use crate::engine::ControlOp;
 use crate::memory::MemoryBreakdown;
 use crate::pool::PoolUpdate;
 use crate::stats::SwitchStats;
@@ -1211,6 +1212,36 @@ impl SilkRoadSwitch {
             }
         }
         Ok(())
+    }
+
+    /// Apply one multi-pipe engine control op. Returns the connections an
+    /// idle-expiry op expired (0 for every other op).
+    pub(crate) fn apply(&mut self, op: &ControlOp) -> Result<usize, TypeError> {
+        match op {
+            ControlOp::AddVip { vip, dips } => self.add_vip(*vip, dips.clone()).map(|()| 0),
+            ControlOp::RemoveVip { vip } => self.remove_vip(*vip).map(|()| 0),
+            ControlOp::RequestUpdate { vip, op, now } => {
+                self.request_update(*vip, *op, *now).map(|()| 0)
+            }
+            ControlOp::Health { events, now } => self.apply_health_events(events, *now).map(|()| 0),
+            ControlOp::AttachMeter { vip, cfg } => {
+                self.attach_meter(*vip, *cfg);
+                Ok(0)
+            }
+            ControlOp::DetachMeter { vip } => {
+                self.detach_meter(*vip);
+                Ok(0)
+            }
+            ControlOp::Advance { now } => {
+                self.advance(*now);
+                Ok(0)
+            }
+            ControlOp::ExpireIdle { now } => Ok(self.expire_idle(*now)),
+            ControlOp::CloseConn { tuple, now } => {
+                self.close_connection(tuple, *now);
+                Ok(0)
+            }
+        }
     }
 
     /// Version-ring exhaustion (§4.2 footnote): move the connections of the

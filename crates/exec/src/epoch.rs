@@ -1,16 +1,15 @@
-//! Generic epoch-versioned op log — the lockstep-control idiom shared by
-//! the packet engine and the fleet simulator.
+//! Generic epoch-versioned op log — the lockstep-control idiom of the
+//! fleet simulator (`sr_sim::fleet`).
 //!
-//! The multi-pipe packet engine (PR 6) keeps its per-pipe workers
-//! bit-identical across worker counts by broadcasting every control-plane
-//! change through an append-only log of immutable ops: the log's length
-//! is the **epoch**, workers adopt ops in publication order at batch
-//! boundaries only, and published entries are shared by `Arc` so a reader
-//! never holds the log lock while applying one. That idiom is not
-//! engine-specific, so it lives here as [`EpochLog<T>`]: the engine's
-//! `ControlLog` shape generalized over the op type, with a blocking
-//! [`EpochLog::wait_beyond`] for resident workers that park between
-//! epochs instead of spinning.
+//! The fleet keeps its per-cluster shards bit-identical across worker
+//! counts by broadcasting every control change (epoch advances, update
+//! storm toggles) through an append-only log of immutable ops: the log's
+//! length is the **epoch**, workers adopt ops in publication order at
+//! epoch boundaries only, and published entries are shared by `Arc` so a
+//! reader never holds the log lock while applying one. Resident workers
+//! park in [`EpochLog::wait_beyond`] between epochs instead of spinning.
+//! (The multi-pipe packet engine needs no log: its control ops ride the
+//! same FIFO job rings as its batches.)
 //!
 //! Guarantees:
 //!

@@ -15,12 +15,11 @@
 //!   and optionally pinned to cores with [`pin_current_thread`]. The
 //!   old per-batch scoped fan-out it replaced paid a thread
 //!   spawn/join per batch and could never scale wall-clock throughput.
-//! * **Lockstep control broadcast** — [`EpochLog`] is the engine's
-//!   epoch-versioned op-log idiom generalized over the op type: resident
-//!   workers adopt immutable `Arc`-shared ops in publication order at
-//!   batch boundaries, which keeps sharded state bit-identical across
-//!   worker counts. The fleet simulator (`sr-sim::fleet`) drives its
-//!   per-cluster shards with it.
+//! * **Lockstep control broadcast** — [`EpochLog`] is an epoch-versioned
+//!   op log, generic over the op type: resident workers adopt immutable
+//!   `Arc`-shared ops in publication order at epoch boundaries, which
+//!   keeps sharded state bit-identical across worker counts. The fleet
+//!   simulator (`sr-sim::fleet`) drives its per-cluster shards with it.
 //!
 //! Built on `std` plus the vendored `parking_lot`: no executor
 //! dependency, no `'static` bounds in `Exec::run`, and no `unsafe`.

@@ -27,9 +27,9 @@
 //!   bit-identical for any worker count.
 //!
 //! Closes fire in wheel-tick batches at epoch boundaries rather than
-//! interleaved with same-epoch arrivals — the batch-boundary adoption
-//! analog of the packet engine, and a ≤ one-epoch timing coarsening that
-//! never affects PCC (version masks are immutable once created).
+//! interleaved with same-epoch arrivals — a ≤ one-epoch timing
+//! coarsening that never affects PCC (version masks are immutable once
+//! created).
 
 use crate::wheel::TimerWheel;
 use rand::rngs::SmallRng;

@@ -142,10 +142,11 @@ fn conn_table_hit_path_is_allocation_free() {
 fn multi_pipe_steady_state_is_allocation_free() {
     // The sharded path adds steering plus per-pipe scatter/gather on top
     // of each pipe's batch pipeline; all of it must stay off the heap in
-    // steady state. The inline backend runs the whole hot loop on this
-    // thread, which is the path the thread-local counter can observe —
-    // and it shares the steer/scatter/fold code with the per-pipe
-    // workers, so what it measures is the worker hot loop's behaviour.
+    // steady state. The inline backend runs everything on this thread,
+    // which is what the thread-local counter can observe. Every facade
+    // method is one body over per-pipe lanes, and an inline lane runs
+    // each job through the same `run_job` the worker threads loop on —
+    // so this measures the code the workers run, minus the ring hop.
     const N: u32 = 4096;
     const PIPES: usize = 4;
     let vip_addr = Addr::v4(20, 0, 0, 1, 80);
@@ -192,6 +193,42 @@ fn multi_pipe_steady_state_is_allocation_free() {
         allocs, 0,
         "multi-pipe process_packet allocated {allocs} times over {N} packets"
     );
+
+    // Streaming, and control ops riding the same lanes: warm passes grow
+    // every recycled buffer, then the measured pass must not allocate.
+    let pass = |sw: &mut MultiPipeSwitch, now: Nanos, closing: &[FiveTuple]| {
+        let before = allocs_so_far();
+        for chunk in data.chunks(512) {
+            sw.stream_batch(chunk, now);
+        }
+        let streamed = sw.stream_drain();
+        let stream_allocs = allocs_so_far() - before;
+        let before = allocs_so_far();
+        for t in closing {
+            sw.close_connection(t, now);
+        }
+        sw.advance(now);
+        (streamed.packets, stream_allocs, allocs_so_far() - before)
+    };
+    // Two warm passes: a lane's buffers take the chunks in an order that
+    // alternates from pass to pass, and each must meet its largest batch.
+    // Each pass closes its own quarter of the flows.
+    let q = tuples.len() / 4;
+    pass(&mut sw, Nanos::from_secs(23), &tuples[..q]);
+    pass(&mut sw, Nanos::from_secs(24), &tuples[q..2 * q]);
+    let (streamed, stream_allocs, control_allocs) =
+        pass(&mut sw, Nanos::from_secs(25), &tuples[2 * q..3 * q]);
+    assert_eq!(streamed, N as u64);
+    assert_eq!(
+        stream_allocs, 0,
+        "multi-pipe stream_batch + stream_drain allocated {stream_allocs} times over {N} packets"
+    );
+    assert_eq!(
+        control_allocs, 0,
+        "multi-pipe close_connection + advance allocated {control_allocs} times over {q} closes"
+    );
+    // Each close ran on its flow's pipe alone.
+    assert_eq!(sw.stats().closes, 3 * q as u64);
 }
 
 /// Full wire-path steady state: parse raw frames, steer + resolve through

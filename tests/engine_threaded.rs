@@ -4,16 +4,19 @@
 //! still in flight.
 //!
 //! The decision-identity tests rely on the engine's determinism argument:
-//! the SPSC job rings are FIFO and the facade publishes control ops and
-//! dispatches batches in program order, so every worker observes the same
-//! op/batch interleaving regardless of pipe count or backend. The
+//! control ops travel in the same FIFO job rings as the batches and the
+//! facade waits for every pipe's reply to each op, so every pipe observes
+//! the caller's op/batch order regardless of pipe count or backend. The
 //! commutative stream digest then has to be bit-identical everywhere —
-//! one 64-bit value summarizing every DIP, path, and version choice.
+//! one 64-bit value summarizing every DIP, path, and version choice — and
+//! equal to a plain `SilkRoadSwitch` fed the same script.
 
+use silkroad::engine::{packet_digest, running_workers};
 use silkroad::{
-    EngineOptions, HealthEvent, MultiPipeSwitch, PoolUpdate, SilkRoadConfig, StreamStats,
+    EngineOptions, FlowSteering, ForwardDecision, HealthEvent, MultiPipeSwitch, PoolUpdate,
+    SilkRoadConfig, SilkRoadSwitch, StreamStats,
 };
-use sr_types::{Addr, Dip, Duration, FiveTuple, Nanos, PacketMeta, Vip};
+use sr_types::{Addr, Dip, Duration, FiveTuple, Nanos, PacketMeta, TypeError, Vip};
 
 const FLOWS: u32 = 2_048;
 const BATCH: usize = 192; // deliberately not a divisor of FLOWS
@@ -39,10 +42,10 @@ fn conn(i: u32) -> FiveTuple {
     FiveTuple::tcp(Addr::v4_indexed(100, i, 1024 + (i % 13) as u16), vip().0)
 }
 
-/// The shutdown test counts this *process's* `sr-pipe-*` threads, and the
-/// harness runs tests on parallel threads — so every test that spawns
-/// workers holds this lock for its duration. (The guarded value is `()`:
-/// a poisoned lock, left by another test's failure, is still valid.)
+/// The shutdown test reads the process-wide count of running pipe workers,
+/// and the harness runs tests on parallel threads — so every test that
+/// spawns workers holds this lock for its duration. (The guarded value is
+/// `()`: a poisoned lock, left by another test's failure, is still valid.)
 fn worker_census_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -61,11 +64,114 @@ fn build(pipes: usize, threaded: bool) -> MultiPipeSwitch {
     sw
 }
 
+/// The calls the churn script makes: the engine's own methods, or — for
+/// the reference arm — a plain `SilkRoadSwitch`'s.
+trait Target {
+    fn sync_batch(&mut self, pkts: &[PacketMeta], now: Nanos);
+    fn stream_batch(&mut self, pkts: &[PacketMeta], now: Nanos);
+    fn stream_drain(&mut self) -> StreamStats;
+    fn add_vip(&mut self, vip: Vip, dips: Vec<Dip>) -> Result<(), TypeError>;
+    fn remove_vip(&mut self, vip: Vip) -> Result<(), TypeError>;
+    fn request_update(&mut self, vip: Vip, op: PoolUpdate, now: Nanos) -> Result<(), TypeError>;
+    fn apply_health_events(&mut self, ev: &[HealthEvent], now: Nanos) -> Result<(), TypeError>;
+    fn advance(&mut self, now: Nanos);
+    fn expire_idle(&mut self, now: Nanos) -> usize;
+}
+
+impl Target for MultiPipeSwitch {
+    fn sync_batch(&mut self, pkts: &[PacketMeta], now: Nanos) {
+        self.process_batch(pkts, now);
+    }
+    fn stream_batch(&mut self, pkts: &[PacketMeta], now: Nanos) {
+        MultiPipeSwitch::stream_batch(self, pkts, now)
+    }
+    fn stream_drain(&mut self) -> StreamStats {
+        MultiPipeSwitch::stream_drain(self)
+    }
+    fn add_vip(&mut self, vip: Vip, dips: Vec<Dip>) -> Result<(), TypeError> {
+        MultiPipeSwitch::add_vip(self, vip, dips)
+    }
+    fn remove_vip(&mut self, vip: Vip) -> Result<(), TypeError> {
+        MultiPipeSwitch::remove_vip(self, vip)
+    }
+    fn request_update(&mut self, vip: Vip, op: PoolUpdate, now: Nanos) -> Result<(), TypeError> {
+        MultiPipeSwitch::request_update(self, vip, op, now)
+    }
+    fn apply_health_events(&mut self, ev: &[HealthEvent], now: Nanos) -> Result<(), TypeError> {
+        MultiPipeSwitch::apply_health_events(self, ev, now)
+    }
+    fn advance(&mut self, now: Nanos) {
+        MultiPipeSwitch::advance(self, now)
+    }
+    fn expire_idle(&mut self, now: Nanos) -> usize {
+        MultiPipeSwitch::expire_idle(self, now)
+    }
+}
+
+/// The reference arm: a plain switch that runs no engine code. "Streamed"
+/// batches go through `process_batch_into` and fold with `packet_digest`.
+struct Reference {
+    sw: SilkRoadSwitch,
+    steering: FlowSteering,
+    out: Vec<ForwardDecision>,
+    acc: StreamStats,
+}
+
+impl Reference {
+    fn new() -> Reference {
+        let mut sw = SilkRoadSwitch::new(cfg());
+        sw.add_vip(vip(), dips()).unwrap();
+        Reference {
+            sw,
+            // The flow hash the digest folds is independent of pipe count.
+            steering: FlowSteering::new(cfg().seed, 1),
+            out: Vec::new(),
+            acc: StreamStats::default(),
+        }
+    }
+}
+
+impl Target for Reference {
+    fn sync_batch(&mut self, pkts: &[PacketMeta], now: Nanos) {
+        self.out.clear();
+        self.sw.process_batch_into(pkts, now, &mut self.out);
+    }
+    fn stream_batch(&mut self, pkts: &[PacketMeta], now: Nanos) {
+        self.sync_batch(pkts, now);
+        for (pkt, d) in pkts.iter().zip(&self.out) {
+            let h = packet_digest(&self.steering, pkt, d);
+            self.acc.digest = self.acc.digest.wrapping_add(h);
+        }
+        self.acc.packets += pkts.len() as u64;
+    }
+    fn stream_drain(&mut self) -> StreamStats {
+        std::mem::take(&mut self.acc)
+    }
+    fn add_vip(&mut self, vip: Vip, dips: Vec<Dip>) -> Result<(), TypeError> {
+        self.sw.add_vip(vip, dips)
+    }
+    fn remove_vip(&mut self, vip: Vip) -> Result<(), TypeError> {
+        self.sw.remove_vip(vip)
+    }
+    fn request_update(&mut self, vip: Vip, op: PoolUpdate, now: Nanos) -> Result<(), TypeError> {
+        self.sw.request_update(vip, op, now)
+    }
+    fn apply_health_events(&mut self, ev: &[HealthEvent], now: Nanos) -> Result<(), TypeError> {
+        self.sw.apply_health_events(ev, now)
+    }
+    fn advance(&mut self, now: Nanos) {
+        self.sw.advance(now)
+    }
+    fn expire_idle(&mut self, now: Nanos) -> usize {
+        self.sw.expire_idle(now)
+    }
+}
+
 /// One fixed script: streamed steady-state traffic with VIP flips, a
 /// 3-step PCC pool update, health events, and idle expiry landing
 /// *between* streamed batches (the only place control ops can land — the
 /// facade pumps in-flight completions while each op propagates).
-fn churn_script(sw: &mut MultiPipeSwitch) -> StreamStats {
+fn churn_script(sw: &mut impl Target) -> StreamStats {
     let aux_vip = Vip(Addr::v4(20, 0, 0, 2, 443));
     let aux_dips: Vec<Dip> = (1..=4).map(|i| Dip(Addr::v4(10, 0, 1, i, 20))).collect();
 
@@ -74,7 +180,7 @@ fn churn_script(sw: &mut MultiPipeSwitch) -> StreamStats {
     let syns: Vec<PacketMeta> = (0..FLOWS).map(|i| PacketMeta::syn(conn(i))).collect();
     let mut now = Nanos::ZERO;
     for wave in syns.chunks(512) {
-        sw.process_batch(wave, now);
+        sw.sync_batch(wave, now);
         now = now.saturating_add(Duration::from_millis(10));
         sw.advance(now);
     }
@@ -126,18 +232,15 @@ fn churn_script(sw: &mut MultiPipeSwitch) -> StreamStats {
 #[test]
 fn control_churn_concurrent_with_streaming_keeps_decisions_identical() {
     let _census = worker_census_lock();
-    let runs = [(1, false), (4, false), (1, true), (2, true), (4, true)];
-    let mut stats: Vec<(usize, bool, StreamStats)> = Vec::new();
-    for (pipes, threaded) in runs {
-        let mut sw = build(pipes, threaded);
-        stats.push((pipes, threaded, churn_script(&mut sw)));
-    }
-    let (p0, t0, base) = stats[0];
-    assert_eq!(base.packets, 2 * FLOWS as u64);
-    for (pipes, threaded, s) in &stats[1..] {
+    // The plain switch is the oracle: the only arm that runs no engine
+    // code, so every backend and pipe count must reproduce it exactly.
+    let expect = churn_script(&mut Reference::new());
+    assert_eq!(expect.packets, 2 * FLOWS as u64);
+    for (pipes, threaded) in [(1, false), (4, false), (1, true), (2, true), (4, true)] {
+        let got = churn_script(&mut build(pipes, threaded));
         assert_eq!(
-            *s, base,
-            "{pipes} pipes (threaded={threaded}) diverged from {p0} pipes (threaded={t0})"
+            got, expect,
+            "{pipes} pipes (threaded={threaded}) diverged from the plain switch"
         );
     }
 }
@@ -145,9 +248,10 @@ fn control_churn_concurrent_with_streaming_keeps_decisions_identical() {
 #[test]
 fn streamed_and_sync_traffic_interleave_identically_across_backends() {
     let _census = worker_census_lock();
-    // process_packet/process_batch quiesce the target worker, so mixing
-    // them with streaming is an ordering torture test: every sync call is
-    // a barrier on one pipe while others may still hold staged batches.
+    // process_packet waits on one pipe's reply behind its streamed
+    // batches, so mixing it with streaming is an ordering torture test:
+    // every sync call is a barrier on one pipe while others may still
+    // hold batches in flight.
     let mut digests = Vec::new();
     for (pipes, threaded) in [(1, false), (2, true), (4, true)] {
         let mut sw = build(pipes, threaded);
@@ -190,20 +294,10 @@ fn streamed_and_sync_traffic_interleave_identically_across_backends() {
 #[test]
 fn shutdown_with_in_flight_batches_never_hangs_or_leaks_workers() {
     let _census = worker_census_lock();
-    // Threads named sr-pipe-* must all be gone after each drop; /proc is
-    // the ground truth on Linux (skip the count elsewhere).
-    fn worker_threads() -> Option<usize> {
-        let dir = std::fs::read_dir("/proc/self/task").ok()?;
-        let mut n = 0;
-        for t in dir.flatten() {
-            let comm = std::fs::read_to_string(t.path().join("comm")).unwrap_or_default();
-            if comm.starts_with("sr-pipe-") {
-                n += 1;
-            }
-        }
-        Some(n)
-    }
-
+    // Every sr-pipe worker counts itself out as the last act of its
+    // thread, and drop joins them all: the count is exact — and must be
+    // 0 — the moment drop returns.
+    assert_eq!(running_workers(), 0, "workers left over before the test");
     let syns: Vec<PacketMeta> = (0..512).map(|i| PacketMeta::syn(conn(i))).collect();
     let data: Vec<PacketMeta> = syns
         .iter()
@@ -213,6 +307,8 @@ fn shutdown_with_in_flight_batches_never_hangs_or_leaks_workers() {
         let pipes = [1, 2, 4][round % 3];
         let mut sw = build(pipes, true);
         sw.process_batch(&syns, Nanos::ZERO);
+        // Every worker has answered a job, so each has counted itself in.
+        assert_eq!(running_workers(), pipes, "round {round}");
         let t = Nanos::from_secs(1);
         // Leave up to ring_depth batches in flight per pipe, plus staged
         // partial batches — then drop without draining.
@@ -224,9 +320,8 @@ fn shutdown_with_in_flight_batches_never_hangs_or_leaks_workers() {
             sw.advance(Nanos::from_secs(2));
         }
         drop(sw);
-        if let Some(n) = worker_threads() {
-            assert_eq!(n, 0, "round {round}: {n} sr-pipe workers leaked");
-        }
+        let n = running_workers();
+        assert_eq!(n, 0, "round {round}: {n} sr-pipe workers leaked");
     }
 
     // Degenerate lifecycles: drop immediately after spawn, and drop with
@@ -237,9 +332,8 @@ fn shutdown_with_in_flight_batches_never_hangs_or_leaks_workers() {
         sw.advance(Nanos::from_secs(1));
         drop(sw);
     }
-    if let Some(n) = worker_threads() {
-        assert_eq!(n, 0, "degenerate lifecycles leaked {n} workers");
-    }
+    let n = running_workers();
+    assert_eq!(n, 0, "degenerate lifecycles leaked {n} workers");
 }
 
 #[test]

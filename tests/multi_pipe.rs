@@ -202,10 +202,10 @@ fn multi_pipe_close_and_expiry_stay_in_lockstep() {
 
 /// Regression (engine v2): idle-expiry ticks landing *between* batches
 /// must not diverge decisions across pipe counts or backends. Expiry is
-/// a published control op adopted at batch boundaries, so a flow whose
-/// entry expired must take the same re-install path (and re-select the
-/// same DIP) no matter how many pipes — or worker threads — the chip
-/// runs. The monolithic switch is the oracle.
+/// a control op queued in every pipe's job ring between the batches, so
+/// a flow whose entry expired must take the same re-install path (and
+/// re-select the same DIP) no matter how many pipes — or worker threads —
+/// the chip runs. The monolithic switch is the oracle.
 #[test]
 fn expiry_between_batches_cannot_diverge_decisions_across_pipe_counts() {
     const N: u32 = 192;

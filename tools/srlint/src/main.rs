@@ -30,9 +30,9 @@
 //! and `crates/hash/src/bloom.rs`, plus any region bracketed by
 //! `// srlint: hot-path begin` / `// srlint: hot-path end` markers
 //! (the `SilkRoadSwitch` batch path, the cuckoo probe functions, the
-//! `MultiPipeSwitch` steering/dispatch path in
-//! `crates/core/src/engine/mod.rs`, and the run-to-completion worker
-//! loop — steer, fold, batch apply — in
+//! `MultiPipeSwitch` steering/dispatch path and its per-pipe lanes'
+//! `send`/`recv` in `crates/core/src/engine/mod.rs`, and `run_job`, the
+//! worker loop body both backends run, in
 //! `crates/core/src/engine/worker.rs`). Code from the first file-scope
 //! `#[cfg(test)]` item onward is exempt.
 //!

@@ -3,8 +3,8 @@
 # suite, formatting + warning-free clippy over every first-party crate,
 # the srlint source gate, the srcheck pipeline-layout gate, the repro
 # smoke gates, the release-mode allocation regression, the repo
-# benchmark's smoke pass, and its hit-1m seed-204 PCC and peak-RSS
-# regression gates.
+# benchmark's smoke pass (which must leave its lockfile untouched), and
+# its hit-1m seed-204 PCC and peak-RSS regression gates.
 #
 # Clippy/fmt run per first-party package rather than --workspace: the
 # vendored stand-ins under vendor/ mirror upstream APIs and are exempt
@@ -138,6 +138,17 @@ cargo bench --workspace --no-run
 # `bash benchmark/run.sh --compare before.json after.json`.
 echo "== benchmark smoke (six workloads, oracle + digest checks)"
 bash benchmark/run.sh --smoke > /dev/null
+
+# The benchmark is a workspace of its own with path dependencies on
+# crates/*, so building it silently rewrites benchmark/Cargo.lock when a
+# crate manifest gains or drops a dependency. The lockfile belongs to the
+# benchmark: a build that changed it must fail here, not drift in.
+echo "== benchmark lockfile unchanged by the build"
+if ! git diff --quiet -- benchmark/Cargo.lock; then
+    echo "benchmark/Cargo.lock changed during the benchmark build:" >&2
+    git diff --stat -- benchmark/Cargo.lock >&2
+    exit 1
+fi
 
 # PCC regression gate: hit-1m seed 204 holds two flows that share the
 # 16-bit digest and the same word in stages 0 *and* 1. Until the repair
