@@ -13,9 +13,10 @@
 //! Every run folds each decision into the engine's commutative digest
 //! and checks per-connection consistency (first DIP never changes). The
 //! identical workload goes through one `process_packet` call per packet
-//! and through chunked `process_batch_into` at 1/2/4 pipes; all digests
-//! must be bit-identical — the proof that the fused batch path changes
-//! *nothing* observable. Nothing here reads a clock: every reported
+//! (a batch of one) and through 256-packet `process_batch_into` batches at
+//! 1/2/4 pipes; all digests must be bit-identical — the proof that how a
+//! stream is cut into batches and chunks changes *nothing* observable.
+//! Nothing here reads a clock: every reported
 //! number (learn-queue depth, TransitTable fill, digests) is
 //! deterministic, and setup *rates* are the `churn` workload of
 //! `benchmark/` (`setups_per_s`, `conn_table.install_ns_per_entry`).

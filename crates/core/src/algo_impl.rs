@@ -14,9 +14,11 @@
 //!   `ecmp_select` kernel, and pool-membership updates map onto the 3-step
 //!   `request_update` state machine.
 //!
-//! Nothing here is called from `process_packet` — the switch's hot loop is
-//! untouched, which is what keeps the decision digests and zero-alloc
-//! gates bit-identical while the boundary exists for the harness.
+//! Nothing here is called from the switch's packet pipeline; the adapters
+//! reuse its pieces instead — the ConnTable probe is the pipeline's own
+//! `locate` + `lookup_marking_at`, and a miss selects with the same
+//! `ecmp_select` over the same pool — so the boundary adds no second
+//! implementation for the harness to drift from.
 
 use crate::conn_table::ConnTable;
 use crate::pool::PoolUpdate;
@@ -30,20 +32,29 @@ fn width_u8(bits: u32) -> u8 {
     u8::try_from(bits).unwrap_or(u8::MAX)
 }
 
+/// `hashes` when its lane count matches the table's stage layout (the
+/// packet-time hash pass, reused the way the switch's install drain does),
+/// otherwise the key re-hashed for this table.
+fn table_hashes(table: &ConnTable, key: &TupleKey, hashes: &ConnHashes) -> ConnHashes {
+    let stage_fns = table.stage_fns();
+    if hashes.stages() == stage_fns.len() {
+        return *hashes;
+    }
+    let mut lanes = [0u64; sr_algo::MAX_PACKET_HASHES];
+    for (lane, f) in lanes.iter_mut().zip(stage_fns) {
+        *lane = f.hash(key.as_slice());
+    }
+    let stages = u8::try_from(stage_fns.len()).unwrap_or(u8::MAX);
+    ConnHashes::from_parts(lanes, stages, table.match_fn().hash(key.as_slice()))
+}
+
 impl ConnState for ConnTable {
+    /// The data plane's marking probe: `locate` + `lookup_marking_at`.
     fn lookup(&mut self, key: &TupleKey, hashes: &ConnHashes) -> Option<ConnHit> {
-        // Reuse the packet-time hash pass when its lane count matches the
-        // table's stage layout — the same fast path the switch's install
-        // drain takes; otherwise fall back to an in-table re-hash.
-        let (value, exact, _resident) = if hashes.stages() == self.stage_fns().len() {
-            self.lookup_marking_pre(key.as_slice(), hashes.stage_hashes(), hashes.match_hash())?
-        } else {
-            self.lookup_marking(key.as_slice())?
-        };
-        Some(ConnHit {
-            record: value,
-            exact,
-        })
+        let h = table_hashes(self, key, hashes);
+        let (stage, slot) = self.locate(key.as_slice(), h.stage_hashes(), h.match_hash())?;
+        let (record, exact, _resident) = self.lookup_marking_at(stage, slot, key.as_slice());
+        Some(ConnHit { record, exact })
     }
 
     fn insert(
@@ -52,17 +63,10 @@ impl ConnState for ConnTable {
         hashes: &ConnHashes,
         record: ConnRecord,
     ) -> Result<(), StateFull> {
-        let outcome = if hashes.stages() == self.stage_fns().len() {
-            self.install_pre(
-                key.as_slice(),
-                hashes.stage_hashes(),
-                hashes.match_hash(),
-                record,
-            )
-        } else {
-            self.install(key.as_slice(), record)
-        };
-        outcome.map(|_| ()).map_err(|_| StateFull)
+        let h = table_hashes(self, key, hashes);
+        self.install_pre(key.as_slice(), h.stage_hashes(), h.match_hash(), record)
+            .map(|_| ())
+            .map_err(|_| StateFull)
     }
 
     fn remove(&mut self, key: &TupleKey) -> Option<ConnRecord> {

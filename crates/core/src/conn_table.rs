@@ -22,7 +22,7 @@ use std::hash::Hash;
 pub type ConnValue = sr_algo::ConnRecord;
 
 /// What every lookup returns: `(value, exact, resident)` (see
-/// [`ConnTable::lookup_marking`]).
+/// [`ConnTable::lookup`]).
 type ConnLookup = (ConnValue, bool, Option<TupleKey>);
 
 /// A [`ConnValue`] as its slot stores it: the two endpoints as ids into the
@@ -177,14 +177,20 @@ impl ConnTable {
         &self.spec
     }
 
-    /// ASIC lookup, for software inspection: no hit bit is set. Returns
-    /// `(value, exact, resident)` like [`ConnTable::lookup_marking`].
+    /// ASIC lookup, for software inspection: no hit bit is set (the data
+    /// plane probes with [`ConnTable::locate`] +
+    /// [`ConnTable::lookup_marking_at`], which marks exact hits).
+    ///
+    /// Returns `(value, exact, resident)` where `resident` carries the
+    /// resident entry's key *only on a false hit* (the repair path needs it
+    /// to relocate the resident); exact hits copy no key.
     pub fn lookup(&self, key: &[u8]) -> Option<ConnLookup> {
         self.table.lookup(key).map(|hit| self.ends.unpack_hit(hit))
     }
 
-    /// [`ConnTable::lookup`] from precomputed hashes (the batched install
-    /// path's collision pre-check).
+    /// [`ConnTable::lookup`] from precomputed hashes (the install path's
+    /// collision pre-check): `stage_hashes[i]` is `stage_fns()[i]` over the
+    /// key, `match_hash` is `match_fn()` over the key.
     pub fn lookup_pre(
         &self,
         key: &[u8],
@@ -193,32 +199,6 @@ impl ConnTable {
     ) -> Option<ConnLookup> {
         self.table
             .lookup_pre(key, stage_hashes, match_hash)
-            .map(|hit| self.ends.unpack_hit(hit))
-    }
-
-    /// ASIC lookup that also sets the entry's hit bit on an exact match
-    /// (the data-plane path; plain `lookup` is for software inspection).
-    ///
-    /// Returns `(value, exact, resident)` where `resident` carries the
-    /// resident entry's key *only on a false hit* (the repair path needs it
-    /// to relocate the resident); exact hits copy no key.
-    pub fn lookup_marking(&mut self, key: &[u8]) -> Option<ConnLookup> {
-        self.table
-            .lookup_marking(key)
-            .map(|hit| self.ends.unpack_hit(hit))
-    }
-
-    /// [`ConnTable::lookup_marking`] from precomputed hashes (the hash-once
-    /// packet path): `stage_hashes[i]` is `stage_fns()[i]` over the key,
-    /// `match_hash` is `match_fn()` over the key.
-    pub fn lookup_marking_pre(
-        &mut self,
-        key: &[u8],
-        stage_hashes: &[u64],
-        match_hash: u64,
-    ) -> Option<ConnLookup> {
-        self.table
-            .lookup_marking_pre(key, stage_hashes, match_hash)
             .map(|hit| self.ends.unpack_hit(hit))
     }
 
@@ -237,18 +217,19 @@ impl ConnTable {
     }
 
     // srlint: hot-path begin
-    /// First half of a split marking lookup: the `(stage, slot)` a prehashed
-    /// probe would hit, with the entry's cache line already warming. No side
-    /// effects; resolve with [`ConnTable::lookup_marking_at`] before the
-    /// next table mutation (install, remove, relocate, aging).
+    /// First half of the data plane's marking lookup: the `(stage, slot)` a
+    /// prehashed probe would hit (hashes as for [`ConnTable::lookup_pre`]),
+    /// with the entry's cache line already warming. No side effects;
+    /// resolve with [`ConnTable::lookup_marking_at`] before the next table
+    /// mutation (install, remove, relocate, aging).
     pub fn locate(&self, key: &[u8], stage_hashes: &[u64], match_hash: u64) -> Option<(u32, u32)> {
         self.table.locate_pre(key, stage_hashes, match_hash)
     }
 
-    /// Second half of a split marking lookup — same result and side effects
-    /// (hit bit on exact match) as [`ConnTable::lookup_marking_pre`] at the
-    /// located coordinates: one record line, then two reads of the
-    /// cache-resident endpoint lists.
+    /// Second half of the marking lookup — the result
+    /// [`ConnTable::lookup`] gives at the located coordinates, plus the hit
+    /// bit set on an exact match (the bit that drives idle aging): one
+    /// record line, then two reads of the cache-resident endpoint lists.
     // Inlined into the chunk loop: out of line, the 96-byte owned result is
     // built in memory and re-read by the caller in other widths, and the
     // store-forwarding stalls cost the cache-resident hit path ~15 %.
@@ -367,16 +348,17 @@ impl ConnTable {
         self.table.host_bytes() + self.ends.vips.host_bytes() + self.ends.dips.host_bytes()
     }
 
-    /// Remove all entries pinned to `version` of `vip`, returning them
-    /// (version-exhaustion migration to the fallback table). A VIP no
-    /// record has ever named has nothing to evict and costs no scan.
-    pub fn evict_version(&mut self, vip: Vip, version: PoolVersion) -> Vec<(TupleKey, ConnValue)> {
+    /// Remove all entries of `vip` — only those pinned to `version` when
+    /// one is given — returning them (VIP removal; version-exhaustion
+    /// migration to the fallback table). A VIP no record has ever named has
+    /// nothing to evict and costs no scan.
+    pub fn evict(&mut self, vip: Vip, version: Option<PoolVersion>) -> Vec<(TupleKey, ConnValue)> {
         let Some(vip) = self.ends.vips.id(&vip) else {
             return Vec::new();
         };
         let evicted = self
             .table
-            .retain(|_, v| !(v.vip == vip && v.version == version.0));
+            .retain(|_, v| !(v.vip == vip && version.is_none_or(|ver| v.version == ver.0)));
         self.ends.unpack_all(evicted)
     }
 
@@ -463,14 +445,28 @@ mod tests {
             },
         )
         .unwrap();
-        let evicted = t.evict_version(value(1).vip, PoolVersion(1));
+        let evicted = t.evict(value(1).vip, Some(PoolVersion(1)));
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].0.as_slice(), b"a");
         assert_eq!(t.len(), 2);
         // A VIP no record ever named: nothing to evict, nothing scanned.
         let stranger = Vip(Addr::v4(20, 0, 0, 3, 80));
-        assert!(t.evict_version(stranger, PoolVersion(1)).is_empty());
+        assert!(t.evict(stranger, Some(PoolVersion(1))).is_empty());
+        assert!(t.evict(stranger, None).is_empty());
         assert_eq!(t.len(), 2);
+        // Without a version, every entry of the VIP goes and no other.
+        let evicted = t.evict(value(1).vip, None);
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].0.as_slice(), b"b");
+        assert_eq!(t.len(), 1);
+        assert!(t.lookup(b"c").is_some_and(|(_, exact, _)| exact));
+    }
+
+    /// The data plane's marking probe: `locate` + `lookup_marking_at`.
+    fn lookup_marking(t: &mut ConnTable, key: &[u8]) -> Option<ConnLookup> {
+        let stage_hashes: Vec<u64> = t.stage_fns().iter().map(|f| f.hash(key)).collect();
+        let (stage, slot) = t.locate(key, &stage_hashes, t.match_fn().hash(key))?;
+        Some(t.lookup_marking_at(stage, slot, key))
     }
 
     #[test]
@@ -481,7 +477,7 @@ mod tests {
         // First scan at t=1s arms the clock (nothing old enough yet).
         assert!(t.aging_scan(Nanos::from_secs(1)).is_empty());
         // Traffic touches only old-busy.
-        assert!(t.lookup_marking(b"old-busy").is_some());
+        assert!(lookup_marking(&mut t, b"old-busy").is_some());
         // A young entry installed after the scan must survive too.
         let mut young = value(3);
         young.arrived = Nanos::from_secs(2);

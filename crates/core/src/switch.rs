@@ -3,9 +3,10 @@
 //! [`SilkRoadSwitch`] is the crate's main entry point. It is driven by two
 //! kinds of calls:
 //!
-//! * **data plane** — [`SilkRoadSwitch::process_packet`] runs the full
-//!   per-packet pipeline (ConnTable → VIPTable/TransitTable → DIPPoolTable)
-//!   and returns the forwarding decision;
+//! * **data plane** — [`SilkRoadSwitch::process_batch_into`] runs the full
+//!   pipeline (ConnTable → VIPTable/TransitTable → DIPPoolTable) over a
+//!   batch and returns each packet's forwarding decision;
+//!   [`SilkRoadSwitch::process_packet`] is a batch of one;
 //! * **control plane** — [`SilkRoadSwitch::request_update`] applies DIP-pool
 //!   changes through the 3-step PCC protocol, and
 //!   [`SilkRoadSwitch::advance`] runs the software side (learning-filter
@@ -17,10 +18,10 @@
 use crate::config::{ConnMapping, SilkRoadConfig};
 use crate::conn_table::{ConnTable, ConnValue};
 use crate::control::{CompletedInstall, ControlPlane, LearnMeta, LearnOutcome};
-use crate::dataplane::{BloomHashes, DataPath, ForwardDecision, HashedKey, KeyHasher};
+use crate::dataplane::{DataPath, ForwardDecision, HashedKey, KeyHasher};
 use crate::engine::ControlOp;
 use crate::memory::MemoryBreakdown;
-use crate::pool::PoolUpdate;
+use crate::pool::{DipPool, PoolUpdate};
 use crate::stats::SwitchStats;
 use crate::transit::TransitTable;
 use crate::update::{ActiveUpdate, Transition, UpdatePhase, UpdateState};
@@ -54,12 +55,13 @@ struct FallbackConn {
 const MEMO_DIPS: usize = 16;
 
 /// Batch chunk length: enough split probes in flight to overlap their
-/// entry loads without spilling the chunk's [`HashedKey`]s out of L1. The
-/// fused setup stage's scratch arrays are sized by the same constant.
-/// Sixteen measures ~10% faster than eight on the churn sweep (deeper
-/// memory-level parallelism in the hash/locate passes and one shared-state
-/// resolve per sixteen misses in the setup stage); chunk length never
-/// changes decisions, only how much work overlaps.
+/// entry loads without spilling the chunk's [`HashedKey`]s out of L1. A
+/// batch chunk's scratch arrays, the setup stage's included, are sized by
+/// the same constant. Sixteen measures ~10% faster than eight on the churn
+/// sweep (deeper memory-level parallelism in the hash/locate passes and
+/// longer same-VIP runs of misses sharing one state resolve in the setup
+/// stage); chunk length never changes decisions, only how much work
+/// overlaps.
 const SETUP_CHUNK: usize = 16;
 
 /// One-entry DIP-resolve memo: the members of the last `(vip, version)`
@@ -305,13 +307,29 @@ impl SilkRoadSwitch {
         Ok(())
     }
 
-    /// Deregister a VIP (drops all its state; connections to it become
-    /// non-VIP traffic).
+    /// Deregister a VIP, dropping all its installed state: its VIPTable
+    /// row and versions, its ConnTable entries, its fallback pins and its
+    /// meter. Connections to it become non-VIP traffic, and a later
+    /// [`SilkRoadSwitch::add_vip`] starts from scratch — no stale entry can
+    /// release a reference on the new incarnation's versions. Out of scope:
+    /// learns still in flight at removal are not cancelled, so one the CPU
+    /// completes after the VIP is registered again installs against the
+    /// new incarnation.
     pub fn remove_vip(&mut self, vip: Vip) -> Result<(), TypeError> {
         self.vips
             .remove(&vip)
             .ok_or(TypeError::NotFound { what: "VIP" })?;
         self.vip_table.remove(vip);
+        self.meters.remove(&vip);
+        self.conn_table.evict(vip, None);
+        let stats = &mut self.stats;
+        self.fallback.retain(|_, e| {
+            let keep = e.vip != vip;
+            if !keep {
+                Self::note_fallback_remove(stats, vip);
+            }
+            keep
+        });
         Ok(())
     }
 
@@ -371,10 +389,12 @@ impl SilkRoadSwitch {
     }
 
     // srlint: hot-path begin
-    /// Process one packet at `now`.
+    /// Process one packet at `now`: a batch of one through the same chunk
+    /// pipeline as [`SilkRoadSwitch::process_batch_into`].
     pub fn process_packet(&mut self, pkt: &PacketMeta, now: Nanos) -> ForwardDecision {
         self.advance(now);
-        self.process_packet_inner(pkt, now)
+        let [d] = self.process_chunk::<1>(std::slice::from_ref(pkt), now);
+        d
     }
 
     /// Process a batch of packets sharing one timestamp. The control plane
@@ -389,16 +409,18 @@ impl SilkRoadSwitch {
     /// [`SilkRoadSwitch::process_batch`] appending into a caller-owned
     /// buffer, so a driver can recycle one allocation across batches.
     ///
-    /// Packets run in three passes per small chunk: hash every key (pure
-    /// compute), locate every packet's ConnTable slot (match-field plane
-    /// only, leaving each winning entry's cache-line load in flight), then
-    /// run the real pipeline, resolving the located slots. Splitting the
-    /// probe this way overlaps the per-packet chain of dependent random
-    /// reads across the chunk. The first two passes have no side effects;
-    /// the third resolves hits in place and sends the chunk's ConnTable
-    /// misses through the fused setup stage
-    /// ([`SilkRoadSwitch::setup_deferred`]) — so results and stats are
-    /// identical to the per-packet path, packet for packet.
+    /// Packets run in chunks of up to `SETUP_CHUNK` (the last one may be
+    /// partial), each in three passes: hash every key (pure compute),
+    /// locate every packet's ConnTable slot (match-field plane only,
+    /// leaving each winning entry's cache-line load in flight), then run
+    /// the real pipeline, resolving the located slots. Splitting the probe
+    /// this way overlaps the per-packet chain of dependent random reads
+    /// across the chunk. The first two passes have no side effects; the
+    /// third resolves hits in place and sends the chunk's ConnTable misses
+    /// through the one setup stage ([`SilkRoadSwitch::setup_deferred`]).
+    /// This is the only way a packet crosses the switch —
+    /// [`SilkRoadSwitch::process_packet`] is a chunk of one — and chunk
+    /// length never changes a decision, only how much work overlaps.
     pub fn process_batch_into(
         &mut self,
         pkts: &[PacketMeta],
@@ -407,299 +429,116 @@ impl SilkRoadSwitch {
     ) {
         self.advance(now);
         out.reserve(pkts.len());
-        let mut chunks = pkts.chunks_exact(SETUP_CHUNK);
-        for chunk in chunks.by_ref() {
-            // Pass 1: hash every key in the chunk, warming each key's
-            // match-field words as its hashes land so the locate pass
-            // probes already-inbound cache lines.
-            let hashed: [HashedKey; SETUP_CHUNK] = std::array::from_fn(|i| {
-                let h = self.hasher.hash_tuple(&chunk[i].tuple);
-                self.conn_table.prefetch_words(h.conn_stage_hashes());
-                h
-            });
-            // Pass 2: locate every packet's candidate ConnTable slot.
-            let located: [Option<(u32, u32)>; SETUP_CHUNK] = std::array::from_fn(|i| {
-                let h = &hashed[i];
-                self.conn_table.locate(
+        for chunk in pkts.chunks(SETUP_CHUNK) {
+            let decisions = self.process_chunk::<SETUP_CHUNK>(chunk, now);
+            out.extend(decisions.into_iter().take(chunk.len()));
+        }
+    }
+
+    /// One chunk of 1..=`N` packets; decision `i` is packet `i`'s, and
+    /// slots past the chunk are never hashed, probed or set. Every scratch
+    /// array is sized by `N` — `SETUP_CHUNK` for batches, 1 for
+    /// [`SilkRoadSwitch::process_packet`] — so a batch of one sets up one
+    /// slot, not sixteen.
+    ///
+    /// Admission, the located ConnTable probe and the fallback probe run in
+    /// packet order with hits resolved immediately; VIPTable misses are
+    /// deferred into [`SilkRoadSwitch::setup_deferred`]. Deferral is
+    /// order-safe because hits touch none of the state the miss path
+    /// writes (transit bloom, learning filter, pending set) and misses
+    /// touch no ConnTable state. The one packet that mutates the table
+    /// mid-chunk — a SYN falsely hitting a resident, whose §4.2 repair
+    /// relocates it — is deferred as a software-redirected miss, and the
+    /// rest of the chunk re-enters the locate pass with its hashes kept:
+    /// the relocation may have moved a slot located before it.
+    fn process_chunk<const N: usize>(
+        &mut self,
+        chunk: &[PacketMeta],
+        now: Nanos,
+    ) -> [ForwardDecision; N] {
+        let mut out = [ForwardDecision::not_vip(); N];
+        // Pass 1: hash every key in the chunk, warming each key's
+        // match-field words as its hashes land so the locate pass probes
+        // already-inbound cache lines.
+        let mut hashed: [Option<HashedKey>; N] = [None; N];
+        for (slot, pkt) in hashed.iter_mut().zip(chunk) {
+            let h = self.hasher.hash_tuple(&pkt.tuple);
+            self.conn_table.prefetch_words(h.conn_stage_hashes());
+            *slot = Some(h);
+        }
+        // Misses awaiting the setup stage: packet index, admitted view,
+        // and whether a §4.2 repair redirected the packet to software.
+        let mut deferred = [(0usize, VersionView::Stable(PoolVersion(0)), false); N];
+        let mut n_def = 0usize;
+        let mut resume = Some(0usize);
+        while let Some(from) = resume.take() {
+            // Pass 2: locate every remaining packet's candidate slot.
+            let mut located: [Option<(u32, u32)>; N] = [None; N];
+            for (loc, h) in located.iter_mut().zip(hashed.iter().flatten()).skip(from) {
+                *loc = self.conn_table.locate(
                     h.key().as_slice(),
                     h.conn_stage_hashes(),
                     h.conn_match_hash(),
-                )
-            });
-            // Pass 3: hits resolve in place, misses defer into the fused
-            // setup stage.
-            self.process_chunk(chunk, &hashed, &located, now, out);
-        }
-        for pkt in chunks.remainder() {
-            out.push(self.process_packet_inner(pkt, now));
-        }
-    }
-
-    /// One batch chunk: admission, the located ConnTable probe, and the
-    /// fallback probe run in packet order with hits resolved immediately;
-    /// VIPTable misses are deferred into [`SilkRoadSwitch::setup_deferred`].
-    /// Deferral is order-safe because hits touch none of the state the miss
-    /// path writes (transit bloom, learning filter, pending set). The one
-    /// exception — a SYN falsely hitting a resident entry, whose §4.2
-    /// repair mutates the table and replays the miss path — flushes the
-    /// deferred misses (they precede it in packet order), runs the repair,
-    /// and finishes the chunk on the sequential path (the relocate
-    /// invalidated the remaining located coordinates).
-    fn process_chunk(
-        &mut self,
-        chunk: &[PacketMeta],
-        hashed: &[HashedKey],
-        located: &[Option<(u32, u32)>],
-        now: Nanos,
-        out: &mut Vec<ForwardDecision>,
-    ) {
-        let base = out.len();
-        let mut deferred = [(0usize, VersionView::Stable(PoolVersion(0))); SETUP_CHUNK];
-        let mut n_def = 0usize;
-        let mut tail = None;
-        for (i, ((pkt, h), loc)) in chunk.iter().zip(hashed).zip(located).enumerate() {
-            let view = match self.admit(pkt, now) {
-                Ok(view) => view,
-                Err(d) => {
-                    out.push(d);
+                );
+            }
+            // Pass 3: hits resolve in place, misses defer into the setup
+            // stage.
+            let rest = chunk.iter().zip(hashed.iter().flatten()).zip(located);
+            for (i, (((pkt, h), loc), d)) in rest.zip(out.iter_mut()).enumerate().skip(from) {
+                let view = match self.admit(pkt, now) {
+                    Ok(view) => view,
+                    Err(early) => {
+                        *d = early;
+                        continue;
+                    }
+                };
+                let repaired = if let Some((stage, slot)) = loc {
+                    let (value, exact, resident) =
+                        self.conn_table
+                            .lookup_marking_at(stage, slot, h.key().as_slice());
+                    self.stats.conn_table_hits += 1;
+                    if !exact {
+                        self.stats.digest_false_hits += 1;
+                    }
+                    if exact || !pkt.flags.is_syn() {
+                        let (dip, version) = self.resolve_value(h.select_hash(), &value);
+                        *d = ForwardDecision {
+                            dip,
+                            path: DataPath::AsicConnTable,
+                            version,
+                            conn_table_hit: true,
+                            false_hit: !exact,
+                        };
+                        continue;
+                    }
+                    // A SYN falsely hitting a resident entry: software
+                    // repair (§4.2) moves the resident, and the SYN sets
+                    // up like any miss.
+                    self.stats.syn_repairs += 1;
+                    if let Some(resident) = resident {
+                        self.relocate_resident(&resident);
+                    }
+                    true
+                } else if let Some(hit) = self.fallback_hit(h) {
+                    *d = hit;
                     continue;
+                } else {
+                    false
+                };
+                // A VIPTable miss: the setup stage decides it.
+                if let Some(slot) = deferred.get_mut(n_def) {
+                    *slot = (i, view, repaired);
+                    n_def += 1;
                 }
-            };
-            if let Some((stage, slot)) = *loc {
-                let (value, exact, resident) =
-                    self.conn_table
-                        .lookup_marking_at(stage, slot, h.key().as_slice());
-                if !exact && pkt.flags.is_syn() {
-                    self.setup_deferred(chunk, hashed, deferred.get(..n_def), base, now, out);
-                    n_def = 0;
-                    out.push(self.on_conn_hit(pkt, view, h, value, exact, resident, now));
-                    tail = Some(i + 1);
+                if repaired {
+                    resume = Some(i + 1);
                     break;
                 }
-                out.push(self.on_conn_hit(pkt, view, h, value, exact, resident, now));
-                continue;
-            }
-            if let Some(d) = self.fallback_hit(h) {
-                out.push(d);
-                continue;
-            }
-            // VIPTable miss: reserve the decision slot, run setup later.
-            if let Some(slot) = deferred.get_mut(n_def) {
-                *slot = (i, view);
-            }
-            n_def += 1;
-            out.push(ForwardDecision::not_vip());
-        }
-        if let Some(start) = tail {
-            for (pkt, h) in chunk.iter().zip(hashed).skip(start) {
-                out.push(self.process_packet_hashed(pkt, h, now));
             }
         }
-        self.setup_deferred(chunk, hashed, deferred.get(..n_def), base, now, out);
-    }
-
-    /// The fused connection-setup stage: run a chunk's deferred VIPTable
-    /// misses in packet order. The TransitTable bloom hashes are computed
-    /// in one bulk pass first — and skipped entirely while no update holds
-    /// the filter, which is every steady-state batch — and the learn gate
-    /// dedups repeated keys within the chunk before probing the control
-    /// plane. Each decision lands in the placeholder slot pass 3 reserved
-    /// for its packet.
-    fn setup_deferred(
-        &mut self,
-        chunk: &[PacketMeta],
-        hashed: &[HashedKey],
-        deferred: Option<&[(usize, VersionView)]>,
-        base: usize,
-        now: Nanos,
-        out: &mut [ForwardDecision],
-    ) {
-        let deferred = deferred.unwrap_or(&[]);
-        if deferred.is_empty() {
-            return;
-        }
-        if self.setup_chunk_stable(chunk, hashed, deferred, base, now, out) {
-            return;
-        }
-        // Bulk bloom pass, aligned index-for-index with `deferred`.
-        let mut blooms: [Option<BloomHashes>; SETUP_CHUNK] = [None; SETUP_CHUNK];
-        if self.transit.enabled() && self.transit.active_users() > 0 {
-            for (slot, &(i, _)) in blooms.iter_mut().zip(deferred) {
-                *slot = hashed.get(i).map(|h| self.hasher.bloom_hashes(h.key()));
-            }
-        }
-        // Packet indices of this chunk's misses whose key is now pending in
-        // the setup pipeline: later duplicates skip the control-plane gate.
-        // Each slot carries the key's select hash so the dedup scan
-        // compares one word per candidate and touches full keys only on a
-        // hash match — a chunk of distinct keys (the common case) pays a
-        // few integer compares instead of byte-wise key comparisons.
-        let mut pending = [(0usize, 0u64); SETUP_CHUNK];
-        let mut n_pending = 0usize;
-        for (&(i, view), bloom) in deferred.iter().zip(&blooms) {
-            let (Some(pkt), Some(h)) = (chunk.get(i), hashed.get(i)) else {
-                continue;
-            };
-            let dup_pending = pending.iter().take(n_pending).any(|&(j, ph)| {
-                ph == h.select_hash() && hashed.get(j).is_some_and(|p| p.key() == h.key())
-            });
-            let (d, pending_after) =
-                self.miss_path_setup(pkt, view, h, bloom.as_ref(), dup_pending, now);
-            if pending_after {
-                if let Some(slot) = pending.get_mut(n_pending) {
-                    *slot = (i, h.select_hash());
-                    n_pending += 1;
-                }
-            }
-            if let Some(slot) = out.get_mut(base + i) {
-                *slot = d;
-            }
-        }
-    }
-
-    /// The steady-state fast path of the fused setup stage: when no update
-    /// holds the TransitTable (so no VIP is recording or draining) and
-    /// every miss in the chunk targets the same stable VIP view, the VIP
-    /// state and its pool resolve *once* for the whole chunk instead of
-    /// per packet; each miss then pays only its DIP selection and the
-    /// learn gate. With transit disabled an update can technically sit in
-    /// its recording phase, but recording into a disabled filter is a
-    /// no-op, so skipping it changes nothing. Decisions, stats, and
-    /// learn-gate outcomes are identical to the general path, packet for
-    /// packet. Returns false when the chunk does not qualify (an update in
-    /// flight, mixed VIPs, a non-stable view, or a missing pool).
-    fn setup_chunk_stable(
-        &mut self,
-        chunk: &[PacketMeta],
-        hashed: &[HashedKey],
-        deferred: &[(usize, VersionView)],
-        base: usize,
-        now: Nanos,
-        out: &mut [ForwardDecision],
-    ) -> bool {
-        if self.transit.enabled() && self.transit.active_users() > 0 {
-            return false;
-        }
-        let Some(&(i0, view0)) = deferred.first() else {
-            return false;
-        };
-        let VersionView::Stable(version) = view0 else {
-            return false;
-        };
-        let Some(pkt0) = chunk.get(i0) else {
-            return false;
-        };
-        let vip = Vip(pkt0.tuple.dst);
-        let uniform = deferred.iter().all(|&(i, view)| {
-            matches!(view, VersionView::Stable(v) if v == version)
-                && chunk.get(i).is_some_and(|p| p.tuple.dst == pkt0.tuple.dst)
-                && hashed.get(i).is_some()
-        });
-        if !uniform {
-            return false;
-        }
-        // Pass 1 — resolve the shared state once and select every miss's
-        // DIP while the pool borrow is live.
-        let Some(state) = self.vips.get(&vip) else {
-            return false;
-        };
-        let Some(pool) = state.manager.pool(version) else {
-            return false;
-        };
-        let mut dips: [Option<Dip>; SETUP_CHUNK] = [None; SETUP_CHUNK];
-        for (slot, &(i, _)) in dips.iter_mut().zip(deferred) {
-            if let Some(h) = hashed.get(i) {
-                *slot = pool.select_hashed(h.select_hash());
-            }
-        }
-        // Pass 2 — decisions and learn gates, with the same in-chunk
-        // dedup the general path runs.
-        let mut pending = [(0usize, 0u64); SETUP_CHUNK];
-        let mut n_pending = 0usize;
-        for (j, &(i, _)) in deferred.iter().enumerate() {
-            let Some(h) = hashed.get(i) else {
-                continue;
-            };
-            self.stats.vip_table_misses += 1;
-            let d = match dips.get(j).copied().flatten() {
-                Some(dip) => {
-                    let dup_pending = pending.iter().take(n_pending).any(|&(k, ph)| {
-                        ph == h.select_hash() && hashed.get(k).is_some_and(|p| p.key() == h.key())
-                    });
-                    let pending_after = if dup_pending {
-                        true
-                    } else {
-                        match self.control.learn_gate(
-                            h.key().as_slice(),
-                            LearnMeta {
-                                vip,
-                                version,
-                                dip,
-                                hashes: h.conn_hashes(),
-                            },
-                            now,
-                        ) {
-                            LearnOutcome::Entered => {
-                                self.stats.learns += 1;
-                                true
-                            }
-                            LearnOutcome::AlreadyPending => true,
-                            LearnOutcome::Overflow => false,
-                        }
-                    };
-                    if pending_after {
-                        if let Some(slot) = pending.get_mut(n_pending) {
-                            *slot = (i, h.select_hash());
-                            n_pending += 1;
-                        }
-                    }
-                    ForwardDecision {
-                        dip: Some(dip),
-                        path: DataPath::AsicVipTable,
-                        version: Some(version),
-                        conn_table_hit: false,
-                        false_hit: false,
-                    }
-                }
-                // An empty pool drops, exactly like the general path; the
-                // dedup list stays empty in that case there too.
-                None => ForwardDecision::dropped(),
-            };
-            if let Some(slot) = out.get_mut(base + i) {
-                *slot = d;
-            }
-        }
-        true
-    }
-
-    /// The per-packet pipeline, after the control plane has advanced.
-    /// Steady-state ConnTable hits allocate nothing: the key lives inline
-    /// on the stack and every hash is derived from one pass over it.
-    fn process_packet_inner(&mut self, pkt: &PacketMeta, now: Nanos) -> ForwardDecision {
-        match self.admit(pkt, now) {
-            Ok(view) => {
-                // Hash once; every table downstream consumes precomputed
-                // values.
-                let hashed = self.hasher.hash_tuple(&pkt.tuple);
-                self.dispatch(pkt, view, &hashed, now)
-            }
-            Err(d) => d,
-        }
-    }
-
-    /// [`SilkRoadSwitch::process_packet_inner`] with the key hashes already
-    /// computed (the batch pipeline hashes in its warm-up pass).
-    #[inline]
-    fn process_packet_hashed(
-        &mut self,
-        pkt: &PacketMeta,
-        hashed: &HashedKey,
-        now: Nanos,
-    ) -> ForwardDecision {
-        match self.admit(pkt, now) {
-            Ok(view) => self.dispatch(pkt, view, hashed, now),
-            Err(d) => d,
-        }
+        let deferred = deferred.get(..n_def).unwrap_or_default();
+        self.setup_deferred::<N>(chunk, &hashed, deferred, now, &mut out);
+        out
     }
 
     /// The pre-hash front of the pipeline: VIP-table admission and per-VIP
@@ -725,66 +564,6 @@ impl SilkRoadSwitch {
             }
         }
         Ok(view)
-    }
-
-    /// The table pipeline on an admitted packet with precomputed hashes.
-    fn dispatch(
-        &mut self,
-        pkt: &PacketMeta,
-        view: VersionView,
-        hashed: &HashedKey,
-        now: Nanos,
-    ) -> ForwardDecision {
-        // 1. ConnTable (the marking lookup also sets the entry's hit bit,
-        //    which drives idle aging).
-        if let Some((value, exact, resident)) = self.conn_table.lookup_marking_pre(
-            hashed.key().as_slice(),
-            hashed.conn_stage_hashes(),
-            hashed.conn_match_hash(),
-        ) {
-            return self.on_conn_hit(pkt, view, hashed, value, exact, resident, now);
-        }
-        self.post_conn(pkt, view, hashed, now)
-    }
-
-    /// A ConnTable match-field hit: forward by the stored value, or run the
-    /// SYN false-hit repair (§4.2).
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn on_conn_hit(
-        &mut self,
-        pkt: &PacketMeta,
-        view: VersionView,
-        hashed: &HashedKey,
-        value: ConnValue,
-        exact: bool,
-        resident: Option<TupleKey>,
-        now: Nanos,
-    ) -> ForwardDecision {
-        if exact || !pkt.flags.is_syn() {
-            self.stats.conn_table_hits += 1;
-            if !exact {
-                self.stats.digest_false_hits += 1;
-            }
-            let (dip, version) = self.resolve_value(hashed.select_hash(), &value);
-            return ForwardDecision {
-                dip,
-                path: DataPath::AsicConnTable,
-                version,
-                conn_table_hit: true,
-                false_hit: !exact,
-            };
-        }
-        // SYN falsely hitting a resident entry: software repair (§4.2).
-        self.stats.conn_table_hits += 1;
-        self.stats.digest_false_hits += 1;
-        self.stats.syn_repairs += 1;
-        if let Some(resident) = resident {
-            self.relocate_resident(&resident);
-        }
-        let mut d = self.miss_path(pkt, view, hashed, now);
-        d.path = DataPath::SoftwareRedirect;
-        d
     }
 
     /// §4.2 software repair: move a resident entry that a new connection
@@ -815,22 +594,6 @@ impl SilkRoadSwitch {
         })
     }
 
-    /// Steps 2–3 of the pipeline, after the ConnTable probe missed.
-    #[inline]
-    fn post_conn(
-        &mut self,
-        pkt: &PacketMeta,
-        view: VersionView,
-        hashed: &HashedKey,
-        now: Nanos,
-    ) -> ForwardDecision {
-        if let Some(d) = self.fallback_hit(hashed) {
-            return d;
-        }
-        // 3. VIPTable miss path.
-        self.miss_path(pkt, view, hashed, now)
-    }
-
     /// Resolve a ConnTable value to a DIP per the configured mapping mode.
     /// `select_hash` is the precomputed DIP-select hash of the packet's key.
     #[inline]
@@ -845,7 +608,7 @@ impl SilkRoadSwitch {
                 if let Some(m) = &self.resolve_memo {
                     if m.vip == value.vip && m.version == value.version {
                         let dip = sr_hash::ecmp_select(select_hash, usize::from(m.len))
-                            .map(|i| m.dips[i])
+                            .and_then(|i| m.dips.get(i).copied())
                             // Empty pool: fall back to the learn-time DIP,
                             // same as the uncached path below.
                             .or(Some(value.dip));
@@ -858,13 +621,16 @@ impl SilkRoadSwitch {
                     .and_then(|s| s.manager.pool(value.version))
                     .map(|p| {
                         let members = p.members();
-                        let memo = if members.len() <= MEMO_DIPS {
-                            let mut dips = [value.dip; MEMO_DIPS];
-                            dips[..members.len()].copy_from_slice(members);
-                            Some((members.len() as u8, dips))
-                        } else {
-                            None
-                        };
+                        let memo = u8::try_from(members.len())
+                            .ok()
+                            .filter(|&len| usize::from(len) <= MEMO_DIPS)
+                            .map(|len| {
+                                let mut dips = [value.dip; MEMO_DIPS];
+                                for (slot, member) in dips.iter_mut().zip(members) {
+                                    *slot = *member;
+                                }
+                                (len, dips)
+                            });
                         (p.select_hashed(select_hash), memo)
                     });
                 let Some((selected, memo)) = resolved else {
@@ -885,79 +651,62 @@ impl SilkRoadSwitch {
         }
     }
 
-    fn miss_path(
+    /// The connection-setup stage: a chunk's deferred VIPTable misses, in
+    /// packet order. Each miss runs its step-1 record or step-2 check (the
+    /// only consumers of the TransitTable bloom hashes, so only they pay
+    /// for them), DIP selection and the learn gate, in that order. A run of
+    /// misses sharing one `(vip, version)` —
+    /// every miss of a steady-state wave — resolves the VIP state and pool
+    /// once, and the learn gate dedups repeated keys within the chunk
+    /// before probing the control plane. Each decision lands in the slot
+    /// pass 3 reserved for its packet.
+    fn setup_deferred<const N: usize>(
         &mut self,
-        pkt: &PacketMeta,
-        view: VersionView,
-        hashed: &HashedKey,
+        chunk: &[PacketMeta],
+        hashed: &[Option<HashedKey>],
+        deferred: &[(usize, VersionView, bool)],
         now: Nanos,
-    ) -> ForwardDecision {
-        self.miss_path_setup(pkt, view, hashed, None, false, now).0
-    }
-
-    /// The miss path, with the fused setup stage's extras: `bloom` is the
-    /// bulk-precomputed TransitTable hash pass (`None` computes lazily, the
-    /// per-packet path), and `dup_pending` is the in-chunk dedup verdict —
-    /// an earlier miss in the same chunk left this key pending, so the
-    /// control-plane gate can be skipped (the key cannot have left the
-    /// pipeline mid-batch; installs only happen in `advance`). Returns the
-    /// decision plus whether the key is pending in the setup pipeline
-    /// afterwards (feeds the next packets' dedup).
-    fn miss_path_setup(
-        &mut self,
-        pkt: &PacketMeta,
-        view: VersionView,
-        hashed: &HashedKey,
-        bloom: Option<&BloomHashes>,
-        dup_pending: bool,
-        now: Nanos,
-    ) -> (ForwardDecision, bool) {
-        self.stats.vip_table_misses += 1;
-        let vip = Vip(pkt.tuple.dst);
-        let key = hashed.key().as_slice();
-        let mut software = false;
-
-        // One VIP-state probe serves both the update-phase check and the
-        // pool fetch below; the borrow spans only field-local mutations
-        // (transit, stats), so it stays live across the match.
-        let state = self.vips.get(&vip);
-        let version = match view {
-            VersionView::Stable(v) => {
-                // Step 1 of an in-flight update: remember this connection.
-                let recording = state
-                    .map(|s| s.update.phase == UpdatePhase::Recording)
-                    .unwrap_or(false);
-                if recording {
-                    // Bloom hashes are computed lazily here unless the
-                    // batch path ran its bulk pass — hit packets never
-                    // reach the miss path, so they never pay for them.
-                    match bloom {
-                        Some(b) => self.transit.record_hashed(b.as_slice()),
-                        None => {
-                            let b = self.hasher.bloom_hashes(hashed.key());
-                            self.transit.record_hashed(b.as_slice());
-                        }
-                    }
-                }
-                v
-            }
-            VersionView::Updating { old, new } => {
-                let transit_hit = match bloom {
-                    Some(b) => self.transit.check_hashed(b.as_slice()),
-                    None => {
-                        let b = self.hasher.bloom_hashes(hashed.key());
-                        self.transit.check_hashed(b.as_slice())
-                    }
-                };
-                if transit_hit {
-                    if pkt.flags.is_syn() {
-                        // A SYN matching TransitTable in step 2 is redirected
-                        // to software (§4.3): software distinguishes a real
-                        // pending connection (old version) from a bloom
-                        // false positive (new version).
+        out: &mut [ForwardDecision],
+    ) {
+        // Packet indices of this chunk's misses whose key is now pending in
+        // the setup pipeline: later duplicates skip the control-plane gate
+        // (the key cannot leave the pipeline mid-chunk; installs only
+        // happen in `advance`). Each slot carries the key's select hash so
+        // the dedup scan compares one word per candidate and touches full
+        // keys only on a hash match — a chunk of distinct keys (the common
+        // case) pays a few integer compares instead of byte-wise key
+        // comparisons.
+        let mut pending = [(0usize, 0u64); N];
+        let mut n_pending = 0usize;
+        // The `(vip, version)` the previous miss resolved, with its VIP
+        // state and pool.
+        let mut shared: Option<(Vip, PoolVersion, Option<&VipState>, Option<&DipPool>)> = None;
+        for &(i, view, repaired) in deferred {
+            let (Some(pkt), Some(Some(h)), Some(d)) = (chunk.get(i), hashed.get(i), out.get_mut(i))
+            else {
+                continue;
+            };
+            self.stats.vip_table_misses += 1;
+            let vip = Vip(pkt.tuple.dst);
+            let key = h.key();
+            let dup_pending = pending.iter().take(n_pending).any(|&(j, ph)| {
+                ph == h.select_hash() && matches!(hashed.get(j), Some(Some(p)) if p.key() == key)
+            });
+            let mut software = false;
+            let version = match view {
+                VersionView::Stable(v) => v,
+                VersionView::Updating { old, new } => {
+                    let bloom = self.hasher.bloom_hashes(key);
+                    if !self.transit.check_hashed(bloom.as_slice()) {
+                        new
+                    } else if pkt.flags.is_syn() {
+                        // A SYN matching TransitTable in step 2 is
+                        // redirected to software (§4.3): software
+                        // distinguishes a real pending connection (old
+                        // version) from a bloom false positive (new).
                         self.stats.transit_syn_redirects += 1;
                         software = true;
-                        if dup_pending || self.control.is_pending(key) {
+                        if dup_pending || self.control.is_pending(key.as_slice()) {
                             old
                         } else {
                             new
@@ -965,63 +714,70 @@ impl SilkRoadSwitch {
                     } else {
                         old
                     }
-                } else {
-                    new
                 }
-            }
-        };
-
-        let Some(state) = state else {
-            return (ForwardDecision::dropped(), dup_pending);
-        };
-        let Some(pool) = state.manager.pool(version) else {
-            return (ForwardDecision::dropped(), dup_pending);
-        };
-        let Some(dip) = pool.select_hashed(hashed.select_hash()) else {
-            return (ForwardDecision::dropped(), dup_pending);
-        };
-
-        // Learn the connection (dedup inside the control plane; the batch
-        // path pre-dedups repeats within its chunk). The learn event
-        // carries the packet-time ConnTable hashes so the eventual install
-        // replays them instead of re-hashing. The gate's three outcomes
-        // fold the old `is_pending` pre-probe into the insert itself.
-        let pending_after = if dup_pending {
-            true
-        } else {
-            match self.control.learn_gate(
-                key,
-                LearnMeta {
-                    vip,
-                    version,
-                    dip,
-                    hashes: hashed.conn_hashes(),
-                },
-                now,
-            ) {
-                LearnOutcome::Entered => {
-                    self.stats.learns += 1;
-                    true
+            };
+            let (state, pool) = match shared {
+                Some((v, ver, state, pool)) if v == vip && ver == version => (state, pool),
+                _ => {
+                    let state = self.vips.get(&vip);
+                    let pool = state.and_then(|s| s.manager.pool(version));
+                    shared = Some((vip, version, state, pool));
+                    (state, pool)
                 }
-                LearnOutcome::AlreadyPending => true,
-                LearnOutcome::Overflow => false,
+            };
+            // Step 1 of an in-flight update: remember this connection.
+            let recording = state.is_some_and(|s| s.update.phase == UpdatePhase::Recording);
+            if recording && matches!(view, VersionView::Stable(_)) {
+                let bloom = self.hasher.bloom_hashes(key);
+                self.transit.record_hashed(bloom.as_slice());
             }
-        };
-
-        (
-            ForwardDecision {
-                dip: Some(dip),
-                path: if software {
-                    DataPath::SoftwareRedirect
-                } else {
-                    DataPath::AsicVipTable
-                },
-                version: Some(version),
-                conn_table_hit: false,
-                false_hit: false,
-            },
-            pending_after,
-        )
+            *d = match pool.and_then(|p| p.select_hashed(h.select_hash())) {
+                None => ForwardDecision::dropped(),
+                Some(dip) => {
+                    // Learn the connection. The learn event carries the
+                    // packet-time ConnTable hashes so the eventual install
+                    // replays them instead of re-hashing.
+                    let pending_after = dup_pending
+                        || match self.control.learn_gate(
+                            key.as_slice(),
+                            LearnMeta {
+                                vip,
+                                version,
+                                dip,
+                                hashes: h.conn_hashes(),
+                            },
+                            now,
+                        ) {
+                            LearnOutcome::Entered => {
+                                self.stats.learns += 1;
+                                true
+                            }
+                            LearnOutcome::AlreadyPending => true,
+                            LearnOutcome::Overflow => false,
+                        };
+                    if pending_after {
+                        if let Some(slot) = pending.get_mut(n_pending) {
+                            *slot = (i, h.select_hash());
+                            n_pending += 1;
+                        }
+                    }
+                    ForwardDecision {
+                        dip: Some(dip),
+                        path: if software {
+                            DataPath::SoftwareRedirect
+                        } else {
+                            DataPath::AsicVipTable
+                        },
+                        version: Some(version),
+                        conn_table_hit: false,
+                        false_hit: false,
+                    }
+                }
+            };
+            if repaired {
+                d.path = DataPath::SoftwareRedirect;
+            }
+        }
     }
     // srlint: hot-path end
 
@@ -1254,7 +1010,7 @@ impl SilkRoadSwitch {
             state.manager.victim_version()
         };
         let Some(victim) = victim else { return };
-        let evicted = self.conn_table.evict_version(vip, victim);
+        let evicted = self.conn_table.evict(vip, Some(victim));
         let state = self.vips.get_mut(&vip).expect("caller checked");
         for (key, value) in evicted {
             state.manager.conn_removed(victim);
@@ -1423,6 +1179,40 @@ mod tests {
         assert!(sw.add_vip(vip(), vec![dip(1)]).is_err());
         assert!(sw.remove_vip(vip()).is_ok());
         assert!(sw.remove_vip(vip()).is_err());
+    }
+
+    #[test]
+    fn remove_vip_drops_fallback_pins_and_meter() {
+        let mut sw = switch();
+        let other = Vip(Addr::v4(20, 0, 0, 2, 80));
+        sw.add_vip(other, vec![dip(9)]).unwrap();
+        for (p, owner) in [(1u16, vip()), (2, other)] {
+            sw.fallback.insert(
+                conn(p).tuple_key(),
+                FallbackConn {
+                    vip: owner,
+                    dip: dip(3),
+                    arrived: Nanos::ZERO,
+                    hit: false,
+                },
+            );
+            SilkRoadSwitch::note_fallback_insert(&mut sw.stats, owner);
+        }
+        sw.attach_meter(
+            vip(),
+            MeterConfig {
+                cir_bps: 125_000,
+                cbs: 3_000,
+                eir_bps: 0,
+                ebs: 0,
+            },
+        );
+        sw.remove_vip(vip()).unwrap();
+        assert!(!sw.meters.contains_key(&vip()));
+        assert_eq!(sw.fallback.len(), 1, "the other VIP's pin must stay");
+        assert_eq!(sw.stats().fallback_entries, 1);
+        assert_eq!(sw.stats().fallback_pins(vip()), 0);
+        assert_eq!(sw.stats().fallback_pins(other), 1);
     }
 
     #[test]
@@ -1774,6 +1564,48 @@ mod tests {
         assert!(!r2.false_hit, "collider still false-hitting: {r2:?}");
         let r2b = sw.process_packet(&PacketMeta::data(collider, 100), Nanos::from_millis(31));
         assert_eq!(r2.dip, r2b.dip);
+    }
+
+    #[test]
+    fn step_two_chunk_mixing_old_and_new_versions_decides_like_single_packets() {
+        // In step 2, a pending connection's packets transit-hit (old
+        // version) while new SYNs miss (new version): one chunk's setup
+        // stage sees runs of misses alternating between two `(vip,
+        // version)`s, and must resolve each against its own pool.
+        let mut cfg = SilkRoadConfig::small_test();
+        cfg.cpu.insertions_per_sec = 1_000; // slow: step 2 lasts visibly long
+        let mut batched = SilkRoadSwitch::new(cfg.clone());
+        let mut single = SilkRoadSwitch::new(cfg);
+        let mut t = Nanos::ZERO;
+        for sw in [&mut batched, &mut single] {
+            sw.add_vip(vip(), vec![dip(1), dip(2), dip(3), dip(4)])
+                .unwrap();
+            for p in 0..20 {
+                sw.process_packet(&PacketMeta::syn(conn(p)), t);
+            }
+            sw.request_update(vip(), PoolUpdate::Remove(dip(1)), t)
+                .unwrap();
+            // Recorded in step 1, installed only after the first cohort.
+            for p in 100..140 {
+                sw.process_packet(&PacketMeta::syn(conn(p)), t);
+            }
+        }
+        while batched.update_phase(vip()) != Some(UpdatePhase::Draining) {
+            t += sr_types::Duration::from_millis(1);
+            batched.advance(t);
+            single.advance(t);
+        }
+        let mixed: Vec<PacketMeta> = (0..32u16)
+            .map(|i| match i % 2 {
+                0 => PacketMeta::data(conn(120 + i / 2), 100),
+                _ => PacketMeta::syn(conn(1000 + i)),
+            })
+            .collect();
+        let want: Vec<ForwardDecision> =
+            mixed.iter().map(|p| single.process_packet(p, t)).collect();
+        assert_eq!(batched.process_batch(&mixed, t), want);
+        let versions: Vec<_> = want.iter().filter_map(|d| d.version).collect();
+        assert!(versions.windows(2).any(|w| w[0] != w[1]), "{want:?}");
     }
 
     #[test]

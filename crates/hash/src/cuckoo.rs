@@ -738,16 +738,6 @@ impl<V: Clone> CuckooTable<V> {
         Some(self.hit_at(stage, slot, exact))
     }
 
-    /// Data-plane lookup: additionally sets the matched entry's hit bit on
-    /// an exact match (the per-entry hit bit that drives idle aging).
-    pub fn lookup_marking(&mut self, key: &[u8]) -> Option<LookupHit<'_, V>> {
-        let (stage, slot, exact) = self.probe(key)?;
-        if exact {
-            self.slots[stage][slot].as_mut().expect("occupied").hit = true;
-        }
-        Some(self.hit_at(stage, slot, exact))
-    }
-
     /// Warm the match-field words a prehashed probe will read: one plain
     /// load per stage, kept observable with [`std::hint::black_box`] so the
     /// optimizer cannot drop it. A batched caller issues these for several
@@ -783,33 +773,19 @@ impl<V: Clone> CuckooTable<V> {
         }
     }
 
-    /// [`CuckooTable::lookup_marking`] from precomputed hashes.
-    pub fn lookup_marking_pre(
-        &mut self,
-        key: &[u8],
-        stage_hashes: &[u64],
-        match_hash: u64,
-    ) -> Option<LookupHit<'_, V>> {
-        let (stage, slot, exact) = self.probe_pre(key, stage_hashes, match_hash)?;
-        if exact {
-            self.slots[stage][slot].as_mut().expect("occupied").hit = true;
-        }
-        Some(self.hit_at(stage, slot, exact))
-    }
-
-    /// First half of a split probe: find the `(stage, slot)` a prehashed
-    /// probe would hit, scanning the match-field plane and confirming the
-    /// lane hit on the record's stored field — the one read that puts the
-    /// record's cache line in flight before
+    /// First half of the data plane's split probe: find the `(stage, slot)`
+    /// a prehashed probe would hit, scanning the match-field plane and
+    /// confirming the lane hit on the record's stored field — the one read
+    /// that puts the record's cache line in flight before
     /// [`CuckooTable::lookup_marking_at`] dereferences it. No side
     /// effects — a pipelined caller runs `locate_pre` for a whole chunk of
     /// packets, then resolves each, overlapping the records' cache misses.
     ///
     /// In digest mode the slot choice depends only on the match-field
     /// plane, exactly like [`CuckooTable::probe_pre`]; full-key mode also
-    /// needs the key compare to skip fingerprint aliases, so it falls back
-    /// to the fused probe. Coordinates are only valid until the next
-    /// mutation (insert, remove, relocate, retain).
+    /// needs the key compare to skip fingerprint aliases, so it runs the
+    /// whole probe. Coordinates are only valid until the next mutation
+    /// (insert, remove, relocate, retain).
     pub fn locate_pre(
         &self,
         key: &[u8],
@@ -856,11 +832,12 @@ impl<V: Clone> CuckooTable<V> {
         None
     }
 
-    /// Second half of a split probe: resolve coordinates returned by
-    /// [`CuckooTable::locate_pre`] — dereference the record, compare the
-    /// full key for exactness, and set the hit bit on an exact match,
-    /// producing the same result the fused marking lookup would have.
-    /// Callers must not have mutated the table since `locate_pre`.
+    /// Second half of the split probe: resolve coordinates returned by
+    /// [`CuckooTable::locate_pre`] — dereference the record and compare the
+    /// full key for exactness, producing the hit [`CuckooTable::lookup`]
+    /// would — and set the hit bit (the per-entry bit that drives idle
+    /// aging) on an exact match. Callers must not have mutated the table
+    /// since `locate_pre`.
     pub fn lookup_marking_at(&mut self, stage: u32, slot: u32, key: &[u8]) -> LookupHit<'_, V> {
         let (stage, slot) = (stage as usize, slot as usize);
         let e = self.slots[stage][slot]
@@ -2034,34 +2011,50 @@ mod tests {
             let stage_fns = t.stage_fns().to_vec();
             let match_fn = t.match_fn();
             let mut hashes = vec![0u64; stage_fns.len()];
+            let seen = |hit: LookupHit<'_, u32>| {
+                (hit.stage, hit.exact, *hit.value, hit.resident_key.to_vec())
+            };
             // Probe residents and strangers alike: stage, exactness, value
-            // must agree with the byte-hashing path.
+            // and resident key must agree with the byte-hashing path, for
+            // the install pre-check (`lookup_pre`) and for the data plane's
+            // split probe, which also marks the hit bit iff the match is
+            // exact.
+            let mut marked = 0;
             for i in 0..n * 2 {
                 let k = key(i);
                 crate::hasher::hash_all(&stage_fns, &k, &mut hashes);
                 let mh = match_fn.hash(&k);
-                let a = t.lookup(&k);
-                let b = t.lookup_pre(&k, &hashes, mh);
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        assert_eq!(x.exact, y.exact);
-                        assert_eq!(x.stage, y.stage);
-                        assert_eq!(x.value, y.value);
-                        assert_eq!(x.resident_key, y.resident_key);
-                    }
-                    (a, b) => panic!("lookup {a:?} != lookup_pre {b:?} for {i}"),
-                }
+                let want = t.lookup(&k).map(seen);
+                assert_eq!(
+                    t.lookup_pre(&k, &hashes, mh).map(seen),
+                    want,
+                    "lookup_pre, key {i}"
+                );
+                let split = t.locate_pre(&k, &hashes, mh).map(|(stage, slot)| {
+                    let bit = |t: &CuckooTable<u32>| {
+                        t.slots[stage as usize][slot as usize].as_ref().unwrap().hit
+                    };
+                    let before = bit(&t);
+                    let hit = seen(t.lookup_marking_at(stage, slot, &k));
+                    assert_eq!(bit(&t), before || hit.1, "hit bit, key {i}");
+                    hit
+                });
+                assert_eq!(split, want, "locate_pre + lookup_marking_at, key {i}");
+                marked += usize::from(split.is_some_and(|hit| hit.1));
             }
+            // Every exact probe marked its own resident and nothing else
+            // was marked: aging keeps exactly those.
+            t.retain_hits(|_, _, hit| hit);
+            assert_eq!(t.len(), marked);
         }
     }
 
     #[test]
     fn insert_pre_places_identically_to_insert() {
-        // The batched setup path installs entries through `insert_pre` with
-        // the hashes the packet path computed; the per-packet baseline goes
-        // through `insert`. Decision-digest identity between the two arms
-        // rests on the two entry points producing bit-identical layouts.
+        // The switch installs entries through `insert_pre` with the hashes
+        // the packet path computed; byte-hashing callers go through
+        // `insert`. The two entry points must produce bit-identical
+        // layouts.
         for mode in [
             MatchMode::FullKey,
             MatchMode::Digest { bits: 8 },
@@ -2117,9 +2110,13 @@ mod tests {
         for i in 0..10 {
             t.insert(&key(i), i).unwrap();
         }
-        // Mark only even keys.
+        // Mark only even keys, through the data plane's split probe.
+        let mut hashes = vec![0u64; t.stage_fns().len()];
         for i in (0..10).step_by(2) {
-            assert!(t.lookup_marking(&key(i)).unwrap().exact);
+            let k = key(i);
+            crate::hasher::hash_all(t.stage_fns(), &k, &mut hashes);
+            let (stage, slot) = t.locate_pre(&k, &hashes, t.match_fn().hash(&k)).unwrap();
+            assert!(t.lookup_marking_at(stage, slot, &k).exact);
         }
         // Plain lookup must not mark.
         let _ = t.lookup(&key(1));
@@ -2133,25 +2130,6 @@ mod tests {
         let removed = t.retain_hits(|_, _, hit| hit);
         assert_eq!(removed.len(), 5);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn marking_pre_sets_hit_bit() {
-        let mut t = small(MatchMode::Digest { bits: 16 });
-        t.insert(&key(3), 3).unwrap();
-        let stage_fns = t.stage_fns().to_vec();
-        let match_fn = t.match_fn();
-        let k = key(3);
-        let mut hashes = vec![0u64; stage_fns.len()];
-        crate::hasher::hash_all(&stage_fns, &k, &mut hashes);
-        let hit = t
-            .lookup_marking_pre(&k, &hashes, match_fn.hash(&k))
-            .unwrap();
-        assert!(hit.exact);
-        assert!(
-            t.retain_hits(|_, _, hit| hit).is_empty(),
-            "marked entry aged out"
-        );
     }
 
     #[test]

@@ -71,34 +71,33 @@ fn established(
     (sw, tuples)
 }
 
-/// Run `packets` through the switch and return (decisions-ok, allocations).
+/// Run one data packet per tuple through the switch — `batch` packets per
+/// `process_batch_into` call into a pre-sized buffer, or one
+/// `process_packet` call each when `None` — and return (ConnTable hits,
+/// allocations).
 fn measure(
     sw: &mut SilkRoadSwitch,
     tuples: &[FiveTuple],
     now: Nanos,
-    per_packet: bool,
+    batch: Option<usize>,
 ) -> (u64, u64) {
-    let mut hits = 0u64;
+    let pkts: Vec<PacketMeta> = tuples.iter().map(|t| PacketMeta::data(*t, 800)).collect();
+    let mut out: Vec<ForwardDecision> = Vec::with_capacity(pkts.len());
     let before = allocs_so_far();
-    if per_packet {
-        for t in tuples {
-            let d = sw.process_packet(&PacketMeta::data(*t, 800), now);
-            hits += (d.path == DataPath::AsicConnTable) as u64;
+    match batch {
+        None => out.extend(pkts.iter().map(|p| sw.process_packet(p, now))),
+        Some(n) => {
+            for chunk in pkts.chunks(n) {
+                sw.process_batch_into(chunk, now, &mut out);
+            }
         }
-    } else {
-        let pkts: Vec<PacketMeta> = tuples.iter().map(|t| PacketMeta::data(*t, 800)).collect();
-        let mut out: Vec<ForwardDecision> = Vec::with_capacity(pkts.len());
-        let before = allocs_so_far();
-        sw.process_batch_into(&pkts, now, &mut out);
-        let allocs = allocs_so_far() - before;
-        return (
-            out.iter()
-                .filter(|d| d.path == DataPath::AsicConnTable)
-                .count() as u64,
-            allocs,
-        );
     }
-    (hits, allocs_so_far() - before)
+    let allocs = allocs_so_far() - before;
+    let hits = out
+        .iter()
+        .filter(|d| d.path == DataPath::AsicConnTable)
+        .count();
+    (hits as u64, allocs)
 }
 
 fn v4_dips() -> Vec<Dip> {
@@ -119,23 +118,26 @@ fn conn_table_hit_path_is_allocation_free() {
     assert_eq!(sw.conn_count(), N as usize, "warm-up did not install");
 
     // Warm one pass (hit bits flip, any one-time laziness settles).
-    measure(&mut sw, &tuples, Nanos::from_secs(20), true);
+    measure(&mut sw, &tuples, Nanos::from_secs(20), None);
 
-    // Per-packet entry point: zero heap allocations per packet.
-    let (hits, allocs) = measure(&mut sw, &tuples, Nanos::from_secs(21), true);
-    assert_eq!(hits, N as u64, "steady state lost ConnTable hits");
-    assert_eq!(
-        allocs, 0,
-        "process_packet allocated {allocs} times over {N} steady-state packets"
-    );
-
-    // Batched entry point with a recycled output buffer: also zero.
-    let (hits, allocs) = measure(&mut sw, &tuples, Nanos::from_secs(22), false);
-    assert_eq!(hits, N as u64);
-    assert_eq!(
-        allocs, 0,
-        "process_batch_into allocated {allocs} times over {N} packets"
-    );
+    // The per-packet entry point (a batch of one), then batches of one,
+    // of a partial chunk, of a chunk plus one, and the whole set at once:
+    // zero heap allocations per packet every time.
+    for (pass, batch) in [None, Some(1), Some(15), Some(17), Some(N as usize)]
+        .into_iter()
+        .enumerate()
+    {
+        let now = Nanos::from_secs(21 + pass as u64);
+        let (hits, allocs) = measure(&mut sw, &tuples, now, batch);
+        assert_eq!(
+            hits, N as u64,
+            "batch {batch:?}: steady state lost ConnTable hits"
+        );
+        assert_eq!(
+            allocs, 0,
+            "batch {batch:?}: allocated {allocs} times over {N} steady-state packets"
+        );
+    }
 }
 
 #[test]
@@ -420,8 +422,8 @@ fn conn_table_hit_path_is_allocation_free_v6() {
     });
     assert_eq!(sw.conn_count(), N as usize, "warm-up did not install");
 
-    measure(&mut sw, &tuples, Nanos::from_secs(20), true);
-    let (hits, allocs) = measure(&mut sw, &tuples, Nanos::from_secs(21), true);
+    measure(&mut sw, &tuples, Nanos::from_secs(20), None);
+    let (hits, allocs) = measure(&mut sw, &tuples, Nanos::from_secs(21), None);
     assert_eq!(hits, N as u64, "steady state lost ConnTable hits");
     assert_eq!(
         allocs, 0,

@@ -1,12 +1,16 @@
-//! Property tests: the chunked batch path (`process_batch_into`) is
-//! observationally identical to one `process_packet` call per packet.
+//! Property tests: a batch's decisions do not depend on how it is cut.
 //!
-//! The sequential path is the reference the fused setup stage is checked
-//! against; both arms share the single learn → install pipeline. These
-//! properties drive randomized workloads — SYN storms with duplicated
-//! handshakes, interleaved data and early closes, and pool updates
-//! landing mid-burst while setups are in flight — through both arms and
-//! require:
+//! Every packet crosses the switch through one chunk pipeline — hash,
+//! locate, resolve, with ConnTable misses deferred into one setup stage
+//! that dedups repeated keys within the chunk — and batch length only
+//! decides how many packets share a chunk. The reference arm sends one
+//! packet per batch (`process_packet`), where deferral and dedup have
+//! nothing to reorder; the batched arm cuts the same stream into batches of
+//! 1 to 79 packets, so full chunks, partial final chunks and single-packet
+//! batches all occur. These properties drive randomized workloads — SYN
+//! storms with duplicated handshakes, interleaved data and early closes,
+//! and pool updates landing mid-burst while setups are in flight — through
+//! both arms and require:
 //!
 //! 1. **Decision identity**: every packet's [`ForwardDecision`] (DIP,
 //!    path, version, hit provenance) matches exactly, in order.
@@ -14,9 +18,12 @@
 //!    the same connection count and resolve every flow — including flows
 //!    that never completed setup — to the same decision.
 //!
-//! Both address families and 1/2-pipe steering are covered; chunk-size
-//! effects (the fused `SETUP_CHUNK` fast path, in-chunk dedup) are
-//! exercised by varying the batch length across cases.
+//! Both address families, 1/2-pipe steering and two digest widths are
+//! covered: 24 bits, where digest false hits are rare, and 8 bits (the
+//! narrowest `SilkRoadConfig::validate` accepts), where SYNs falsely hit
+//! residents often enough that §4.2 repairs land mid-chunk and the rest of
+//! the chunk re-enters the pipeline. A pinned case guarantees that path
+//! runs on every test invocation.
 
 use proptest::prelude::*;
 use silkroad::{ForwardDecision, MultiPipeSwitch, PoolUpdate, SilkRoadConfig};
@@ -69,8 +76,10 @@ struct WaveSpec {
 struct Scenario {
     v6: bool,
     pipes: usize,
-    /// Data-plane batch length for the batched arm (spans chunk-boundary
-    /// and partial-chunk shapes around `SETUP_CHUNK`).
+    /// ConnTable digest width.
+    digest_bits: u8,
+    /// Data-plane batch length for the batched arm (single packets,
+    /// partial chunks and multi-chunk batches around `SETUP_CHUNK`).
     batch: usize,
     waves: Vec<WaveSpec>,
 }
@@ -102,24 +111,37 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     (
         any::<bool>(),
         prop_oneof![Just(1usize), Just(2usize)],
-        7usize..80,
+        prop_oneof![Just(24u8), Just(8u8)],
+        prop_oneof![1 => Just(1usize), 4 => 2usize..80],
         proptest::collection::vec(wave_spec(), 2..5),
     )
-        .prop_map(|(v6, pipes, batch, waves)| Scenario {
+        .prop_map(|(v6, pipes, digest_bits, batch, waves)| Scenario {
             v6,
             pipes,
+            digest_bits,
             batch,
             waves,
         })
 }
 
-/// Drive one arm over the scenario and return (decisions, final per-flow
-/// decisions, conn_count).
-fn run_arm(s: &Scenario, per_packet: bool) -> (Vec<ForwardDecision>, Vec<ForwardDecision>, usize) {
+/// What one arm observed.
+struct Run {
+    /// Every packet's decision, in order.
+    decisions: Vec<ForwardDecision>,
+    /// Every flow's decision after the last drain.
+    finals: Vec<ForwardDecision>,
+    conns: usize,
+    syn_repairs: u64,
+}
+
+/// Drive one arm over the scenario: `batch` packets per
+/// `process_batch_into` call, or one `process_packet` call per packet
+/// when `None` (the reference).
+fn run_arm(s: &Scenario, batch: Option<usize>) -> Run {
     let total: u32 = s.waves.iter().map(|w| w.new_flows).sum();
     let cfg = SilkRoadConfig {
         conn_capacity: (total as usize).max(64) * 4,
-        digest_bits: 24,
+        digest_bits: s.digest_bits,
         ..Default::default()
     };
     let mut sw = MultiPipeSwitch::inline(cfg, s.pipes);
@@ -128,13 +150,14 @@ fn run_arm(s: &Scenario, per_packet: bool) -> (Vec<ForwardDecision>, Vec<Forward
 
     let mut decisions = Vec::new();
     let mut out: Vec<ForwardDecision> = Vec::new();
-    let mut process = |sw: &mut MultiPipeSwitch, pkts: &[PacketMeta], now: Nanos| {
-        if per_packet {
+    let mut process = |sw: &mut MultiPipeSwitch, pkts: &[PacketMeta], now: Nanos| match batch {
+        None => {
             for p in pkts {
                 decisions.push(sw.process_packet(p, now));
             }
-        } else {
-            for chunk in pkts.chunks(s.batch) {
+        }
+        Some(n) => {
+            for chunk in pkts.chunks(n) {
                 out.clear();
                 sw.process_batch_into(chunk, now, &mut out);
                 decisions.extend_from_slice(&out);
@@ -151,26 +174,29 @@ fn run_arm(s: &Scenario, per_packet: bool) -> (Vec<ForwardDecision>, Vec<Forward
     for w in &s.waves {
         let prev = opened;
         // Burst layout (identical for both arms): storm-replicated SYNs
-        // round-major (retransmits land in later chunks), then witness
-        // data, then early FINs.
+        // round-major (retransmits land in later chunks), each of the
+        // first ones followed by a witness data packet for an earlier
+        // flow — so chunks mix misses with hits, also after a mid-chunk
+        // repair — then the remaining witness data, then early FINs.
+        let mut data =
+            (0..w.data_prev.min(prev)).map(|i| PacketMeta::data(flow(i % prev.max(1), s.v6), 400));
         let mut burst: Vec<PacketMeta> = Vec::new();
         for _round in 0..w.storm {
             for i in 0..w.new_flows {
                 burst.push(PacketMeta::syn(flow(prev + i, s.v6)));
+                burst.extend(data.next());
             }
         }
-        for i in 0..w.data_prev.min(prev) {
-            burst.push(PacketMeta::data(flow(i % prev.max(1), s.v6), 400));
-        }
+        burst.extend(data);
         for i in 0..w.fins_prev.min(prev) {
             burst.push(PacketMeta::fin(flow(i % prev.max(1), s.v6)));
         }
         opened += w.new_flows;
 
-        // The update lands after one batch of the burst, so part of the
-        // cohort is pending when the 3-step protocol opens its window —
-        // both arms see the identical packet/update interleaving because
-        // the split sits on a batch boundary.
+        // The update lands after the first `s.batch` packets of the burst,
+        // so part of the cohort is pending when the 3-step protocol opens
+        // its window — every arm sees the identical packet/update
+        // interleaving because the split sits on a batch boundary of each.
         let update = match w.update {
             Some(true) if !spare_in_pool => {
                 spare_in_pool = true;
@@ -199,33 +225,91 @@ fn run_arm(s: &Scenario, per_packet: bool) -> (Vec<ForwardDecision>, Vec<Forward
 
     // Final state probe: every flow ever opened resolves through the
     // drained switch.
-    let probe: Vec<PacketMeta> = (0..opened)
-        .map(|i| PacketMeta::data(flow(i, s.v6), 800))
+    let finals = (0..opened)
+        .map(|i| sw.process_packet(&PacketMeta::data(flow(i, s.v6), 800), now))
         .collect();
-    out.clear();
-    let mut finals = Vec::with_capacity(probe.len());
-    for p in &probe {
-        finals.push(sw.process_packet(p, now));
+    Run {
+        decisions,
+        finals,
+        conns: sw.conn_count(),
+        syn_repairs: sw.stats().syn_repairs,
     }
-    (decisions, finals, sw.conn_count())
+}
+
+/// Whether the batched arm matches the one-packet reference on `s`.
+fn check_against_reference(
+    s: &Scenario,
+    batched: &Run,
+    reference: &Run,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(batched.decisions.len(), reference.decisions.len());
+    for (i, (b, r)) in batched
+        .decisions
+        .iter()
+        .zip(&reference.decisions)
+        .enumerate()
+    {
+        prop_assert_eq!(b, r, "decision {} diverged (batch {})", i, s.batch);
+    }
+    prop_assert_eq!(batched.conns, reference.conns, "connection counts diverged");
+    for (i, (b, r)) in batched.finals.iter().zip(&reference.finals).enumerate() {
+        prop_assert_eq!(b, r, "post-drain resolution diverged for flow {}", i);
+    }
+    prop_assert_eq!(
+        batched.syn_repairs,
+        reference.syn_repairs,
+        "repair counts diverged"
+    );
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Batched and per-packet arms produce identical decision streams and
+    /// Batched and one-packet arms produce identical decision streams and
     /// identical post-drain state over randomized churn workloads.
     #[test]
     fn batched_setup_matches_per_packet(s in scenario()) {
-        let (bat_dec, bat_fin, bat_conns) = run_arm(&s, false);
-        let (pp_dec, pp_fin, pp_conns) = run_arm(&s, true);
-        prop_assert_eq!(bat_dec.len(), pp_dec.len());
-        for (i, (b, l)) in bat_dec.iter().zip(&pp_dec).enumerate() {
-            prop_assert_eq!(b, l, "decision {} diverged (batch {})", i, s.batch);
-        }
-        prop_assert_eq!(bat_conns, pp_conns, "connection counts diverged");
-        for (i, (b, l)) in bat_fin.iter().zip(&pp_fin).enumerate() {
-            prop_assert_eq!(b, l, "post-drain resolution diverged for flow {}", i);
+        let reference = run_arm(&s, None);
+        check_against_reference(&s, &run_arm(&s, Some(s.batch)), &reference)?;
+    }
+}
+
+/// A pinned 8-bit-digest churn whose SYNs falsely hit residents: every
+/// batch length — single packets, partial chunks, exactly one chunk, one
+/// chunk plus one, several chunks — repairs mid-chunk and must still
+/// decide exactly like the reference.
+#[test]
+fn syn_repairs_decide_identically_at_every_batch_length() {
+    let wave = |update| WaveSpec {
+        new_flows: 60,
+        storm: 2,
+        data_prev: 120,
+        fins_prev: 4,
+        update,
+    };
+    let mut s = Scenario {
+        v6: false,
+        pipes: 1,
+        digest_bits: 8,
+        batch: 1,
+        waves: vec![
+            wave(None),
+            wave(None),
+            wave(Some(true)),
+            wave(None),
+            wave(Some(false)),
+        ],
+    };
+    for batch in [1, 7, 16, 17, 80] {
+        // The update split sits at `batch`, so each length has its own
+        // reference run.
+        s.batch = batch;
+        let reference = run_arm(&s, None);
+        assert!(reference.syn_repairs > 0, "batch {batch}: no repair ran");
+        let batched = run_arm(&s, Some(batch));
+        if let Err(e) = check_against_reference(&s, &batched, &reference) {
+            panic!("batch {batch}: {e:?}");
         }
     }
 }

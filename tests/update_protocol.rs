@@ -191,15 +191,64 @@ fn transit_table_stats_track_protocol() {
 
 #[test]
 fn vip_lifecycle_add_remove_readd() {
-    let mut sw = SilkRoadSwitch::new(SilkRoadConfig::small_test());
+    // A two-version ring: the next version allocated is whichever one a
+    // stale reference release frees, so a leftover entry of the first
+    // incarnation would hand a live version number to a new pool.
+    let mut sw = SilkRoadSwitch::new(SilkRoadConfig {
+        version_bits: 1,
+        ..SilkRoadConfig::small_test()
+    });
     sw.add_vip(vip(), vec![dip(1)]).unwrap();
-    sw.process_packet(&PacketMeta::syn(conn(1)), Nanos::ZERO);
+    let a = conn(1);
+    sw.process_packet(&PacketMeta::syn(a), Nanos::ZERO);
+    sw.advance(Nanos::from_millis(10));
+    assert_eq!(sw.conn_count(), 1, "connection A did not install");
     sw.remove_vip(vip()).unwrap();
+    assert_eq!(
+        sw.conn_count(),
+        0,
+        "removal left the VIP's entries installed"
+    );
     // Traffic to a removed VIP passes through untouched.
-    let d = sw.process_packet(&PacketMeta::data(conn(1), 100), Nanos::from_millis(1));
+    let d = sw.process_packet(&PacketMeta::data(a, 100), Nanos::from_millis(11));
     assert_eq!(d.path, silkroad::DataPath::NotVip);
-    // Re-adding works from scratch.
-    sw.add_vip(vip(), vec![dip(2)]).unwrap();
-    let d = sw.process_packet(&PacketMeta::syn(conn(2)), Nanos::from_millis(2));
-    assert_eq!(d.dip, Some(dip(2)));
+
+    // Re-adding works from scratch: connection B lands on dip(2).
+    sw.add_vip(vip(), vec![dip(1), dip(2)]).unwrap();
+    let mut t = Nanos::from_millis(12);
+    let b = (2..64)
+        .map(conn)
+        .find(|c| {
+            let to_dip2 = sw.process_packet(&PacketMeta::syn(*c), t).dip == Some(dip(2));
+            if !to_dip2 {
+                sw.close_connection(c, t);
+            }
+            to_dip2
+        })
+        .expect("some flow selects dip(2)");
+    t += Duration::from_millis(10);
+    sw.advance(t);
+    assert_eq!(sw.conn_count(), 1, "only B is installed");
+    let b_dip = |sw: &mut SilkRoadSwitch, t| sw.process_packet(&PacketMeta::data(b, 100), t).dip;
+    assert_eq!(b_dip(&mut sw, t), Some(dip(2)));
+
+    // One update: B's version is no longer current. Then A closes — it
+    // must not release a reference on the new incarnation's versions —
+    // and two more updates recycle every version B does not hold.
+    let updates = [
+        PoolUpdate::Remove(dip(1)),
+        PoolUpdate::Add(dip(3)),
+        PoolUpdate::Add(dip(4)),
+    ];
+    for (i, op) in updates.into_iter().enumerate() {
+        sw.request_update(vip(), op, t).unwrap();
+        t += Duration::from_millis(10);
+        sw.advance(t);
+        assert_eq!(sw.update_phase(vip()), Some(UpdatePhase::Idle));
+        if i == 0 {
+            sw.close_connection(&a, t);
+        }
+        assert_eq!(b_dip(&mut sw, t), Some(dip(2)), "B moved after update {i}");
+        assert_eq!(sw.conn_count(), 1);
+    }
 }
