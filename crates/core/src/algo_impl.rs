@@ -53,7 +53,8 @@ impl ConnState for ConnTable {
     fn lookup(&mut self, key: &TupleKey, hashes: &ConnHashes) -> Option<ConnHit> {
         let h = table_hashes(self, key, hashes);
         let (stage, slot) = self.locate(key.as_slice(), h.stage_hashes(), h.match_hash())?;
-        let (record, exact, _resident) = self.lookup_marking_at(stage, slot, key.as_slice());
+        let (record, _vip_id, exact, _resident) =
+            self.lookup_marking_at(stage, slot, key.as_slice());
         Some(ConnHit { record, exact })
     }
 

@@ -7,6 +7,10 @@
 //! switch keeps the same information in CPU memory. Here it is one cache
 //! line per slot: callers see [`ConnValue`]s, a slot stores one packed to
 //! 18 bytes beside its key (see [`ConnTable::host_bytes`]).
+//!
+//! A record names its VIP by a dense id ([`ConnTable::intern_vip`]), and
+//! the data plane's marking probe hands that id back with the hit, so the
+//! switch indexes its per-VIP state by it instead of hashing the address.
 
 use crate::config::{ConnMapping, SilkRoadConfig};
 use sr_asic::table::{MatchMode, TableSpec};
@@ -24,6 +28,11 @@ pub type ConnValue = sr_algo::ConnRecord;
 /// What every lookup returns: `(value, exact, resident)` (see
 /// [`ConnTable::lookup`]).
 type ConnLookup = (ConnValue, bool, Option<TupleKey>);
+
+/// What the data plane's marking probe returns: `(value, vip_id, exact,
+/// resident)` — a [`ConnLookup`] plus the record's VIP id (see
+/// [`ConnTable::intern_vip`]).
+type MarkedLookup = (ConnValue, u32, bool, Option<TupleKey>);
 
 /// A [`ConnValue`] as its slot stores it: the two endpoints as ids into the
 /// table's [`Endpoints`], 18 bytes of fields at 4-byte alignment instead of
@@ -117,8 +126,16 @@ impl Endpoints {
 
     /// A table hit as its owned, unpacked result.
     fn unpack_hit(&self, hit: LookupHit<'_, PackedConn>) -> ConnLookup {
+        let (value, _, exact, resident) = self.unpack_marked(hit);
+        (value, exact, resident)
+    }
+
+    /// [`Endpoints::unpack_hit`] keeping the record's VIP id.
+    #[inline]
+    fn unpack_marked(&self, hit: LookupHit<'_, PackedConn>) -> MarkedLookup {
         let resident = (!hit.exact).then(|| TupleKey::from_bytes(hit.resident_key));
-        (self.unpack(*hit.value), hit.exact, resident)
+        let packed = *hit.value;
+        (self.unpack(packed), packed.vip, hit.exact, resident)
     }
     // srlint: hot-path end
 
@@ -165,6 +182,19 @@ impl ConnTable {
             mapping: cfg.mapping,
             last_scan: Nanos::ZERO,
         }
+    }
+
+    /// The dense id records of `vip` carry, numbering the VIP on first
+    /// sight. Ids start at 0, are handed out in order and are never
+    /// dropped or reused, so they can index a per-VIP slab.
+    pub fn intern_vip(&mut self, vip: Vip) -> u32 {
+        self.ends.vips.intern(vip)
+    }
+
+    /// The id of a VIP the table has numbered (see
+    /// [`ConnTable::intern_vip`]).
+    pub fn vip_id(&self, vip: &Vip) -> Option<u32> {
+        self.ends.vips.id(vip)
     }
 
     /// The configured mapping mode.
@@ -227,16 +257,17 @@ impl ConnTable {
     }
 
     /// Second half of the marking lookup — the result
-    /// [`ConnTable::lookup`] gives at the located coordinates, plus the hit
-    /// bit set on an exact match (the bit that drives idle aging): one
-    /// record line, then two reads of the cache-resident endpoint lists.
+    /// [`ConnTable::lookup`] gives at the located coordinates with the
+    /// record's VIP id beside the value, plus the hit bit set on an exact
+    /// match (the bit that drives idle aging): one record line, then two
+    /// reads of the cache-resident endpoint lists.
     // Inlined into the chunk loop: out of line, the 96-byte owned result is
     // built in memory and re-read by the caller in other widths, and the
     // store-forwarding stalls cost the cache-resident hit path ~15 %.
     #[inline]
-    pub fn lookup_marking_at(&mut self, stage: u32, slot: u32, key: &[u8]) -> ConnLookup {
+    pub fn lookup_marking_at(&mut self, stage: u32, slot: u32, key: &[u8]) -> MarkedLookup {
         self.ends
-            .unpack_hit(self.table.lookup_marking_at(stage, slot, key))
+            .unpack_marked(self.table.lookup_marking_at(stage, slot, key))
     }
     // srlint: hot-path end
 
@@ -350,7 +381,7 @@ impl ConnTable {
 
     /// Remove all entries of `vip` — only those pinned to `version` when
     /// one is given — returning them (VIP removal; version-exhaustion
-    /// migration to the fallback table). A VIP no record has ever named has
+    /// migration to the fallback table). A VIP the table never numbered has
     /// nothing to evict and costs no scan.
     pub fn evict(&mut self, vip: Vip, version: Option<PoolVersion>) -> Vec<(TupleKey, ConnValue)> {
         let Some(vip) = self.ends.vips.id(&vip) else {
@@ -463,10 +494,35 @@ mod tests {
     }
 
     /// The data plane's marking probe: `locate` + `lookup_marking_at`.
-    fn lookup_marking(t: &mut ConnTable, key: &[u8]) -> Option<ConnLookup> {
+    fn lookup_marking(t: &mut ConnTable, key: &[u8]) -> Option<MarkedLookup> {
         let stage_hashes: Vec<u64> = t.stage_fns().iter().map(|f| f.hash(key)).collect();
         let (stage, slot) = t.locate(key, &stage_hashes, t.match_fn().hash(key))?;
         Some(t.lookup_marking_at(stage, slot, key))
+    }
+
+    #[test]
+    fn marked_hit_carries_the_interned_vip_id() {
+        let mut t = table();
+        let other = Vip(Addr::v4(20, 0, 0, 2, 80));
+        // Registration order numbers the VIPs, whatever order installs
+        // name them in.
+        assert_eq!(t.intern_vip(other), 0);
+        t.install(b"a", value(1)).unwrap();
+        t.install(
+            b"b",
+            ConnValue {
+                vip: other,
+                ..value(2)
+            },
+        )
+        .unwrap();
+        assert_eq!(t.vip_id(&value(1).vip), Some(1));
+        assert_eq!(t.intern_vip(other), 0, "ids are stable");
+        let (v, id, exact, _) = lookup_marking(&mut t, b"a").unwrap();
+        assert!(exact);
+        assert_eq!((v.vip, id), (value(1).vip, 1));
+        let (v, id, _, _) = lookup_marking(&mut t, b"b").unwrap();
+        assert_eq!((v.vip, id), (other, 0));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! DIP pools and DIPPoolTable (§4.2).
+//! DIP pools (§4.2).
 //!
 //! A [`DipPool`] is the member list behind one `(VIP, version)` pair. Pools
 //! use **positional hashing**: a connection's DIP is
@@ -58,12 +58,15 @@ impl DipPool {
         self.select_hashed(hasher.hash(tuple.tuple_key().as_slice()))
     }
 
+    // srlint: hot-path begin
     /// [`DipPool::select`] from an already-computed select hash (the
     /// hash-once packet path).
+    #[inline]
     pub fn select_hashed(&self, hash: u64) -> Option<Dip> {
         let idx = ecmp_select(hash, self.members.len())?;
-        Some(self.members[idx])
+        self.members.get(idx).copied()
     }
+    // srlint: hot-path end
 
     /// Pool with `dip` appended (the `Add` derivation).
     pub fn with_added(&self, dip: Dip) -> DipPool {
@@ -85,21 +88,6 @@ impl DipPool {
         }
     }
 
-    /// Whether two pools contain exactly the same members, regardless of
-    /// slot order. Slot order changes the positional mapping, but any live
-    /// pool with the right member *set* is a valid version-reuse target:
-    /// new connections simply hash over its (consistent) order.
-    pub fn same_members(&self, other: &DipPool) -> bool {
-        if self.members.len() != other.members.len() {
-            return false;
-        }
-        let mut a = self.members.clone();
-        let mut b = other.members.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        a == b
-    }
-
     /// In-place substitution `old -> new` (version reuse; see module docs).
     /// Returns whether a substitution happened.
     pub fn substitute(&mut self, old: Dip, new: Dip) -> bool {
@@ -114,11 +102,10 @@ impl DipPool {
     }
 }
 
-/// DIPPoolTable: `(VIP, version) -> DipPool`.
-///
-/// "DIPPoolTable is similar to an ECMP table that maps ECMP group ID to a
-/// set of ECMP members." Pools are owned here; the version allocator tracks
-/// their lifecycle.
+/// `(VIP, version) -> DipPool`, hash-mapped: the replay structure the
+/// benchmark's `pool.select` layer times. The switch no longer uses it —
+/// each VIP's [`crate::version::VersionManager`] holds its pools in a row
+/// per version number, read by index like the ASIC's DIPPoolTable.
 #[derive(Default, Debug)]
 pub struct DipPoolTable {
     pools: FxHashMap<(Vip, PoolVersion), DipPool>,
@@ -139,47 +126,6 @@ impl DipPoolTable {
     pub fn get(&self, vip: Vip, version: PoolVersion) -> Option<&DipPool> {
         self.pools.get(&(vip, version))
     }
-
-    /// Fetch a pool mutably (version-reuse substitution only).
-    pub fn get_mut(&mut self, vip: Vip, version: PoolVersion) -> Option<&mut DipPool> {
-        self.pools.get_mut(&(vip, version))
-    }
-
-    /// Remove a destroyed version's pool.
-    pub fn remove(&mut self, vip: Vip, version: PoolVersion) -> Option<DipPool> {
-        self.pools.remove(&(vip, version))
-    }
-
-    /// Rows currently stored (memory accounting).
-    pub fn rows(&self) -> usize {
-        self.pools.len()
-    }
-
-    /// Total members across pools (memory accounting: one action-member
-    /// word per member).
-    pub fn total_members(&self) -> usize {
-        self.pools.values().map(|p| p.len()).sum()
-    }
-
-    /// Iterate pools of one VIP.
-    pub fn pools_of(&self, vip: Vip) -> impl Iterator<Item = (PoolVersion, &DipPool)> {
-        self.pools
-            .iter()
-            .filter(move |((v, _), _)| *v == vip)
-            .map(|((_, ver), p)| (*ver, p))
-    }
-
-    /// Apply `substitute(old, new)` to every pool of `vip` (version reuse
-    /// propagation — only ever called with `old` being a dead DIP).
-    pub fn substitute_everywhere(&mut self, vip: Vip, old: Dip, new: Dip) -> usize {
-        let mut n = 0;
-        for ((v, _), pool) in self.pools.iter_mut() {
-            if *v == vip && pool.substitute(old, new) {
-                n += 1;
-            }
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -189,10 +135,6 @@ mod tests {
 
     fn dip(i: u8) -> Dip {
         Dip(Addr::v4(10, 0, 0, i, 20))
-    }
-
-    fn vip() -> Vip {
-        Vip(Addr::v4(20, 0, 0, 1, 80))
     }
 
     fn conn(p: u16) -> FiveTuple {
@@ -248,32 +190,5 @@ mod tests {
                 assert_eq!(after, d, "live connection moved by substitution");
             }
         }
-    }
-
-    #[test]
-    fn table_roundtrip_and_accounting() {
-        let mut t = DipPoolTable::new();
-        t.insert(vip(), PoolVersion(0), DipPool::new(vec![dip(1), dip(2)]));
-        t.insert(vip(), PoolVersion(1), DipPool::new(vec![dip(1)]));
-        assert_eq!(t.rows(), 2);
-        assert_eq!(t.total_members(), 3);
-        assert_eq!(t.get(vip(), PoolVersion(0)).unwrap().len(), 2);
-        assert_eq!(t.pools_of(vip()).count(), 2);
-        assert!(t.remove(vip(), PoolVersion(1)).is_some());
-        assert_eq!(t.rows(), 1);
-        assert!(t.get(vip(), PoolVersion(1)).is_none());
-    }
-
-    #[test]
-    fn substitute_everywhere_touches_all_versions() {
-        let mut t = DipPoolTable::new();
-        t.insert(vip(), PoolVersion(0), DipPool::new(vec![dip(1), dip(2)]));
-        t.insert(vip(), PoolVersion(1), DipPool::new(vec![dip(2)]));
-        t.insert(vip(), PoolVersion(2), DipPool::new(vec![dip(3)]));
-        let n = t.substitute_everywhere(vip(), dip(2), dip(8));
-        assert_eq!(n, 2);
-        assert!(t.get(vip(), PoolVersion(0)).unwrap().contains(&dip(8)));
-        assert!(t.get(vip(), PoolVersion(1)).unwrap().contains(&dip(8)));
-        assert!(!t.get(vip(), PoolVersion(2)).unwrap().contains(&dip(8)));
     }
 }

@@ -14,6 +14,12 @@
 //!   simulated time.
 //!
 //! Every public method takes `now`; the switch never consults a real clock.
+//!
+//! A ConnTable hit resolves the way the ASIC reads its DIPPoolTable, by
+//! index: the hit record's VIP id selects the VIP's slot in the switch's
+//! per-VIP slab, and the record's version selects that VIP's pool row.
+//! Two indexed reads, no hash probe, and nothing cached across
+//! control-plane events, so a pool edit is visible to the next packet.
 
 use crate::config::{ConnMapping, SilkRoadConfig};
 use crate::conn_table::{ConnTable, ConnValue};
@@ -50,10 +56,6 @@ struct FallbackConn {
     hit: bool,
 }
 
-/// Inline member bound for [`ResolveMemo`] — covers the pool sizes the
-/// experiments sweep; larger pools just skip the memo.
-const MEMO_DIPS: usize = 16;
-
 /// Batch chunk length: enough split probes in flight to overlap their
 /// entry loads without spilling the chunk's [`HashedKey`]s out of L1. A
 /// batch chunk's scratch arrays, the setup stage's included, are sized by
@@ -64,20 +66,13 @@ const MEMO_DIPS: usize = 16;
 /// overlaps.
 const SETUP_CHUNK: usize = 16;
 
-/// One-entry DIP-resolve memo: the members of the last `(vip, version)`
-/// pool consulted by the hit path, copied inline. The ASIC resolves a
-/// ConnTable value with a single indexed read of the versioned pool
-/// registers; this memo plays that role in the model, sparing the two map
-/// probes (VIP state, then pool) per steady-state hit. Pools are immutable
-/// between control-plane events, and every packet entry point runs
-/// [`SilkRoadSwitch::advance`] first — clearing the memo there means it
-/// can never survive a control-plane mutation.
-struct ResolveMemo {
-    vip: Vip,
-    version: PoolVersion,
-    len: u8,
-    dips: [Dip; MEMO_DIPS],
+// srlint: hot-path begin
+/// The state in slab slot `id` (see [`SilkRoadSwitch`]'s `vips`).
+#[inline]
+fn slot(vips: &[Option<VipState>], id: u32) -> Option<&VipState> {
+    vips.get(usize::try_from(id).ok()?)?.as_ref()
 }
+// srlint: hot-path end
 
 /// A SilkRoad switch instance.
 pub struct SilkRoadSwitch {
@@ -86,7 +81,11 @@ pub struct SilkRoadSwitch {
     /// per packet (bucket hashes, digest, ECMP select, bloom indexes).
     hasher: KeyHasher,
     vip_table: VipTable,
-    vips: FxHashMap<Vip, VipState>,
+    /// Per-VIP state, slotted by the VIP id the ConnTable's records carry
+    /// ([`ConnTable::intern_vip`]), so a hit reaches its VIP's pools by
+    /// index. Ids are never dropped: a removed VIP leaves an empty slot,
+    /// which a re-add of the same address fills again.
+    vips: Vec<Option<VipState>>,
     conn_table: ConnTable,
     transit: TransitTable,
     control: ControlPlane,
@@ -98,8 +97,6 @@ pub struct SilkRoadSwitch {
     /// Per-VIP rate limiters (§5.2 performance isolation): red-marked
     /// packets are dropped before any table lookup.
     meters: FxHashMap<Vip, Meter>,
-    /// See [`ResolveMemo`]. Cleared by [`SilkRoadSwitch::advance`].
-    resolve_memo: Option<ResolveMemo>,
     /// Recycled buffer for the batched install drain in
     /// [`SilkRoadSwitch::advance`] — completions pop into this instead of
     /// a fresh `Vec` per control-plane wakeup.
@@ -138,17 +135,33 @@ impl SilkRoadSwitch {
         SilkRoadSwitch {
             hasher,
             vip_table: VipTable::new(),
-            vips: FxHashMap::default(),
+            vips: Vec::new(),
             conn_table,
             transit,
             control: ControlPlane::new(cfg.learning, cfg.cpu),
             fallback: FxHashMap::default(),
             meters: FxHashMap::default(),
-            resolve_memo: None,
             install_scratch: Vec::new(),
             stats: SwitchStats::default(),
             cfg,
         }
+    }
+
+    /// The state of a registered VIP, found by name through the
+    /// ConnTable's VIP interner.
+    fn state(&self, vip: Vip) -> Option<&VipState> {
+        slot(&self.vips, self.conn_table.vip_id(&vip)?)
+    }
+
+    /// [`SilkRoadSwitch::state`], mutably.
+    fn state_mut(&mut self, vip: Vip) -> Option<&mut VipState> {
+        self.slot_mut(vip)?.as_mut()
+    }
+
+    /// The slab slot of a VIP the ConnTable has numbered.
+    fn slot_mut(&mut self, vip: Vip) -> Option<&mut Option<VipState>> {
+        let id = usize::try_from(self.conn_table.vip_id(&vip)?).ok()?;
+        self.vips.get_mut(id)
     }
 
     /// Record a new fallback pin in the stats (global + per-VIP).
@@ -197,26 +210,24 @@ impl SilkRoadSwitch {
 
     /// The current update phase of a VIP.
     pub fn update_phase(&self, vip: Vip) -> Option<UpdatePhase> {
-        self.vips.get(&vip).map(|s| s.update.phase)
+        self.state(vip).map(|s| s.update.phase)
     }
 
     /// The current pool version of a VIP.
     pub fn current_version(&self, vip: Vip) -> Option<PoolVersion> {
-        self.vips.get(&vip).map(|s| s.manager.current_version())
+        self.state(vip).map(|s| s.manager.current_version())
     }
 
     /// The live DIPs of a VIP's newest pool. Borrows from the pool table —
     /// no per-call clone, so callers may invoke this per packet.
     pub fn current_dips(&self, vip: Vip) -> Option<&[Dip]> {
-        self.vips
-            .get(&vip)
-            .map(|s| s.manager.current_pool().members())
+        self.state(vip).map(|s| s.manager.current_pool().members())
     }
 
     /// Version-manager counters of a VIP: (allocations, reuses,
     /// pool_changes, live_versions).
     pub fn version_counters(&self, vip: Vip) -> Option<(u64, u64, u64, usize)> {
-        self.vips.get(&vip).map(|s| {
+        self.state(vip).map(|s| {
             (
                 s.manager.allocations,
                 s.manager.reuses,
@@ -262,8 +273,8 @@ impl SilkRoadSwitch {
         let mut vips = [0u64; 2];
         let mut members = [0u64; 2];
         let mut rows = 0u64;
-        for (vip, s) in &self.vips {
-            let f = (vip.family() == AddrFamily::V6) as usize;
+        for s in self.vips.iter().flatten() {
+            let f = (s.manager.vip().family() == AddrFamily::V6) as usize;
             vips[f] += 1;
             members[f] += s.manager.total_pool_members() as u64;
             rows += s.manager.live_versions() as u64;
@@ -285,7 +296,7 @@ impl SilkRoadSwitch {
 
     /// Register a VIP with its initial DIP pool.
     pub fn add_vip(&mut self, vip: Vip, dips: Vec<Dip>) -> Result<(), TypeError> {
-        if self.vips.contains_key(&vip) {
+        if self.state(vip).is_some() {
             return Err(TypeError::InvalidState {
                 what: "VIP already registered",
             });
@@ -297,13 +308,16 @@ impl SilkRoadSwitch {
             self.cfg.version_reuse,
         );
         self.vip_table.insert(vip, manager.current_version());
-        self.vips.insert(
-            vip,
-            VipState {
-                manager,
-                update: UpdateState::new(),
-            },
-        );
+        // Interned here, so the slab and the records share one id space: a
+        // new VIP's id is the next slot, a re-added one gets its old slot.
+        let id = usize::try_from(self.conn_table.intern_vip(vip)).expect("VIP id fits usize");
+        if self.vips.len() <= id {
+            self.vips.resize_with(id + 1, || None);
+        }
+        self.vips[id] = Some(VipState {
+            manager,
+            update: UpdateState::new(),
+        });
         Ok(())
     }
 
@@ -316,8 +330,8 @@ impl SilkRoadSwitch {
     /// completes after the VIP is registered again installs against the
     /// new incarnation.
     pub fn remove_vip(&mut self, vip: Vip) -> Result<(), TypeError> {
-        self.vips
-            .remove(&vip)
+        self.slot_mut(vip)
+            .and_then(Option::take)
             .ok_or(TypeError::NotFound { what: "VIP" })?;
         self.vip_table.remove(vip);
         self.meters.remove(&vip);
@@ -349,9 +363,6 @@ impl SilkRoadSwitch {
     /// only moves events into the CPU queue (completion times are fixed at
     /// submit), and an install touches neither the filter nor its deadline.
     pub fn advance(&mut self, now: Nanos) {
-        // Any control-plane activity may edit pools; drop the resolve memo
-        // before it can be consulted again.
-        self.resolve_memo = None;
         let mut jobs = std::mem::take(&mut self.install_scratch);
         while let Some(t) = self.control.next_wakeup() {
             if t > now {
@@ -493,7 +504,7 @@ impl SilkRoadSwitch {
                     }
                 };
                 let repaired = if let Some((stage, slot)) = loc {
-                    let (value, exact, resident) =
+                    let (value, vip_id, exact, resident) =
                         self.conn_table
                             .lookup_marking_at(stage, slot, h.key().as_slice());
                     self.stats.conn_table_hits += 1;
@@ -501,7 +512,7 @@ impl SilkRoadSwitch {
                         self.stats.digest_false_hits += 1;
                     }
                     if exact || !pkt.flags.is_syn() {
-                        let (dip, version) = self.resolve_value(h.select_hash(), &value);
+                        let (dip, version) = self.resolve_value(h.select_hash(), vip_id, &value);
                         *d = ForwardDecision {
                             dip,
                             path: DataPath::AsicConnTable,
@@ -594,59 +605,29 @@ impl SilkRoadSwitch {
         })
     }
 
-    /// Resolve a ConnTable value to a DIP per the configured mapping mode.
-    /// `select_hash` is the precomputed DIP-select hash of the packet's key.
+    /// Resolve a ConnTable hit to a DIP per the configured mapping mode.
+    /// `select_hash` is the precomputed DIP-select hash of the packet's key,
+    /// `vip_id` the hit record's VIP id. In version mode this is the ASIC's
+    /// two indexed reads: the VIP's slab slot, then its pool row at the
+    /// version number — no hash probe, no copy.
     #[inline]
     fn resolve_value(
-        &mut self,
+        &self,
         select_hash: u64,
+        vip_id: u32,
         value: &ConnValue,
     ) -> (Option<Dip>, Option<PoolVersion>) {
         match self.cfg.mapping {
             ConnMapping::DirectDip => (Some(value.dip), None),
             ConnMapping::Version => {
-                if let Some(m) = &self.resolve_memo {
-                    if m.vip == value.vip && m.version == value.version {
-                        let dip = sr_hash::ecmp_select(select_hash, usize::from(m.len))
-                            .and_then(|i| m.dips.get(i).copied())
-                            // Empty pool: fall back to the learn-time DIP,
-                            // same as the uncached path below.
-                            .or(Some(value.dip));
-                        return (dip, Some(value.version));
-                    }
-                }
-                let resolved = self
-                    .vips
-                    .get(&value.vip)
+                let dip = slot(&self.vips, vip_id)
                     .and_then(|s| s.manager.pool(value.version))
-                    .map(|p| {
-                        let members = p.members();
-                        let memo = u8::try_from(members.len())
-                            .ok()
-                            .filter(|&len| usize::from(len) <= MEMO_DIPS)
-                            .map(|len| {
-                                let mut dips = [value.dip; MEMO_DIPS];
-                                for (slot, member) in dips.iter_mut().zip(members) {
-                                    *slot = *member;
-                                }
-                                (len, dips)
-                            });
-                        (p.select_hashed(select_hash), memo)
-                    });
-                let Some((selected, memo)) = resolved else {
-                    // The pool should outlive its connections (refcounts);
-                    // the learn-time DIP is the defensive fallback.
-                    return (Some(value.dip), Some(value.version));
-                };
-                if let Some((len, dips)) = memo {
-                    self.resolve_memo = Some(ResolveMemo {
-                        vip: value.vip,
-                        version: value.version,
-                        len,
-                        dips,
-                    });
-                }
-                (selected.or(Some(value.dip)), Some(value.version))
+                    .and_then(|p| p.select_hashed(select_hash))
+                    // The pool should outlive its connections (refcounts),
+                    // and an empty pool selects nothing: either way the
+                    // learn-time DIP is the defensive fallback.
+                    .or(Some(value.dip));
+                (dip, Some(value.version))
             }
         }
     }
@@ -719,7 +700,10 @@ impl SilkRoadSwitch {
             let (state, pool) = match shared {
                 Some((v, ver, state, pool)) if v == vip && ver == version => (state, pool),
                 _ => {
-                    let state = self.vips.get(&vip);
+                    let state = self
+                        .conn_table
+                        .vip_id(&vip)
+                        .and_then(|id| slot(&self.vips, id));
                     let pool = state.and_then(|s| s.manager.pool(version));
                     shared = Some((vip, version, state, pool));
                     (state, pool)
@@ -789,7 +773,7 @@ impl SilkRoadSwitch {
         let key = tuple.tuple_key();
         match self.conn_table.remove(key.as_slice()) {
             Ok(value) => {
-                if let Some(state) = self.vips.get_mut(&value.vip) {
+                if let Some(state) = self.state_mut(value.vip) {
                     state.manager.conn_removed(value.version);
                 }
             }
@@ -815,8 +799,7 @@ impl SilkRoadSwitch {
         self.advance(now);
         self.stats.updates_requested += 1;
         let state = self
-            .vips
-            .get_mut(&vip)
+            .state_mut(vip)
             .ok_or(TypeError::NotFound { what: "VIP" })?;
         if !state.update.is_idle() {
             state.update.queue.push_back(op);
@@ -829,7 +812,7 @@ impl SilkRoadSwitch {
 
     fn start_update(&mut self, vip: Vip, op: PoolUpdate, now: Nanos) {
         let prepared = {
-            let state = self.vips.get_mut(&vip).expect("caller checked");
+            let state = self.state_mut(vip).expect("caller checked");
             match state.manager.prepare(op) {
                 Ok(Some(p)) => Some(p),
                 Ok(None) => None,
@@ -837,7 +820,7 @@ impl SilkRoadSwitch {
                     // Version-ring exhaustion: migrate the least-referenced
                     // version's connections to the fallback table and retry.
                     self.handle_exhaustion(vip);
-                    let state = self.vips.get_mut(&vip).expect("still there");
+                    let state = self.state_mut(vip).expect("still there");
                     match state.manager.prepare(op) {
                         Ok(p) => p,
                         Err(_) => {
@@ -855,7 +838,7 @@ impl SilkRoadSwitch {
         };
 
         let pending = self.control.outstanding(vip);
-        let state = self.vips.get_mut(&vip).expect("caller checked");
+        let state = self.state_mut(vip).expect("caller checked");
         let old = state.manager.current_version();
         state.manager.retain(old);
         state.manager.retain(prepared.new_version);
@@ -886,7 +869,7 @@ impl SilkRoadSwitch {
     fn execute_update(&mut self, vip: Vip, t_exec: Nanos) {
         let outstanding = self.control.outstanding(vip);
         let (old, new, done) = {
-            let state = self.vips.get_mut(&vip).expect("active update");
+            let state = self.state_mut(vip).expect("active update");
             let active = *state.update.active.as_ref().expect("active update");
             let done = state.update.execute(t_exec, outstanding);
             state.manager.commit(active.new_version);
@@ -900,7 +883,7 @@ impl SilkRoadSwitch {
 
     fn finish_update(&mut self, vip: Vip, t_finish: Nanos) {
         let next = {
-            let state = self.vips.get_mut(&vip).expect("active update");
+            let state = self.state_mut(vip).expect("active update");
             let (done, next) = state.update.finish();
             state.manager.release(done.old_version);
             state.manager.release(done.new_version);
@@ -927,7 +910,7 @@ impl SilkRoadSwitch {
         let expired = self.conn_table.aging_scan(now);
         let mut n = expired.len();
         for (_, value) in expired {
-            if let Some(state) = self.vips.get_mut(&value.vip) {
+            if let Some(state) = self.state_mut(value.vip) {
                 state.manager.conn_removed(value.version);
             }
         }
@@ -1006,14 +989,16 @@ impl SilkRoadSwitch {
     fn handle_exhaustion(&mut self, vip: Vip) {
         self.stats.version_exhaustions += 1;
         let victim = {
-            let state = self.vips.get(&vip).expect("caller checked");
+            let state = self.state(vip).expect("caller checked");
             state.manager.victim_version()
         };
         let Some(victim) = victim else { return };
         let evicted = self.conn_table.evict(vip, Some(victim));
-        let state = self.vips.get_mut(&vip).expect("caller checked");
-        for (key, value) in evicted {
+        let state = self.state_mut(vip).expect("caller checked");
+        for _ in &evicted {
             state.manager.conn_removed(victim);
+        }
+        for (key, value) in evicted {
             self.fallback.insert(
                 key,
                 FallbackConn {
@@ -1044,7 +1029,7 @@ impl SilkRoadSwitch {
 
         if self.control.has_closed_early() && self.control.take_closed_early(key.as_slice()) {
             self.stats.installs_skipped_closed += 1;
-        } else if self.vips.contains_key(&vip) {
+        } else if self.state(vip).is_some() {
             // Every learn event raised inside a switch carries the
             // packet-time hash pass (`HashedKey::conn_hashes`), so the
             // CPU never re-hashes the key.
@@ -1083,7 +1068,7 @@ impl SilkRoadSwitch {
             match installed {
                 Ok(_) => {
                     self.stats.installs += 1;
-                    if let Some(state) = self.vips.get_mut(&vip) {
+                    if let Some(state) = self.state_mut(vip) {
                         state.manager.conn_installed(job.meta.version);
                     }
                 }
@@ -1106,8 +1091,7 @@ impl SilkRoadSwitch {
 
         // Drive the 3-step update machine.
         let transition = self
-            .vips
-            .get_mut(&vip)
+            .state_mut(vip)
             .map(|s| s.update.on_install())
             .unwrap_or(Transition::None);
         match transition {
@@ -1424,6 +1408,78 @@ mod tests {
         assert!(reuses >= 19, "reuses {reuses}");
         assert!(allocs <= 5, "allocations {allocs}");
         assert!(live <= 4, "live versions {live}");
+
+        // A reboot that returns as a *different* DIP redeems by in-place
+        // substitution. An established connection pinned to the redeemed
+        // version whose DIP was the dead one must reach the substitute on
+        // the very next batch: a hit reads the live pool row, with no cache
+        // in between that would need invalidating.
+        let pinned = (0..50)
+            .map(|p| {
+                let d = sw.process_packet(&PacketMeta::data(conn(p), 100), t);
+                (conn(p), d)
+            })
+            .find(|(_, d)| d.conn_table_hit && d.dip == Some(dip(3)))
+            .expect("a version-0 connection on dip(3)");
+        let (pinned, before) = pinned;
+        sw.request_update(vip(), PoolUpdate::Remove(dip(3)), t)
+            .unwrap();
+        t += sr_types::Duration::from_millis(20);
+        let d = sw.process_batch(&[PacketMeta::data(pinned, 100)], t);
+        assert_eq!(d[0], before, "a removal moves no established connection");
+        let reuses_before = sw.version_counters(vip()).unwrap().1;
+        sw.request_update(vip(), PoolUpdate::Add(dip(9)), t)
+            .unwrap();
+        assert_eq!(sw.version_counters(vip()).unwrap().1, reuses_before + 1);
+        assert_eq!(sw.current_version(vip()), before.version, "redeemed");
+        let d = sw.process_batch(&[PacketMeta::data(pinned, 100)], t);
+        assert!(d[0].conn_table_hit);
+        assert_eq!(d[0].version, before.version);
+        assert_eq!(d[0].dip, Some(dip(9)), "substituted member");
+    }
+
+    #[test]
+    fn resolve_by_id_survives_the_vip_lifecycle() {
+        // Each VIP's pool is disjoint from the others', so a hit resolved
+        // through the wrong slab slot would name a foreign DIP.
+        let a = vip();
+        let b = Vip(Addr::v4(20, 0, 0, 2, 80));
+        let c = Vip(Addr::v4(20, 0, 0, 3, 80));
+        let to = |v: Vip, p: u16| FiveTuple::tcp(Addr::v4(1, 2, 3, 4, p), v.0);
+        let mut sw = switch();
+        sw.add_vip(b, vec![dip(5), dip(6), dip(7)]).unwrap();
+        let mut t = Nanos::ZERO;
+        let open = |sw: &mut SilkRoadSwitch, tuple: FiveTuple, t: &mut Nanos| {
+            let d = sw.process_packet(&PacketMeta::syn(tuple), *t);
+            *t += sr_types::Duration::from_millis(10);
+            sw.advance(*t);
+            (tuple, d)
+        };
+        let a1 = open(&mut sw, to(a, 1), &mut t);
+        let b1 = open(&mut sw, to(b, 1), &mut t);
+        assert_eq!(sw.conn_count(), 2);
+
+        sw.remove_vip(a).unwrap();
+        sw.add_vip(c, vec![dip(8), dip(9)]).unwrap();
+        sw.add_vip(a, vec![dip(10), dip(11), dip(12)]).unwrap();
+        assert_eq!(sw.vips.len(), 3, "the re-added VIP reuses its slot");
+        let a2 = open(&mut sw, to(a, 2), &mut t);
+        let c1 = open(&mut sw, to(c, 1), &mut t);
+        assert_eq!(sw.conn_count(), 3, "A's first connection left with it");
+
+        for (vip, (tuple, setup)) in [(b, b1), (a, a2), (c, c1)] {
+            let d = sw.process_packet(&PacketMeta::data(tuple, 100), t);
+            assert!(d.conn_table_hit, "{tuple:?} {d:?}");
+            assert_eq!(d.dip, setup.dip, "{tuple:?}");
+            assert_eq!(d.version, sw.current_version(vip));
+            let own = sw.current_dips(vip).unwrap();
+            assert!(own.contains(&d.dip.unwrap()), "{tuple:?} left its pool");
+        }
+        // A's old connection is a stranger to the new incarnation: it sets
+        // up afresh against the new pool instead of hitting.
+        let d = sw.process_packet(&PacketMeta::data(a1.0, 100), t);
+        assert!(!d.conn_table_hit);
+        assert!(sw.current_dips(a).unwrap().contains(&d.dip.unwrap()));
     }
 
     #[test]

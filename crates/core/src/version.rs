@@ -16,8 +16,15 @@
 //! DIP are gone regardless), which is why this is the one sanctioned
 //! mutation of an existing pool. Fig 15 quantifies the saving (330 updates
 //! → ≤ 51 versions in a 10-min window).
+//!
+//! **Pools by version number**: the manager keeps one row per ring slot,
+//! indexed by the version number — the VIP's share of the ASIC's
+//! DIPPoolTable, which a ConnTable hit reads the way an ECMP group table is
+//! read, by index. A hit's `version → pool` step is one bounds-checked
+//! read, no hash probe. The row table costs `2^version_bits` slots per VIP
+//! (1.5 KB at the paper's 6 bits).
 
-use crate::pool::{DipPool, DipPoolTable, PoolUpdate};
+use crate::pool::{DipPool, PoolUpdate};
 use sr_hash::FxHashMap;
 use sr_types::{Dip, PoolVersion, TypeError, Vip};
 use std::collections::VecDeque;
@@ -40,7 +47,9 @@ pub struct VersionManager {
     free: VecDeque<PoolVersion>,
     /// Refcount per live version: installed connections + explicit pins.
     refs: FxHashMap<PoolVersion, u64>,
-    pools: DipPoolTable,
+    /// The pool of each live version, at its version number's row; `None`
+    /// for free numbers.
+    pools: Vec<Option<DipPool>>,
     current: PoolVersion,
     /// Versions newly allocated (Fig 15 "after reuse" ≈ allocations + 1).
     pub allocations: u64,
@@ -58,8 +67,8 @@ impl VersionManager {
         let ring = 1u32 << ring_bits.min(16);
         let mut free: VecDeque<PoolVersion> = (1..ring).map(|v| PoolVersion(v as u16)).collect();
         free.make_contiguous();
-        let mut pools = DipPoolTable::new();
-        pools.insert(vip, PoolVersion(0), initial);
+        let mut pools = vec![None; ring as usize];
+        pools[0] = Some(initial);
         VersionManager {
             vip,
             ring_bits,
@@ -85,15 +94,17 @@ impl VersionManager {
         self.current
     }
 
-    /// Pool of a live version.
+    // srlint: hot-path begin
+    /// Pool of a live version: the row at its version number.
+    #[inline]
     pub fn pool(&self, v: PoolVersion) -> Option<&DipPool> {
-        self.pools.get(self.vip, v)
+        self.pools.get(usize::from(v.0))?.as_ref()
     }
+    // srlint: hot-path end
 
     /// Pool of the current version.
     pub fn current_pool(&self) -> &DipPool {
-        self.pools
-            .get(self.vip, self.current)
+        self.pool(self.current)
             .expect("current version always has a pool")
     }
 
@@ -104,7 +115,7 @@ impl VersionManager {
 
     /// Total members across live pools (memory accounting).
     pub fn total_pool_members(&self) -> usize {
-        self.pools.total_members()
+        self.pools.iter().flatten().map(DipPool::len).sum()
     }
 
     /// Ring size.
@@ -138,11 +149,17 @@ impl VersionManager {
     /// set: its pool must equal `target` as a multiset after replacing
     /// members that are *dead* (not in `target`) — the substitutions to
     /// perform are returned. Replacing only dead members guarantees no live
-    /// connection's mapping moves.
+    /// connection's mapping moves. Candidates are tried in ascending version
+    /// order, so the lowest reusable number is redeemed.
     fn find_reusable(&self, target: &[Dip]) -> Option<(PoolVersion, Vec<(Dip, Dip)>)> {
         let mut target_sorted: Vec<Dip> = target.to_vec();
         target_sorted.sort_unstable();
-        'candidates: for (v, p) in self.pools.pools_of(self.vip) {
+        let live = self
+            .pools
+            .iter()
+            .enumerate()
+            .filter_map(|(v, p)| Some((PoolVersion(u16::try_from(v).ok()?), p.as_ref()?)));
+        'candidates: for (v, p) in live {
             if v == self.current || p.len() != target.len() {
                 continue;
             }
@@ -207,7 +224,7 @@ impl VersionManager {
 
     fn destroy(&mut self, v: PoolVersion) {
         self.refs.remove(&v);
-        self.pools.remove(self.vip, v);
+        self.pools[usize::from(v.0)] = None;
         self.free.push_back(v);
     }
 
@@ -237,7 +254,7 @@ impl VersionManager {
         self.pool_changes += 1;
         if self.reuse_enabled {
             if let Some((v, subs)) = self.find_reusable(target.members()) {
-                if let Some(pool) = self.pools.get_mut(self.vip, v) {
+                if let Some(Some(pool)) = self.pools.get_mut(usize::from(v.0)) {
                     for (old, new) in subs {
                         pool.substitute(old, new);
                     }
@@ -250,7 +267,7 @@ impl VersionManager {
             }
         }
         let v = self.allocate()?;
-        self.pools.insert(self.vip, v, target);
+        self.pools[usize::from(v.0)] = Some(target);
         Ok(Some(PreparedUpdate {
             new_version: v,
             reused: false,
@@ -446,6 +463,39 @@ mod tests {
         assert!(members.contains(&dip(7)));
         assert!(members.contains(&dip(8)));
         assert!(!members.contains(&dip(1)) && !members.contains(&dip(2)));
+    }
+
+    #[test]
+    fn reuse_redeems_the_lowest_reusable_version() {
+        // Build, with reuse off, two pinned non-current versions that are
+        // both reusable for one target: V0 = [d1, d2, d3] and
+        // V2 = [d1, d2, d5], current V3 = [d1, d2].
+        let mut m = mgr(false);
+        let v0 = m.current_version();
+        m.retain(v0);
+        let r = m.prepare(PoolUpdate::Remove(dip(3))).unwrap().unwrap();
+        m.commit(r.new_version);
+        let a = m.prepare(PoolUpdate::Add(dip(5))).unwrap().unwrap();
+        m.retain(a.new_version);
+        m.commit(a.new_version);
+        let r = m.prepare(PoolUpdate::Remove(dip(5))).unwrap().unwrap();
+        m.commit(r.new_version);
+        assert_eq!(a.new_version, PoolVersion(2));
+        // Add(d7) targets [d1, d2, d7]: redeeming V0 substitutes its dead
+        // d3, redeeming V2 its dead d5. DESIGN §8's safety rule holds for
+        // either choice (only dead members are replaced); the walk in
+        // ascending version order picks V0, which pins the choice so runs
+        // reproduce.
+        m.reuse_enabled = true;
+        let p = m.prepare(PoolUpdate::Add(dip(7))).unwrap().unwrap();
+        assert!(p.reused);
+        assert_eq!(p.new_version, v0);
+        assert_eq!(m.pool(v0).unwrap().members(), &[dip(1), dip(2), dip(7)]);
+        assert_eq!(
+            m.pool(a.new_version).unwrap().members(),
+            &[dip(1), dip(2), dip(5)],
+            "the other candidate is untouched"
+        );
     }
 
     #[test]

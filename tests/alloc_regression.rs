@@ -46,10 +46,40 @@ fn allocs_so_far() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
+/// VIPs the hit-path gates register. Their flows interleave, so
+/// consecutive hits resolve through different VIPs' pools — the shape of
+/// every benchmark workload's traffic.
+const VIPS: u32 = 4;
+
+/// The `i`th flow's tuple: client `client(i)`, VIP `vip(i % VIPS)`.
+fn interleaved(n: u32, vip: impl Fn(u32) -> Addr, client: impl Fn(u32) -> Addr) -> Vec<FiveTuple> {
+    (0..n)
+        .map(|i| FiveTuple::tcp(client(i), vip(i % VIPS)))
+        .collect()
+}
+
+/// Register the `VIPS` VIPs `vip(k)`, each over `dips` rotated by `k`.
+fn add_vips(dips: &[Dip], vip: impl Fn(u32) -> Addr, mut add: impl FnMut(Vip, Vec<Dip>)) {
+    for k in 0..VIPS {
+        let mut pool = dips.to_vec();
+        pool.rotate_left(k as usize);
+        add(Vip(vip(k)), pool);
+    }
+}
+
+fn v4_vip(k: u32) -> Addr {
+    Addr::v4(20, 0, 0, 1 + k as u8, 80)
+}
+
+fn v6_vip(k: u32) -> Addr {
+    Addr::v6_indexed(0x0a0a, 1 + k, 443)
+}
+
 /// Build a switch with `n` established connections resolving through
-/// ConnTable, using `client(i)` for the client side of each tuple.
+/// ConnTable, spread over the `VIPS` VIPs `vip(k)`, using `client(i)` for
+/// the client side of each tuple.
 fn established(
-    vip_addr: Addr,
+    vip: impl Fn(u32) -> Addr + Copy,
     dips: Vec<Dip>,
     n: u32,
     client: impl Fn(u32) -> Addr,
@@ -59,10 +89,8 @@ fn established(
         ..Default::default()
     };
     let mut sw = SilkRoadSwitch::new(cfg);
-    sw.add_vip(Vip(vip_addr), dips).unwrap();
-    let tuples: Vec<FiveTuple> = (0..n)
-        .map(|i| FiveTuple::tcp(client(i), vip_addr))
-        .collect();
+    add_vips(&dips, vip, |v, pool| sw.add_vip(v, pool).unwrap());
+    let tuples = interleaved(n, vip, client);
     for t in &tuples {
         sw.process_packet(&PacketMeta::syn(*t), Nanos::ZERO);
     }
@@ -113,8 +141,7 @@ fn v6_dips() -> Vec<Dip> {
 #[test]
 fn conn_table_hit_path_is_allocation_free() {
     const N: u32 = 4096;
-    let vip_addr = Addr::v4(20, 0, 0, 1, 80);
-    let (mut sw, tuples) = established(vip_addr, v4_dips(), N, |i| Addr::v4_indexed(100, i, 1024));
+    let (mut sw, tuples) = established(v4_vip, v4_dips(), N, |i| Addr::v4_indexed(100, i, 1024));
     assert_eq!(sw.conn_count(), N as usize, "warm-up did not install");
 
     // Warm one pass (hit bits flip, any one-time laziness settles).
@@ -151,16 +178,13 @@ fn multi_pipe_steady_state_is_allocation_free() {
     // so this measures the code the workers run, minus the ring hop.
     const N: u32 = 4096;
     const PIPES: usize = 4;
-    let vip_addr = Addr::v4(20, 0, 0, 1, 80);
     let cfg = SilkRoadConfig {
         conn_capacity: (N as usize) * 2,
         ..Default::default()
     };
     let mut sw = MultiPipeSwitch::inline(cfg, PIPES);
-    sw.add_vip(Vip(vip_addr), v4_dips()).unwrap();
-    let tuples: Vec<FiveTuple> = (0..N)
-        .map(|i| FiveTuple::tcp(Addr::v4_indexed(100, i, 1024), vip_addr))
-        .collect();
+    add_vips(&v4_dips(), v4_vip, |v, pool| sw.add_vip(v, pool).unwrap());
+    let tuples = interleaved(N, v4_vip, |i| Addr::v4_indexed(100, i, 1024));
     let pkts: Vec<PacketMeta> = tuples.iter().map(|t| PacketMeta::syn(*t)).collect();
     sw.process_batch(&pkts, Nanos::ZERO);
     sw.advance(Nanos::from_secs(10));
@@ -416,10 +440,7 @@ fn connection_setup_path_is_allocation_free_v6() {
 #[test]
 fn conn_table_hit_path_is_allocation_free_v6() {
     const N: u32 = 2048;
-    let vip_addr = Addr::v6_indexed(0x0a0a, 1, 443);
-    let (mut sw, tuples) = established(vip_addr, v6_dips(), N, |i| {
-        Addr::v6_indexed(0xc11e, i, 1024)
-    });
+    let (mut sw, tuples) = established(v6_vip, v6_dips(), N, |i| Addr::v6_indexed(0xc11e, i, 1024));
     assert_eq!(sw.conn_count(), N as usize, "warm-up did not install");
 
     measure(&mut sw, &tuples, Nanos::from_secs(20), None);

@@ -2,9 +2,10 @@
 # Tier-1 verification gate (see ROADMAP.md): release build, full test
 # suite, formatting + warning-free clippy over every first-party crate,
 # the srlint source gate, the srcheck pipeline-layout gate, the repro
-# smoke gates, the release-mode allocation regression, the repo
-# benchmark's smoke pass (which must leave its lockfile untouched), and
-# its hit-1m seed-204 PCC and peak-RSS regression gates.
+# smoke gates, the `repro all` golden, the release-mode allocation
+# regression, the repo benchmark's smoke pass (which must leave its
+# lockfile untouched), and its hit-1m seed-204 PCC and peak-RSS regression
+# gates.
 #
 # Clippy/fmt run per first-party package rather than --workspace: the
 # vendored stand-ins under vendor/ mirror upstream APIs and are exempt
@@ -122,6 +123,19 @@ REPLAY_TMP="$(mktemp -d)"
     fi
 )
 rm -rf "$REPLAY_TMP"
+
+# `repro all` stdout is deterministic — the same bytes at any --jobs, and
+# unchanged by any change that keeps every decision. The golden pins it;
+# a change meant to move a figure regenerates it (same command, stdout
+# only) and says so. ~25 s on a 2-vCPU host.
+echo "== repro all --jobs 2 (stdout byte-identical to the golden)"
+ALL_TMP="$(mktemp -d)"
+(
+    cd "$ALL_TMP"
+    "$OLDPWD/target/release/repro" all --jobs 2 > repro_all.txt 2> /dev/null
+    cmp "$OLDPWD/crates/bench/golden/repro_all.txt" repro_all.txt
+)
+rm -rf "$ALL_TMP"
 
 # The allocation gate only means something with optimizations on: debug
 # builds allocate in places release code does not (and vice versa).
