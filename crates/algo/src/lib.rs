@@ -15,8 +15,8 @@
 //!
 //! The generic [`AlgoEngine`] composes any `(ConnState, Steering)` pair
 //! into a packet-processing loop, and the zoo provides three published
-//! alternatives next to SilkRoad itself (implementation #1, living in
-//! `sr-core` behind these same traits):
+//! alternatives to SilkRoad (which `repro compare` drives on its own
+//! production switch in `sr-core`, not through these traits):
 //!
 //! * [`concury`] — Concury-style version-in-packet steering: the pool
 //!   version rides in the packet (DSCP), so steady-state flows need **no**

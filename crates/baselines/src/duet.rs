@@ -17,10 +17,9 @@
 //! mid-redirect, non-SYN) is assigned by the *pre-update* switch pool, a
 //! *new* connection (SYN) by the current pool.
 
-use sr_algo::ConnStateDesign;
 use sr_hash::{ecmp_select, HashFn};
-use sr_types::{Addr, AddrFamily, Dip, Duration, Nanos, PacketMeta, TypeError, Vip};
-use std::collections::HashMap;
+use sr_types::{Addr, Dip, Duration, Nanos, PacketMeta, TypeError, Vip};
+use std::collections::{HashMap, HashSet};
 
 /// How a redirected VIP returns to the switch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,8 +27,9 @@ pub enum MigrationPolicy {
     /// Migrate every redirected VIP back on a fixed period (the Duet paper
     /// uses 10 minutes; Fig 5 also evaluates 1 minute).
     Periodic(Duration),
-    /// Only migrate a VIP once every live connection would map identically
-    /// at the switch — zero PCC violations, maximal SLB load
+    /// Migrate a VIP back only once every connection alive at any of its
+    /// updates has terminated — the paper's "we wait until all the old
+    /// connections have terminated": zero PCC violations, maximal SLB load
     /// ("Migrate-PCC" in Fig 5).
     WaitPcc,
 }
@@ -80,9 +80,23 @@ struct DuetVip {
     redirected: bool,
     /// SLB ConnTable for this VIP (only meaningful while redirected).
     conns: HashMap<Box<[u8]>, Dip>,
+    /// Live connections (SYN seen, not yet closed); tracked under
+    /// [`MigrationPolicy::WaitPcc`] only.
+    live: HashSet<Box<[u8]>>,
+    /// Connections alive at some update of this VIP and not yet closed;
+    /// WaitPcc migrates the VIP back once this is empty.
+    old: HashSet<Box<[u8]>>,
+    /// Redirect intervals; the open one ends at `Nanos::MAX`.
+    redirects: Vec<(Nanos, Nanos)>,
 }
 
 /// The Duet load balancer (one switch + its SLB tier).
+///
+/// Under [`MigrationPolicy::WaitPcc`] it applies the paper's Migrate-PCC
+/// criterion at flow level: a connection is recorded as live on its SYN,
+/// every update snapshots the VIP's live set as *old*, and the VIP returns
+/// to the switch only once all of its old connections have terminated.
+/// Connections opened after the latest update never block a migration.
 pub struct DuetLb {
     cfg: DuetConfig,
     hash: HashFn,
@@ -126,6 +140,9 @@ impl DuetLb {
                 pool: dips,
                 redirected: false,
                 conns: HashMap::new(),
+                live: HashSet::new(),
+                old: HashSet::new(),
+                redirects: Vec::new(),
             },
         );
         Ok(())
@@ -146,8 +163,9 @@ impl DuetLb {
     }
 
     /// Apply a pool change: updates the authoritative pool and redirects the
-    /// VIP to SLBs if it is not already there.
-    pub fn update_pool(&mut self, vip: Vip, dips: Vec<Dip>, _now: Nanos) -> Result<(), TypeError> {
+    /// VIP to SLBs if it is not already there. Every connection alive now
+    /// predates the new pool, so WaitPcc must see it end first.
+    pub fn update_pool(&mut self, vip: Vip, dips: Vec<Dip>, now: Nanos) -> Result<(), TypeError> {
         let v = self
             .vips
             .get_mut(&vip.0)
@@ -157,7 +175,9 @@ impl DuetLb {
         if !v.redirected {
             v.redirected = true;
             self.stats.redirects += 1;
+            v.redirects.push((now, Nanos::MAX));
         }
+        v.old.extend(v.live.iter().cloned());
         Ok(())
     }
 
@@ -165,6 +185,9 @@ impl DuetLb {
     pub fn process_packet(&mut self, pkt: &PacketMeta, _now: Nanos) -> Option<Dip> {
         let key = pkt.tuple.tuple_key();
         let v = self.vips.get_mut(&pkt.tuple.dst)?;
+        if pkt.flags.is_syn() && self.cfg.policy == MigrationPolicy::WaitPcc {
+            v.live.insert(key.as_slice().into());
+        }
         if !v.redirected {
             self.stats.switch_packets += 1;
             self.stats.switch_bytes += pkt.len as u64;
@@ -188,54 +211,23 @@ impl DuetLb {
         Some(dip)
     }
 
-    /// Drop a connection's SLB state (flow ended).
+    /// Drop a connection's state (flow ended).
     pub fn close_connection(&mut self, vip: Vip, key: &[u8]) {
         if let Some(v) = self.vips.get_mut(&vip.0) {
             v.conns.remove(key);
+            v.live.remove(key);
+            v.old.remove(key);
         }
     }
 
-    /// The algorithm-boundary entry layout of the stateful half: redirected
-    /// VIPs' connections live in SLB DRAM as full-key exact entries; the
-    /// switch half is [`ConnStateDesign::Stateless`] ECMP.
-    pub fn conn_design() -> ConnStateDesign {
-        ConnStateDesign::NaiveExact
-    }
-
-    /// Connection-state bytes across all redirected VIPs, charged by the
-    /// shared [`sr_algo::cost`] formula (the memory figure's code path).
-    pub fn state_bytes(&self, family: AddrFamily) -> u64 {
-        let bits = u64::from(sr_algo::conn_entry_bits(Self::conn_design(), family));
-        let entries: u64 = self.vips.values().map(|v| v.conns.len() as u64).sum();
-        (entries * bits).div_ceil(8)
-    }
-
-    /// Whether migrating `vip` back right now would break any live
-    /// connection.
-    fn migration_is_safe(hash: &HashFn, v: &DuetVip) -> bool {
-        v.conns
-            .iter()
-            .all(|(k, d)| Self::select(hash, k, &v.pool) == Some(*d))
-    }
-
-    /// Force one VIP back to the switch immediately (used by external
-    /// migrate-back policies with richer knowledge, e.g. the simulator's
-    /// flow-level Migrate-PCC). Returns whether a migration happened.
-    pub fn force_migrate(&mut self, vip: Vip) -> bool {
-        match self.vips.get_mut(&vip.0) {
-            Some(v) if v.redirected => {
-                Self::migrate(v);
-                self.stats.migrations += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn migrate(v: &mut DuetVip) {
+    fn migrate(v: &mut DuetVip, now: Nanos) {
         v.switch_pool = v.pool.clone();
         v.redirected = false;
         v.conns.clear();
+        // Only a redirected VIP migrates, so its last interval is open.
+        if let Some(last) = v.redirects.last_mut() {
+            last.1 = now;
+        }
     }
 
     /// Run the migrate-back policy. Call at (or after) every
@@ -243,31 +235,23 @@ impl DuetLb {
     /// Returns the VIPs that migrated back to the switch during this tick
     /// (their connections may now map differently).
     pub fn tick(&mut self, now: Nanos) -> Vec<Vip> {
-        let mut migrated = Vec::new();
-        match self.cfg.policy {
-            MigrationPolicy::Periodic(p) => {
-                if self.next_migration <= now {
-                    for (addr, v) in self.vips.iter_mut() {
-                        if v.redirected {
-                            Self::migrate(v);
-                            self.stats.migrations += 1;
-                            migrated.push(Vip(*addr));
-                        }
-                    }
-                    // Fast-forward to the first boundary after `now` (a
-                    // per-boundary loop would crawl across idle gaps).
-                    let periods = now.since(self.next_migration).div_duration(p) + 1;
-                    self.next_migration += Duration(p.0 * periods);
-                }
+        if let MigrationPolicy::Periodic(p) = self.cfg.policy {
+            if self.next_migration > now {
+                return Vec::new();
             }
-            MigrationPolicy::WaitPcc => {
-                for (addr, v) in self.vips.iter_mut() {
-                    if v.redirected && Self::migration_is_safe(&self.hash, v) {
-                        Self::migrate(v);
-                        self.stats.migrations += 1;
-                        migrated.push(Vip(*addr));
-                    }
-                }
+            // Fast-forward to the first boundary after `now` (a
+            // per-boundary loop would crawl across idle gaps).
+            let periods = now.since(self.next_migration).div_duration(p) + 1;
+            self.next_migration += Duration(p.0 * periods);
+        }
+        // A due Periodic boundary takes every redirected VIP back: its
+        // `old` set stays empty, since only WaitPcc tracks live sets.
+        let mut migrated = Vec::new();
+        for (addr, v) in self.vips.iter_mut() {
+            if v.redirected && v.old.is_empty() {
+                Self::migrate(v, now);
+                self.stats.migrations += 1;
+                migrated.push(Vip(*addr));
             }
         }
         migrated
@@ -279,6 +263,27 @@ impl DuetLb {
             MigrationPolicy::Periodic(_) => Some(self.next_migration),
             MigrationPolicy::WaitPcc => None,
         }
+    }
+
+    /// Fraction of `[from, to]` during which `vip` was redirected to SLBs
+    /// — the Fig 5a SLB-load accounting.
+    pub fn software_share(&self, vip: Vip, from: Nanos, to: Nanos) -> f64 {
+        let Some(v) = self.vips.get(&vip.0) else {
+            return 0.0;
+        };
+        let span = to.since(from).0 as f64;
+        if span <= 0.0 {
+            return if v.redirected { 1.0 } else { 0.0 };
+        }
+        let mut overlap = 0u128;
+        for (s, e) in &v.redirects {
+            let s = (*s).max(from);
+            let e = (*e).min(to);
+            if e > s {
+                overlap += (e.0 - s.0) as u128;
+            }
+        }
+        (overlap as f64 / span).min(1.0)
     }
 }
 
@@ -393,31 +398,63 @@ mod tests {
     }
 
     #[test]
-    fn wait_pcc_never_migrates_early() {
+    fn wait_pcc_blocks_on_connections_alive_at_the_update() {
         let mut d = duet(MigrationPolicy::WaitPcc);
-        let key5 = conn(5).key_bytes();
-        let before = d
-            .process_packet(&PacketMeta::syn(conn(5)), Nanos::ZERO)
-            .unwrap();
+        d.process_packet(&PacketMeta::syn(conn(5)), Nanos::ZERO);
         d.update_pool(vip(), vec![dip(2), dip(3), dip(4)], Nanos::from_secs(1))
             .unwrap();
-        // Register the old connection at the SLB.
-        let at_slb = d
-            .process_packet(&PacketMeta::data(conn(5), 100), Nanos::from_secs(1))
+        assert!(d.tick(Nanos::from_mins(30)).is_empty());
+        assert!(d.is_redirected(vip()), "migrated while an old conn lives");
+        d.close_connection(vip(), conn(5).tuple_key().as_slice());
+        assert_eq!(d.tick(Nanos::from_mins(31)), vec![vip()]);
+        assert!(!d.is_redirected(vip()));
+        assert_eq!(d.stats().migrations, 1);
+    }
+
+    #[test]
+    fn wait_pcc_ignores_connections_opened_after_the_update() {
+        let mut d = duet(MigrationPolicy::WaitPcc);
+        d.update_pool(vip(), vec![dip(2), dip(3), dip(4)], Nanos::from_secs(1))
             .unwrap();
-        assert_eq!(at_slb, before);
-        // If its mapping would change at the switch, migration must wait.
-        let would_be = DuetLb::select(&d.hash, &key5, d.dips(vip()).unwrap());
-        d.tick(Nanos::from_mins(30));
-        if would_be == Some(before) {
-            assert!(!d.is_redirected(vip()) || d.stats().migrations <= 1);
-        } else {
-            assert!(d.is_redirected(vip()), "migrated while unsafe");
-            // Connection ends; now migration may proceed.
-            d.close_connection(vip(), &key5);
-            d.tick(Nanos::from_mins(31));
-            assert!(!d.is_redirected(vip()));
-        }
+        d.process_packet(&PacketMeta::syn(conn(9)), Nanos::from_secs(2));
+        assert_eq!(d.tick(Nanos::from_secs(3)), vec![vip()]);
+        assert!(!d.is_redirected(vip()));
+    }
+
+    #[test]
+    fn wait_pcc_second_update_adds_the_then_live_connections() {
+        let mut d = duet(MigrationPolicy::WaitPcc);
+        d.process_packet(&PacketMeta::syn(conn(1)), Nanos::ZERO);
+        d.update_pool(vip(), vec![dip(2), dip(3), dip(4)], Nanos::from_secs(1))
+            .unwrap();
+        // Opened mid-redirect, then caught by the second update.
+        d.process_packet(&PacketMeta::syn(conn(2)), Nanos::from_secs(2));
+        d.update_pool(vip(), vec![dip(3), dip(4)], Nanos::from_secs(3))
+            .unwrap();
+        d.close_connection(vip(), conn(1).tuple_key().as_slice());
+        assert!(d.tick(Nanos::from_secs(4)).is_empty(), "conn 2 is old now");
+        d.close_connection(vip(), conn(2).tuple_key().as_slice());
+        assert_eq!(d.tick(Nanos::from_secs(5)), vec![vip()]);
+        assert_eq!(d.stats().redirects, 1);
+    }
+
+    #[test]
+    fn duet_redirect_intervals_feed_share() {
+        let mut d = DuetLb::new(DuetConfig {
+            policy: MigrationPolicy::Periodic(Duration::from_secs(10)),
+            seed: 1,
+        });
+        d.add_vip(vip(), vec![dip(1), dip(2)]).unwrap();
+        assert_eq!(
+            d.software_share(vip(), Nanos::ZERO, Nanos::from_secs(20)),
+            0.0
+        );
+        // Redirect from t=2s until the 10s boundary.
+        d.update_pool(vip(), vec![dip(1)], Nanos::from_secs(2))
+            .unwrap();
+        assert_eq!(d.tick(Nanos::from_secs(10)), vec![vip()]);
+        let share = d.software_share(vip(), Nanos::ZERO, Nanos::from_secs(20));
+        assert!((share - 0.4).abs() < 1e-9, "share {share}");
     }
 
     #[test]

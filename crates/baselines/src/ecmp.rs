@@ -5,17 +5,14 @@
 //! connections. This is the lower bound the paper's §2.3 argument starts
 //! from.
 
-use sr_algo::ConnStateDesign;
 use sr_hash::{ecmp_select, HashFn};
-use sr_types::{Addr, AddrFamily, Dip, PacketMeta, TypeError, Vip};
+use sr_types::{Addr, Dip, PacketMeta, TypeError, Vip};
 use std::collections::HashMap;
 
 /// The stateless ECMP balancer.
 pub struct EcmpLb {
     hash: HashFn,
     vips: HashMap<Addr, Vec<Dip>>,
-    /// Packets processed.
-    pub packets: u64,
 }
 
 impl EcmpLb {
@@ -24,7 +21,6 @@ impl EcmpLb {
         EcmpLb {
             hash: HashFn::new(seed),
             vips: HashMap::new(),
-            packets: 0,
         }
     }
 
@@ -39,6 +35,11 @@ impl EcmpLb {
         Ok(())
     }
 
+    /// Current DIPs of a VIP.
+    pub fn dips(&self, vip: Vip) -> Option<&[Dip]> {
+        self.vips.get(&vip.0).map(Vec::as_slice)
+    }
+
     /// Replace a VIP's pool (instantaneous — that is the problem).
     pub fn update_pool(&mut self, vip: Vip, dips: Vec<Dip>) -> Result<(), TypeError> {
         match self.vips.get_mut(&vip.0) {
@@ -51,23 +52,9 @@ impl EcmpLb {
     }
 
     /// Process one packet.
-    pub fn process_packet(&mut self, pkt: &PacketMeta) -> Option<Dip> {
-        self.packets += 1;
+    pub fn process_packet(&self, pkt: &PacketMeta) -> Option<Dip> {
         let pool = self.vips.get(&pkt.tuple.dst)?;
         ecmp_select(self.hash.hash(pkt.tuple.tuple_key().as_slice()), pool.len()).map(|i| pool[i])
-    }
-
-    /// The algorithm-boundary entry layout: ECMP keeps no per-connection
-    /// state anywhere.
-    pub fn conn_design() -> ConnStateDesign {
-        ConnStateDesign::Stateless
-    }
-
-    /// Per-connection state bytes — zero, by [`sr_algo::cost`]'s shared
-    /// formula (the same code path the memory figure and the comparison
-    /// matrix use).
-    pub fn state_bytes(&self, family: AddrFamily) -> u64 {
-        u64::from(sr_algo::conn_entry_bits(Self::conn_design(), family))
     }
 }
 

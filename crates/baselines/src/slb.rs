@@ -8,9 +8,8 @@
 //! 8-core server) and latency (50 µs – 1 ms), which the load accounting
 //! here feeds into Fig 5a and Fig 13.
 
-use sr_algo::ConnStateDesign;
 use sr_hash::maglev::MaglevTable;
-use sr_types::{Addr, AddrFamily, Dip, Nanos, PacketMeta, TypeError, Vip};
+use sr_types::{Addr, Dip, Nanos, PacketMeta, TypeError, Vip};
 use std::collections::HashMap;
 
 /// SLB configuration.
@@ -18,10 +17,6 @@ use std::collections::HashMap;
 pub struct SlbConfig {
     /// Maglev lookup-table size per VIP (prime recommended).
     pub maglev_table_size: usize,
-    /// Packet throughput of one SLB server (the paper: 12 Mpps).
-    pub server_mpps: f64,
-    /// Bit throughput of one SLB server's NIC (the paper: 10 Gbps).
-    pub server_gbps: f64,
     /// Hash seed.
     pub seed: u64,
 }
@@ -30,8 +25,6 @@ impl Default for SlbConfig {
     fn default() -> Self {
         SlbConfig {
             maglev_table_size: 4099,
-            server_mpps: 12.0,
-            server_gbps: 10.0,
             seed: 0x51b,
         }
     }
@@ -143,25 +136,6 @@ impl SoftwareLb {
             self.stats.connections = self.stats.connections.saturating_sub(1);
         }
     }
-
-    /// Whether the SLB currently has state for `key`.
-    pub fn has_connection(&self, key: &[u8]) -> bool {
-        self.conn_table.contains_key(key)
-    }
-
-    /// The algorithm-boundary entry layout: full 5-tuple key + full DIP
-    /// action, in server DRAM.
-    pub fn conn_design() -> ConnStateDesign {
-        ConnStateDesign::NaiveExact
-    }
-
-    /// Connection-state bytes under the shared [`sr_algo::cost`] formula
-    /// — the same code path as the memory figure and the comparison
-    /// matrix. (DRAM, so entries are byte-rounded, not SRAM word-packed.)
-    pub fn state_bytes(&self, family: AddrFamily) -> u64 {
-        let bits = u64::from(sr_algo::conn_entry_bits(Self::conn_design(), family));
-        (self.stats.connections * bits).div_ceil(8)
-    }
 }
 
 #[cfg(test)]
@@ -240,10 +214,8 @@ mod tests {
     fn close_frees_state() {
         let mut s = slb();
         s.process_packet(&PacketMeta::syn(conn(1)), Nanos::ZERO);
-        let key = conn(1).key_bytes();
-        assert!(s.has_connection(&key));
-        s.close_connection(&key);
-        assert!(!s.has_connection(&key));
+        assert_eq!(s.stats().connections, 1);
+        s.close_connection(&conn(1).key_bytes());
         assert_eq!(s.stats().connections, 0);
     }
 
@@ -254,21 +226,6 @@ mod tests {
             s.process_packet(&PacketMeta::syn(conn(1)), Nanos::ZERO),
             None
         );
-    }
-
-    #[test]
-    fn state_bytes_use_the_shared_cost_model() {
-        let mut s = slb();
-        assert_eq!(s.state_bytes(AddrFamily::V4), 0);
-        for p in 0..8 {
-            s.process_packet(&PacketMeta::syn(conn(p)), Nanos::ZERO);
-        }
-        // 8 naive-exact V4 entries: the same bits sr_algo::cost charges.
-        let bits = u64::from(sr_algo::conn_entry_bits(
-            SoftwareLb::conn_design(),
-            AddrFamily::V4,
-        ));
-        assert_eq!(s.state_bytes(AddrFamily::V4), (8 * bits).div_ceil(8));
     }
 
     #[test]

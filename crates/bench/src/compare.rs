@@ -341,8 +341,8 @@ impl SilkroadArm {
 
 impl CompareArm for SilkroadArm {
     fn update_pool(&mut self, dips: &[Dip], now: Nanos) {
-        // Full membership → delta ops, exactly the diff the trait adapter
-        // (`silkroad::algo_impl`) proves equivalent.
+        // Full membership → delta ops: removals, then additions, each fed
+        // to the 3-step machine (extra ops queue behind the active update).
         let current: Vec<Dip> = self
             .sw
             .current_dips(vip())
@@ -710,6 +710,26 @@ mod tests {
             flows_per_wave: 128,
             steady_passes: 2,
         }
+    }
+
+    /// A full-membership update lands the same current pool and version
+    /// as the equivalent explicit deltas.
+    #[test]
+    fn full_membership_update_matches_explicit_deltas() {
+        let mut a = SilkroadArm::new(&tiny());
+        let mut b = SilkroadArm::new(&tiny());
+        let before = a.sw.current_version(vip()).unwrap();
+        a.update_pool(&(2..=18).map(dip).collect::<Vec<_>>(), Nanos(10));
+        for op in [
+            PoolUpdate::Remove(dip(1)),
+            PoolUpdate::Add(dip(17)),
+            PoolUpdate::Add(dip(18)),
+        ] {
+            b.sw.request_update(vip(), op, Nanos(10)).unwrap();
+        }
+        assert_eq!(a.sw.current_dips(vip()), b.sw.current_dips(vip()));
+        assert_eq!(a.sw.current_version(vip()), b.sw.current_version(vip()));
+        assert_ne!(a.sw.current_version(vip()), Some(before));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! the data plane's marking probe hands that id back with the hit, so the
 //! switch indexes its per-VIP state by it instead of hashing the address.
 
-use crate::config::{ConnMapping, SilkRoadConfig};
+use crate::config::SilkRoadConfig;
 use sr_asic::table::{MatchMode, TableSpec};
 use sr_hash::cuckoo::{CuckooError, CuckooTable, InsertOutcome, LookupHit};
 use sr_hash::FxHashMap;
@@ -155,7 +155,6 @@ pub struct ConnTable {
     ends: Endpoints,
     /// The on-chip entry layout (SRAM cost).
     spec: TableSpec,
-    mapping: ConnMapping,
     /// When the last aging scan ran.
     last_scan: Nanos,
 }
@@ -179,7 +178,6 @@ impl ConnTable {
             )),
             ends: Endpoints::default(),
             spec,
-            mapping: cfg.mapping,
             last_scan: Nanos::ZERO,
         }
     }
@@ -195,16 +193,6 @@ impl ConnTable {
     /// [`ConnTable::intern_vip`]).
     pub fn vip_id(&self, vip: &Vip) -> Option<u32> {
         self.ends.vips.id(vip)
-    }
-
-    /// The configured mapping mode.
-    pub fn mapping(&self) -> ConnMapping {
-        self.mapping
-    }
-
-    /// The per-entry SRAM spec (digest / action / overhead widths).
-    pub fn spec(&self) -> &TableSpec {
-        &self.spec
     }
 
     /// ASIC lookup, for software inspection: no hit bit is set (the data
@@ -416,6 +404,7 @@ impl ConnTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ConnMapping;
     use proptest::prelude::*;
     use sr_types::Addr;
 
@@ -455,7 +444,10 @@ mod tests {
         t.install(b"key-b", value(2)).unwrap();
         assert_eq!(t.len(), 2);
         // Two 28-bit entries pack into one 112-bit (14-byte) SRAM word.
-        assert_eq!(t.spec().entry_bits(), 28);
+        assert_eq!(
+            SilkRoadConfig::small_test().conn_table_spec().entry_bits(),
+            28
+        );
         assert_eq!(t.occupied_bytes(), 14);
         assert_eq!(t.lookup(b"key-a").unwrap().0.version, PoolVersion(1));
         assert_eq!(t.remove(b"key-b").unwrap().version, PoolVersion(2));

@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod algo_impl;
 pub mod config;
 pub mod conn_table;
 pub mod control;

@@ -146,14 +146,14 @@ impl DipSet {
 /// The harness. Owns the run state; borrow the balancer for the run.
 ///
 /// ```
-/// use sr_sim::{Harness, HarnessConfig, SilkRoadAdapter};
-/// use silkroad::SilkRoadConfig;
+/// use sr_sim::{Harness, HarnessConfig};
+/// use silkroad::{SilkRoadConfig, SilkRoadSwitch};
 /// use sr_workload::TraceConfig;
 /// use sr_types::Duration;
 ///
 /// let mut trace = TraceConfig::pop_scaled(0.0005, 1); // tiny doc-sized run
 /// trace.updates_per_min = 5.0;
-/// let mut lb = SilkRoadAdapter::new(SilkRoadConfig::default());
+/// let mut lb = SilkRoadSwitch::new(SilkRoadConfig::default());
 /// let metrics = Harness::new(trace, HarnessConfig::default()).run(&mut lb);
 /// assert_eq!(metrics.pcc_violations, 0);
 /// assert!(metrics.conns_total > 0);
@@ -535,9 +535,8 @@ fn observe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapters::{DuetAdapter, EcmpAdapter, SilkRoadAdapter, SlbAdapter};
-    use silkroad::SilkRoadConfig;
-    use sr_baselines::{DuetConfig, MigrationPolicy, SlbConfig};
+    use silkroad::{SilkRoadConfig, SilkRoadSwitch};
+    use sr_baselines::{DuetConfig, DuetLb, EcmpLb, MigrationPolicy, SlbConfig, SoftwareLb};
     use sr_types::AddrFamily;
 
     fn trace(upm: f64, mins: u64) -> TraceConfig {
@@ -561,7 +560,7 @@ mod tests {
 
     #[test]
     fn slb_never_violates_and_is_all_software() {
-        let mut lb = SlbAdapter::new(SlbConfig::default());
+        let mut lb = SoftwareLb::new(SlbConfig::default());
         let m = Harness::new(trace(20.0, 2), HarnessConfig::default()).run(&mut lb);
         assert!(m.conns_total > 50);
         assert_eq!(m.pcc_violations, 0, "SLB must be PCC-safe");
@@ -575,7 +574,7 @@ mod tests {
             conn_capacity: 50_000,
             ..Default::default()
         };
-        let mut lb = SilkRoadAdapter::new(cfg);
+        let mut lb = SilkRoadSwitch::new(cfg);
         let m = Harness::new(trace(30.0, 2), HarnessConfig::default()).run(&mut lb);
         assert!(m.conns_total > 50);
         assert_eq!(m.pcc_violations, 0, "SilkRoad must be PCC-safe: {m}");
@@ -585,7 +584,7 @@ mod tests {
 
     #[test]
     fn ecmp_violates_heavily_under_updates() {
-        let mut lb = EcmpAdapter::new(5);
+        let mut lb = EcmpLb::new(5);
         let m = Harness::new(trace(30.0, 2), HarnessConfig::default()).run(&mut lb);
         assert!(
             m.violation_fraction() > 0.02,
@@ -596,11 +595,11 @@ mod tests {
     #[test]
     fn duet_periodic_violates_some_but_less_than_ecmp() {
         let mk = |policy| {
-            let mut lb = DuetAdapter::new(DuetConfig { policy, seed: 3 });
+            let mut lb = DuetLb::new(DuetConfig { policy, seed: 3 });
             Harness::new(trace(30.0, 3), HarnessConfig::default()).run(&mut lb)
         };
         let duet = mk(MigrationPolicy::Periodic(Duration::from_mins(1)));
-        let mut ecmp = EcmpAdapter::new(5);
+        let mut ecmp = EcmpLb::new(5);
         let ecmp_m = Harness::new(trace(30.0, 3), HarnessConfig::default()).run(&mut ecmp);
         assert!(
             duet.pcc_violations > 0,
@@ -615,13 +614,13 @@ mod tests {
 
     #[test]
     fn duet_wait_pcc_never_violates_but_loads_slb() {
-        let mut lb = DuetAdapter::new(DuetConfig {
+        let mut lb = DuetLb::new(DuetConfig {
             policy: MigrationPolicy::WaitPcc,
             seed: 3,
         });
         let m = Harness::new(trace(30.0, 2), HarnessConfig::default()).run(&mut lb);
         assert_eq!(m.pcc_violations, 0, "{m}");
-        let mut lb10 = DuetAdapter::new(DuetConfig {
+        let mut lb10 = DuetLb::new(DuetConfig {
             policy: MigrationPolicy::Periodic(Duration::from_mins(10)),
             seed: 3,
         });
@@ -636,7 +635,7 @@ mod tests {
     #[test]
     fn determinism() {
         let run = || {
-            let mut lb = EcmpAdapter::new(5);
+            let mut lb = EcmpLb::new(5);
             Harness::new(trace(10.0, 1), HarnessConfig::default()).run(&mut lb)
         };
         let a = run();
@@ -648,27 +647,16 @@ mod tests {
 
     #[test]
     fn no_updates_no_violations_anywhere() {
-        for name in ["silkroad", "duet", "ecmp", "slb"] {
-            let m = match name {
-                "silkroad" => {
-                    let mut lb = SilkRoadAdapter::new(SilkRoadConfig::small_test());
-                    Harness::new(trace(0.0, 1), HarnessConfig::default()).run(&mut lb)
-                }
-                "duet" => {
-                    let mut lb = DuetAdapter::new(DuetConfig::default());
-                    Harness::new(trace(0.0, 1), HarnessConfig::default()).run(&mut lb)
-                }
-                "ecmp" => {
-                    let mut lb = EcmpAdapter::new(5);
-                    Harness::new(trace(0.0, 1), HarnessConfig::default()).run(&mut lb)
-                }
-                _ => {
-                    let mut lb = SlbAdapter::new(SlbConfig::default());
-                    Harness::new(trace(0.0, 1), HarnessConfig::default()).run(&mut lb)
-                }
-            };
-            assert_eq!(m.pcc_violations, 0, "{name}: {m}");
-            assert_eq!(m.updates, 0, "{name}");
+        let systems: [Box<dyn LoadBalancer>; 4] = [
+            Box::new(SilkRoadSwitch::new(SilkRoadConfig::small_test())),
+            Box::new(DuetLb::new(DuetConfig::default())),
+            Box::new(EcmpLb::new(5)),
+            Box::new(SoftwareLb::new(SlbConfig::default())),
+        ];
+        for mut lb in systems {
+            let m = Harness::new(trace(0.0, 1), HarnessConfig::default()).run(lb.as_mut());
+            assert_eq!(m.pcc_violations, 0, "{}: {m}", lb.name());
+            assert_eq!(m.updates, 0, "{}", lb.name());
         }
     }
 }

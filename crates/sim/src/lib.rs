@@ -2,7 +2,9 @@
 //!
 //! This crate reproduces the paper's simulation methodology: traces from
 //! `sr-workload` are replayed against a load balancer behind the
-//! [`LoadBalancer`] trait, and per-connection consistency is measured by
+//! [`LoadBalancer`] trait — which SilkRoad's switch, Duet, the SLB tier and
+//! ECMP each implement directly (see [`lb`]) — and per-connection
+//! consistency is measured by
 //! *probing* each connection's mapping at the instants it would actually
 //! have a packet on the wire:
 //!
@@ -22,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
 pub mod fleet;
 pub mod harness;
 pub mod lb;
@@ -30,7 +31,6 @@ pub mod metrics;
 pub mod scenarios;
 pub mod wheel;
 
-pub use adapters::{DuetAdapter, EcmpAdapter, HybridAdapter, SilkRoadAdapter, SlbAdapter};
 pub use fleet::{run_fleet, FleetOp, FleetParams, FleetReport};
 pub use harness::{Harness, HarnessConfig};
 pub use lb::{LoadBalancer, PacketVerdict, ASIC_LATENCY};

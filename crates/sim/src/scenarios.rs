@@ -4,13 +4,12 @@
 //! [`run_scenario`]; the row structures returned carry everything the
 //! `repro` binary prints.
 
-use crate::adapters::{DuetAdapter, EcmpAdapter, SilkRoadAdapter, SlbAdapter};
 use crate::harness::{Harness, HarnessConfig};
 use crate::lb::LoadBalancer;
 use crate::metrics::RunMetrics;
-use silkroad::SilkRoadConfig;
+use silkroad::{SilkRoadConfig, SilkRoadSwitch};
 use sr_asic::{LearningFilterConfig, SwitchCpuConfig};
-use sr_baselines::{DuetConfig, MigrationPolicy, SlbConfig};
+use sr_baselines::{DuetConfig, DuetLb, MigrationPolicy, SlbConfig, SoftwareLb};
 use sr_types::Duration;
 use sr_workload::TraceConfig;
 
@@ -37,8 +36,6 @@ pub enum SystemKind {
     Duet(MigrationPolicy),
     /// Pure software LB.
     Slb,
-    /// Stateless ECMP.
-    Ecmp,
 }
 
 impl SystemKind {
@@ -62,7 +59,6 @@ impl SystemKind {
             }
             SystemKind::Duet(MigrationPolicy::WaitPcc) => "Duet-PCC".to_string(),
             SystemKind::Slb => "SLB".to_string(),
-            SystemKind::Ecmp => "ECMP".to_string(),
         }
     }
 }
@@ -112,56 +108,36 @@ fn silkroad_cfg(
 
 /// Run one scenario to completion.
 pub fn run_scenario(s: Scenario) -> RunMetrics {
-    let harness = Harness::new(s.trace, s.harness);
-    match s.system {
+    let expected_conns = s.trace.expected_conns();
+    let mut lb: Box<dyn LoadBalancer> = match s.system {
         SystemKind::SilkRoad {
             transit_bytes,
             learning_timeout,
             insertions_per_sec,
-        } => {
-            let mut lb = SilkRoadAdapter::new(silkroad_cfg(
-                transit_bytes,
-                true,
-                learning_timeout,
-                insertions_per_sec,
-                s.trace.expected_conns(),
-            ));
-            harness.run(&mut lb)
-        }
+        } => Box::new(SilkRoadSwitch::new(silkroad_cfg(
+            transit_bytes,
+            true,
+            learning_timeout,
+            insertions_per_sec,
+            expected_conns,
+        ))),
         SystemKind::SilkRoadNoTransit {
             learning_timeout,
             insertions_per_sec,
-        } => {
-            let mut lb = SilkRoadAdapter::new(silkroad_cfg(
-                256,
-                false,
-                learning_timeout,
-                insertions_per_sec,
-                s.trace.expected_conns(),
-            ));
-            harness.run(&mut lb)
-        }
-        SystemKind::Duet(policy) => {
-            let mut lb = DuetAdapter::new(DuetConfig {
-                policy,
-                seed: s.trace.seed ^ 0xd0e7,
-            });
-            harness.run(&mut lb)
-        }
-        SystemKind::Slb => {
-            let mut lb = SlbAdapter::new(SlbConfig::default());
-            harness.run(&mut lb)
-        }
-        SystemKind::Ecmp => {
-            let mut lb = EcmpAdapter::new(s.trace.seed ^ 0xec);
-            harness.run(&mut lb)
-        }
-    }
-}
-
-/// Run a scenario against a caller-provided balancer (for custom systems).
-pub fn run_with(s: Scenario, lb: &mut dyn LoadBalancer) -> RunMetrics {
-    Harness::new(s.trace, s.harness).run(lb)
+        } => Box::new(SilkRoadSwitch::new(silkroad_cfg(
+            256,
+            false,
+            learning_timeout,
+            insertions_per_sec,
+            expected_conns,
+        ))),
+        SystemKind::Duet(policy) => Box::new(DuetLb::new(DuetConfig {
+            policy,
+            seed: s.trace.seed ^ 0xd0e7,
+        })),
+        SystemKind::Slb => Box::new(SoftwareLb::new(SlbConfig::default())),
+    };
+    Harness::new(s.trace, s.harness).run(lb.as_mut())
 }
 
 #[cfg(test)]

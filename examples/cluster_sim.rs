@@ -7,9 +7,8 @@
 //! cargo run --release --example cluster_sim [rate-factor] [minutes]
 //! ```
 
-use silkroad::SilkRoadConfig;
+use silkroad::{SilkRoadConfig, SilkRoadSwitch};
 use sr_baselines::CostModel;
-use sr_sim::adapters::SilkRoadAdapter;
 use sr_sim::{Harness, HarnessConfig};
 use sr_workload::TraceConfig;
 
@@ -32,11 +31,10 @@ fn main() {
         conn_capacity: ((trace.expected_conns() * 0.2) as usize).max(50_000),
         ..Default::default()
     };
-    let mut lb = SilkRoadAdapter::new(cfg);
-    let metrics = Harness::new(trace, HarnessConfig::default()).run(&mut lb);
+    let mut sw = SilkRoadSwitch::new(cfg);
+    let metrics = Harness::new(trace, HarnessConfig::default()).run(&mut sw);
 
     println!("\nrun:        {metrics}");
-    let sw = lb.switch();
     println!("\nswitch:\n{}", sw.stats());
 
     let mem = sw.memory();

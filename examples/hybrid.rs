@@ -6,15 +6,118 @@
 //! cargo run --release --example hybrid
 //! ```
 
-use silkroad::SilkRoadConfig;
-use sr_baselines::SlbConfig;
-use sr_sim::{Harness, HarnessConfig, HybridAdapter, LoadBalancer};
-use sr_types::{AddrFamily, Duration, Vip};
+use silkroad::{PoolUpdate, SilkRoadConfig, SilkRoadSwitch};
+use sr_baselines::{SlbConfig, SoftwareLb};
+use sr_sim::{Harness, HarnessConfig, LoadBalancer, PacketVerdict};
+use sr_types::{Addr, AddrFamily, Dip, Duration, FiveTuple, Nanos, PacketMeta, Vip};
 use sr_workload::trace::vip_addr;
 use sr_workload::TraceConfig;
 use std::collections::HashSet;
 
+/// §7 "Combine with SLB solutions": operators split VIPs between SilkRoad
+/// (high traffic volume) and an SLB tier (huge connection counts). Unlike
+/// Duet, assignments are static — no VIP ever migrates during an update, so
+/// PCC is preserved on both sides.
+struct StaticSplit {
+    switch: SilkRoadSwitch,
+    slb: SoftwareLb,
+    /// VIPs served by the SLB tier.
+    slb_vips: HashSet<Vip>,
+}
+
+impl StaticSplit {
+    fn new(silk_cfg: SilkRoadConfig, slb_cfg: SlbConfig, slb_vips: HashSet<Vip>) -> StaticSplit {
+        StaticSplit {
+            switch: SilkRoadSwitch::new(silk_cfg),
+            slb: SoftwareLb::new(slb_cfg),
+            slb_vips,
+        }
+    }
+
+    /// The side serving `vip`.
+    fn side(&mut self, vip: Vip) -> &mut dyn LoadBalancer {
+        if self.slb_vips.contains(&vip) {
+            &mut self.slb
+        } else {
+            &mut self.switch
+        }
+    }
+}
+
+impl LoadBalancer for StaticSplit {
+    fn name(&self) -> &'static str {
+        "hybrid"
+    }
+
+    fn add_vip(&mut self, vip: Vip, dips: Vec<Dip>) {
+        self.side(vip).add_vip(vip, dips);
+    }
+
+    fn apply_update(&mut self, vip: Vip, op: PoolUpdate, now: Nanos) {
+        self.side(vip).apply_update(vip, op, now);
+    }
+
+    fn packet(&mut self, pkt: &PacketMeta, now: Nanos) -> PacketVerdict {
+        self.side(Vip(pkt.tuple.dst)).packet(pkt, now)
+    }
+
+    fn conn_closed(&mut self, vip: Vip, tuple: &FiveTuple, now: Nanos) {
+        self.side(vip).conn_closed(vip, tuple, now);
+    }
+
+    fn tick(&mut self, now: Nanos) -> Vec<Vip> {
+        LoadBalancer::tick(&mut self.switch, now)
+    }
+
+    fn next_wakeup(&self) -> Option<Nanos> {
+        self.switch.next_wakeup()
+    }
+
+    fn software_share(&self, vip: Vip, from: Nanos, to: Nanos) -> f64 {
+        if self.slb_vips.contains(&vip) {
+            1.0
+        } else {
+            self.switch.software_share(vip, from, to)
+        }
+    }
+}
+
+/// Each VIP's packets, updates and traffic accounting go to its own side.
+fn check_routing() {
+    let dip = |i| Dip(Addr::v4(10, 0, 0, i, 20));
+    let (switch_vip, slb_vip) = (
+        Vip(Addr::v4(20, 0, 0, 1, 80)),
+        Vip(Addr::v4(20, 0, 0, 2, 80)),
+    );
+    let mut h = StaticSplit::new(
+        SilkRoadConfig::small_test(),
+        SlbConfig::default(),
+        HashSet::from([slb_vip]),
+    );
+    h.add_vip(switch_vip, vec![dip(1), dip(2)]);
+    h.add_vip(slb_vip, vec![dip(3), dip(4)]);
+    // Switch-side VIP: hardware path.
+    let v = h.packet(
+        &PacketMeta::syn(FiveTuple::tcp(Addr::v4(1, 2, 3, 4, 1), switch_vip.0)),
+        Nanos::ZERO,
+    );
+    assert!(v.dip.is_some() && !v.in_software);
+    // SLB-side VIP: software path, and traffic accounting agrees.
+    let slb_conn = FiveTuple::tcp(Addr::v4(1, 2, 3, 4, 99), slb_vip.0);
+    let v2 = h.packet(&PacketMeta::syn(slb_conn), Nanos::ZERO);
+    assert!(v2.dip.is_some() && v2.in_software);
+    let second = Nanos::from_secs(1);
+    assert_eq!(h.software_share(slb_vip, Nanos::ZERO, second), 1.0);
+    assert_eq!(h.software_share(switch_vip, Nanos::ZERO, second), 0.0);
+    // Updates route too; both sides keep PCC.
+    h.apply_update(slb_vip, PoolUpdate::Remove(dip(4)), Nanos::from_millis(1));
+    let v3 = h.packet(&PacketMeta::data(slb_conn, 100), Nanos::from_millis(2));
+    assert_eq!(v3.dip, v2.dip);
+}
+
 fn main() {
+    check_routing();
+
     let trace = TraceConfig {
         vips: 10,
         dips_per_vip: 10,
@@ -46,7 +149,7 @@ fn main() {
         conn_capacity: 50_000,
         ..Default::default()
     };
-    let mut lb = HybridAdapter::new(cfg, SlbConfig::default(), slb_vips.clone());
+    let mut lb = StaticSplit::new(cfg, SlbConfig::default(), slb_vips.clone());
     let m = Harness::new(trace, HarnessConfig::default()).run(&mut lb);
 
     println!("run:  {m}");
@@ -54,7 +157,7 @@ fn main() {
         "software traffic share: {:.1}% (≈ the SLB-side VIPs' share of volume)",
         100.0 * m.software_traffic_fraction()
     );
-    let sw = lb.switch();
+    let sw = &lb.switch;
     println!(
         "switch handled {} connections in ConnTable ({} installs), {} updates",
         sw.conn_count(),

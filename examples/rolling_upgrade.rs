@@ -11,9 +11,8 @@
 //! cargo run --release --example rolling_upgrade
 //! ```
 
-use silkroad::SilkRoadConfig;
-use sr_baselines::{DuetConfig, MigrationPolicy};
-use sr_sim::adapters::{DuetAdapter, SilkRoadAdapter};
+use silkroad::{SilkRoadConfig, SilkRoadSwitch};
+use sr_baselines::{DuetConfig, DuetLb, MigrationPolicy};
 use sr_sim::{Harness, HarnessConfig, LoadBalancer};
 use sr_types::{AddrFamily, Duration};
 use sr_workload::TraceConfig;
@@ -41,28 +40,27 @@ fn trace() -> TraceConfig {
 fn main() {
     println!("rolling upgrade: 4 VIPs x 8 DIPs, 12 updates/min, 5 minutes\n");
 
-    let mut silkroad = SilkRoadAdapter::new(SilkRoadConfig {
+    let mut silkroad = SilkRoadSwitch::new(SilkRoadConfig {
         conn_capacity: 100_000,
         ..SilkRoadConfig::default()
     });
     let m = Harness::new(trace(), HarnessConfig::default()).run(&mut silkroad);
     println!("SilkRoad:   {m}");
-    let sw = silkroad.switch();
-    let (allocs, reuses, changes, live) = sw
+    let (allocs, reuses, changes, live) = silkroad
         .version_counters(sr_workload::trace::vip_addr(AddrFamily::V4, 0))
         .unwrap();
     println!(
         "  vip0 versions: {changes} pool changes -> {allocs} allocated, {reuses} reused, {live} live"
     );
 
-    let mut duet = DuetAdapter::new(DuetConfig {
+    let mut duet = DuetLb::new(DuetConfig {
         policy: MigrationPolicy::Periodic(Duration::from_mins(1)),
         seed: 7,
     });
     let md = Harness::new(trace(), HarnessConfig::default()).run(&mut duet);
     println!("Duet-1min:  {md}");
 
-    let mut duet10 = DuetAdapter::new(DuetConfig {
+    let mut duet10 = DuetLb::new(DuetConfig {
         policy: MigrationPolicy::Periodic(Duration::from_mins(10)),
         seed: 7,
     });

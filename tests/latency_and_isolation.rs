@@ -3,8 +3,7 @@
 
 use silkroad::{PoolUpdate, SilkRoadConfig, SilkRoadSwitch};
 use sr_asic::MeterConfig;
-use sr_baselines::SlbConfig;
-use sr_sim::adapters::{SilkRoadAdapter, SlbAdapter};
+use sr_baselines::{SlbConfig, SoftwareLb};
 use sr_sim::{Harness, HarnessConfig};
 use sr_types::{Addr, AddrFamily, Dip, Duration, FiveTuple, Nanos, PacketMeta, Vip};
 use sr_workload::TraceConfig;
@@ -31,12 +30,12 @@ fn trace(seed: u64) -> TraceConfig {
 #[test]
 fn latency_gap_is_orders_of_magnitude() {
     // §2.2: SLBs add 50 µs – 1 ms; the ASIC adds well under a microsecond.
-    let mut silkroad = SilkRoadAdapter::new(SilkRoadConfig {
+    let mut silkroad = SilkRoadSwitch::new(SilkRoadConfig {
         conn_capacity: 50_000,
         ..SilkRoadConfig::default()
     });
     let m_sr = Harness::new(trace(1), HarnessConfig::default()).run(&mut silkroad);
-    let mut slb = SlbAdapter::new(SlbConfig::default());
+    let mut slb = SoftwareLb::new(SlbConfig::default());
     let m_slb = Harness::new(trace(1), HarnessConfig::default()).run(&mut slb);
 
     let sr_p50 = m_sr.latency.percentile(50.0);

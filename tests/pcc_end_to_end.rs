@@ -6,9 +6,8 @@
 //! * stateless ECMP is strictly worst;
 //! * removing the TransitTable re-introduces (few) violations.
 
-use silkroad::SilkRoadConfig;
-use sr_baselines::{DuetConfig, MigrationPolicy, SlbConfig};
-use sr_sim::adapters::{DuetAdapter, EcmpAdapter, SilkRoadAdapter, SlbAdapter};
+use silkroad::{SilkRoadConfig, SilkRoadSwitch};
+use sr_baselines::{DuetConfig, DuetLb, EcmpLb, MigrationPolicy, SlbConfig, SoftwareLb};
 use sr_sim::{Harness, HarnessConfig, RunMetrics};
 use sr_types::{AddrFamily, Duration};
 use sr_workload::TraceConfig;
@@ -37,7 +36,7 @@ fn run_silkroad(t: TraceConfig) -> RunMetrics {
         conn_capacity: 100_000,
         ..Default::default()
     };
-    let mut lb = SilkRoadAdapter::new(cfg);
+    let mut lb = SilkRoadSwitch::new(cfg);
     Harness::new(t, HarnessConfig::default()).run(&mut lb)
 }
 
@@ -66,7 +65,7 @@ fn silkroad_pcc_holds_for_cache_flows() {
 #[test]
 fn duet_long_flows_violate_more_than_short() {
     let run = |median_flow| {
-        let mut lb = DuetAdapter::new(DuetConfig {
+        let mut lb = DuetLb::new(DuetConfig {
             policy: MigrationPolicy::Periodic(Duration::from_mins(1)),
             seed: 5,
         });
@@ -86,18 +85,18 @@ fn system_ordering_on_violations() {
     let t = trace(30.0, 30.0, 7);
     let silkroad = run_silkroad(t);
     let slb = {
-        let mut lb = SlbAdapter::new(SlbConfig::default());
+        let mut lb = SoftwareLb::new(SlbConfig::default());
         Harness::new(t, HarnessConfig::default()).run(&mut lb)
     };
     let duet = {
-        let mut lb = DuetAdapter::new(DuetConfig {
+        let mut lb = DuetLb::new(DuetConfig {
             policy: MigrationPolicy::Periodic(Duration::from_mins(1)),
             seed: 5,
         });
         Harness::new(t, HarnessConfig::default()).run(&mut lb)
     };
     let ecmp = {
-        let mut lb = EcmpAdapter::new(5);
+        let mut lb = EcmpLb::new(5);
         Harness::new(t, HarnessConfig::default()).run(&mut lb)
     };
     assert!(
@@ -120,11 +119,11 @@ fn software_load_ordering() {
     let t = trace(20.0, 30.0, 9);
     let silkroad = run_silkroad(t);
     let slb = {
-        let mut lb = SlbAdapter::new(SlbConfig::default());
+        let mut lb = SoftwareLb::new(SlbConfig::default());
         Harness::new(t, HarnessConfig::default()).run(&mut lb)
     };
     let duet = {
-        let mut lb = DuetAdapter::new(DuetConfig {
+        let mut lb = DuetLb::new(DuetConfig {
             policy: MigrationPolicy::Periodic(Duration::from_mins(10)),
             seed: 5,
         });
@@ -151,14 +150,14 @@ fn no_transit_table_reintroduces_violations_under_stress() {
     };
     cfg.cpu.insertions_per_sec = 2_000;
     cfg.learning.timeout = Duration::from_millis(5);
-    let mut no_tt = SilkRoadAdapter::new(cfg.clone());
+    let mut no_tt = SilkRoadSwitch::new(cfg.clone());
     let mut t = trace(50.0, 30.0, 11);
     t.median_rate_bps = 2_000_000.0; // chatty flows: packets in the window
     let m_no_tt = Harness::new(t, HarnessConfig::default()).run(&mut no_tt);
 
     let mut cfg_tt = cfg;
     cfg_tt.transit_enabled = true;
-    let mut with_tt = SilkRoadAdapter::new(cfg_tt);
+    let mut with_tt = SilkRoadSwitch::new(cfg_tt);
     let m_tt = Harness::new(t, HarnessConfig::default()).run(&mut with_tt);
 
     assert!(

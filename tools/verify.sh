@@ -2,10 +2,10 @@
 # Tier-1 verification gate (see ROADMAP.md): release build, full test
 # suite, formatting + warning-free clippy over every first-party crate,
 # the srlint source gate, the srcheck pipeline-layout gate, the repro
-# smoke gates, the `repro all` golden, the release-mode allocation
-# regression, the repo benchmark's smoke pass (which must leave its
-# lockfile untouched), and its hit-1m seed-204 PCC and peak-RSS regression
-# gates.
+# smoke gates, the `repro all` and examples goldens, the release-mode
+# allocation regression, the repo benchmark's smoke pass (which must leave
+# its lockfile untouched), and its hit-1m seed-204 PCC and peak-RSS
+# regression gates.
 #
 # Clippy/fmt run per first-party package rather than --workspace: the
 # vendored stand-ins under vendor/ mirror upstream APIs and are exempt
@@ -136,6 +136,18 @@ ALL_TMP="$(mktemp -d)"
     cmp "$OLDPWD/crates/bench/golden/repro_all.txt" repro_all.txt
 )
 rm -rf "$ALL_TMP"
+
+# The six examples drive every system under test through the simulator
+# (SilkRoad, Duet, the SLB tier, the §7 static split). Their stdout is
+# deterministic and pinned the same way as `repro all`; ~2 s.
+echo "== examples (stdout byte-identical to the golden)"
+cargo build --release --examples
+EX_TMP="$(mktemp -d)"
+for ex in cluster_sim failover hybrid network_wide quickstart rolling_upgrade; do
+    "./target/release/examples/$ex"
+done > "$EX_TMP/examples.txt"
+cmp crates/bench/golden/examples.txt "$EX_TMP/examples.txt"
+rm -rf "$EX_TMP"
 
 # The allocation gate only means something with optimizations on: debug
 # builds allocate in places release code does not (and vice versa).
