@@ -124,10 +124,10 @@ fn main() {
         "help" | "-h" | "--help" => {
             println!("usage: repro <target> [--full] [--jobs N]");
             println!(
-                "targets: all {} check scale wall fleet churn compare export replay",
+                "targets: all {} check fleet churn compare export replay",
                 all.join(" ")
             );
-            println!("scale/wall/fleet/churn/compare options: --smoke (small trace, CI-sized)");
+            println!("fleet/churn/compare options: --smoke (small trace, CI-sized)");
             println!("check usage: repro check [--p4 <file.p4>]");
             println!("churn usage: repro churn [--smoke] [--flood]");
             println!("compare usage: repro compare [--smoke] [--algo <name>]");
@@ -136,14 +136,11 @@ fn main() {
         }
         // `check` is deliberately not part of `all`: it is the srcheck
         // verification gate (placement reports + pass/fail exit code), not
-        // an evaluation figure. `scale` is excluded too: its output is
-        // timing-dependent, and `all`'s stdout must stay byte-identical
-        // across hosts and `--jobs` settings. `export`/`replay` take a
-        // file argument and are likewise part of the verification surface,
-        // not the figure set.
+        // an evaluation figure. `fleet`/`churn`/`compare` write the
+        // committed `BENCH_*.json` documents and gate on them;
+        // `export`/`replay` take a file argument. All are part of the
+        // verification surface, not the figure set.
         "check" => run_check(parse_value_flag(&args, "p4").as_deref()),
-        "scale" => run_scale(args.iter().any(|a| a == "--smoke")),
-        "wall" => run_wall(args.iter().any(|a| a == "--smoke")),
         "fleet" => run_fleet(args.iter().any(|a| a == "--smoke")),
         "churn" => run_churn(
             args.iter().any(|a| a == "--smoke"),
@@ -287,148 +284,14 @@ fn run_check(p4_path: Option<&str>) {
     }
 }
 
-/// `repro scale [--smoke]` — the multi-pipe saturation sweep. Prints a
-/// throughput table and writes `BENCH_throughput.json` to the current
-/// directory. `--smoke` shrinks the trace for CI; the committed JSON
-/// comes from the full run.
-fn run_scale(smoke: bool) {
-    use sr_bench::saturation;
-    let (flows, passes) = if smoke { (16_384, 4) } else { (65_536, 16) };
-    let pipe_counts = [1usize, 2, 4];
-    let sweep = saturation::sweep(flows, passes, 1_024, &pipe_counts);
-    let mut t = Table::new(
-        format!("Saturation — multi-pipe aggregate throughput ({flows} flows, {passes} passes)"),
-        &[
-            "pipes",
-            "pps (modeled)",
-            "wall pps",
-            "max pipe busy",
-            "modeled speedup",
-            "wall speedup",
-        ],
-    );
-    for p in &sweep.points {
-        t.row(vec![
-            p.pipes.to_string(),
-            format!("{:.2} Mpps", p.pps / 1e6),
-            format!("{:.2} Mpps", p.wall_pps / 1e6),
-            format!("{:.2} ms", p.max_pipe_busy_ns as f64 / 1e6),
-            format!("{:.2}x", sweep.modeled_speedup(p.pipes).unwrap_or(1.0)),
-            format!("{:.2}x", sweep.wall_speedup(p.pipes).unwrap_or(1.0)),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "decision identity across pipe counts: {}",
-        if sweep.decisions_match {
-            "OK"
-        } else {
-            "DIVERGED"
-        }
-    );
-    let json = sweep.to_json();
-    let path = "BENCH_throughput.json";
-    match std::fs::write(path, &json) {
+/// Write one `BENCH_*.json` document to the current directory, or exit 1.
+fn write_doc(path: &str, json: &str) {
+    match std::fs::write(path, json) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }
-    }
-    if !sweep.decisions_match {
-        eprintln!("repro scale: per-flow decisions diverged across pipe counts");
-        std::process::exit(1);
-    }
-    // The >=3x acceptance target applies to the full run; the CI smoke
-    // trace is small enough that we only sanity-check the direction. The
-    // target is about the *modeled* chip aggregate — measured wall-clock
-    // scaling is `repro wall`'s gate.
-    let target = if smoke { 1.0 } else { 3.0 };
-    let speedup = sweep.modeled_speedup(4).unwrap_or(0.0);
-    if speedup < target {
-        eprintln!("repro scale: 4-pipe modeled speedup {speedup:.2}x below the {target}x target");
-        std::process::exit(1);
-    }
-}
-
-/// `repro wall [--smoke]` — measured wall-clock scaling of the
-/// run-to-completion engine. Streams a steady-state trace through the
-/// threaded backend at each pipe count and writes `BENCH_wall.json`.
-///
-/// Gates: the decision digest must be bit-identical across pipe counts
-/// (always). On hosts with >= 4 cores the full run requires 4 pipes to
-/// sustain >= 2.5x the 1-pipe wall rate; the smoke run only requires
-/// that adding pipes never loses throughput. On smaller hosts the
-/// scaling gate is skipped — there is nothing to scale onto — and the
-/// JSON records `host_cores` so readers can tell.
-fn run_wall(smoke: bool) {
-    use sr_bench::wall;
-    let (flows, passes) = if smoke { (8_192, 4) } else { (65_536, 16) };
-    let pipe_counts = [1usize, 2, 4];
-    let sweep = wall::sweep(flows, passes, 1_024, &pipe_counts);
-    let mut t = Table::new(
-        format!(
-            "Wall — run-to-completion engine, measured ({flows} flows, {passes} passes, \
-             {} core(s), pinning {})",
-            sweep.host_cores,
-            if sweep.pinned { "on" } else { "unavailable" }
-        ),
-        &["pipes", "wall pps", "wall speedup", "digest"],
-    );
-    for p in &sweep.points {
-        t.row(vec![
-            p.pipes.to_string(),
-            format!("{:.2} Mpps", p.wall_pps / 1e6),
-            format!("{:.2}x", sweep.wall_speedup(p.pipes).unwrap_or(1.0)),
-            format!("{:016x}", p.digest),
-        ]);
-    }
-    println!("{}", t.render());
-    println!(
-        "decision digest identity across pipe counts: {}",
-        if sweep.digests_match {
-            "OK"
-        } else {
-            "DIVERGED"
-        }
-    );
-    let json = sweep.to_json();
-    let path = "BENCH_wall.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if !sweep.digests_match {
-        eprintln!("repro wall: decision digests diverged across pipe counts");
-        std::process::exit(1);
-    }
-    if sweep.host_cores < 4 {
-        println!(
-            "note: {} core(s) — wall-clock scaling gate skipped (needs >= 4)",
-            sweep.host_cores
-        );
-        return;
-    }
-    if smoke {
-        for &pipes in &pipe_counts[1..] {
-            let s = sweep.wall_speedup(pipes).unwrap_or(0.0);
-            if s < 1.0 {
-                eprintln!(
-                    "repro wall: {pipes} pipes ran {s:.2}x the 1-pipe wall rate — adding \
-                     pipes lost throughput"
-                );
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let speedup = sweep.wall_speedup(4).unwrap_or(0.0);
-    if speedup < 2.5 {
-        eprintln!("repro wall: 4-pipe wall speedup {speedup:.2}x below the 2.5x target");
-        std::process::exit(1);
     }
 }
 
@@ -488,15 +351,7 @@ fn run_fleet(smoke: bool) {
     ]);
     t.row(vec!["digest".into(), format!("{:016x}", r.digest)]);
     println!("{}", t.render());
-    let json = b.to_json();
-    let path = "BENCH_fleet.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_doc("BENCH_fleet.json", &b.to_json());
     if r.pcc_violations > 0 {
         eprintln!("repro fleet: {} PCC violations", r.pcc_violations);
         std::process::exit(1);
@@ -630,15 +485,7 @@ fn run_churn(smoke: bool, flood: bool) {
         "decision digest identity (arms, pipe counts): {}",
         if b.digests_ok() { "OK" } else { "DIVERGED" }
     );
-    let json = b.to_json();
-    let path = "BENCH_churn.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_doc("BENCH_churn.json", &b.to_json());
     if !b.digests_ok() {
         eprintln!("repro churn: decision digests diverged across arms or pipe counts");
         std::process::exit(1);
@@ -706,15 +553,7 @@ fn run_compare(smoke: bool, only: Option<&str>) {
         ]);
     }
     println!("{}", t.render());
-    let json = b.to_json();
-    let path = "BENCH_compare.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_doc("BENCH_compare.json", &b.to_json());
     if let Some(p) = b.points.iter().find(|p| !p.placeable) {
         eprintln!("repro compare: {} layout is not srcheck-placeable", p.algo);
         std::process::exit(1);
@@ -843,10 +682,6 @@ fn run_replay(path: &str, pipes: usize, smoke: bool, encap: bool) {
     t.row(vec!["rewritten".into(), report.rewritten.to_string()]);
     t.row(vec!["skipped".into(), report.skipped.to_string()]);
     t.row(vec![
-        "throughput".into(),
-        format!("{:.2} Mpps", report.pps / 1e6),
-    ]);
-    t.row(vec![
         "bytes in/out".into(),
         format!("{} / {}", report.bytes_in, report.bytes_out),
     ]);
@@ -863,15 +698,7 @@ fn run_replay(path: &str, pipes: usize, smoke: bool, encap: bool) {
         report.pcc_violations.to_string(),
     ]);
     println!("{}", t.render());
-    let json = report.to_json();
-    let out = "BENCH_replay.json";
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_doc("BENCH_replay.json", &report.to_json());
     if !smoke && report.frames < 100_000 {
         eprintln!(
             "repro replay: full run needs a 100K+-frame capture, got {} (use --smoke for small captures)",

@@ -30,6 +30,7 @@
 //! installed state, and the background flows must see zero PCC
 //! violations.
 
+use crate::report::{json_array, json_doc, json_hex, json_object, json_rows, json_str};
 use silkroad::engine::packet_digest;
 use silkroad::{FlowSteering, ForwardDecision, MultiPipeSwitch, PoolUpdate, SilkRoadConfig};
 use sr_hash::FxHashMap;
@@ -138,61 +139,47 @@ impl ChurnBench {
 
     /// Render as the committed `BENCH_churn.json` document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"churn\",\n");
-        s.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        s.push_str(&format!(
-            "  \"warmup_waves\": {},\n",
-            self.params.warmup_waves
-        ));
-        s.push_str(&format!("  \"waves\": {},\n", self.params.waves));
-        s.push_str(&format!(
-            "  \"flows_per_wave\": {},\n",
-            self.params.flows_per_wave
-        ));
-        s.push_str(&format!("  \"batch\": {},\n", self.params.batch));
-        s.push_str(&format!(
-            "  \"pipe_counts\": [{}],\n",
-            self.params
-                .pipe_counts
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str(
-            "  \"note\": \"correctness gate, no wall-clock fields: one workload through \
-             per-packet process_packet and chunked process_batch_into at every pipe count; \
-             digests are the engine's commutative decision fold and must match across arms \
-             and pipe counts; every value is deterministic; setup rates live in benchmark/ \
-             (churn workload: setups_per_s, conn_table.install_ns_per_entry)\",\n",
-        );
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"storm\": {}, \"setups\": {}, \"packets\": {}, \
-                 \"learn_depth_p50\": {}, \"learn_depth_p90\": {}, \
-                 \"learn_depth_max\": {}, \"transit_fill_peak\": {:.4}, \
-                 \"pcc_violations\": {}, \"overflow_drops\": {}, \"digest\": \"{:016x}\", \
-                 \"digests_match_arms\": {}, \"digests_match_pipes\": {}}}{}\n",
-                p.storm,
-                p.setups,
-                p.packets,
-                p.learn_depth_p50,
-                p.learn_depth_p90,
-                p.learn_depth_max,
-                p.transit_fill_peak,
-                p.pcc_violations,
-                p.overflow_drops,
-                p.digest,
-                p.digests_match_arms,
-                p.digests_match_pipes,
-                if i + 1 == self.points.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let points: Vec<String> = self
+            .points
+            .iter()
+            .map(|p| {
+                json_object(&[
+                    ("storm", p.storm.to_string()),
+                    ("setups", p.setups.to_string()),
+                    ("packets", p.packets.to_string()),
+                    ("learn_depth_p50", p.learn_depth_p50.to_string()),
+                    ("learn_depth_p90", p.learn_depth_p90.to_string()),
+                    ("learn_depth_max", p.learn_depth_max.to_string()),
+                    ("transit_fill_peak", format!("{:.4}", p.transit_fill_peak)),
+                    ("pcc_violations", p.pcc_violations.to_string()),
+                    ("overflow_drops", p.overflow_drops.to_string()),
+                    ("digest", json_hex(p.digest)),
+                    ("digests_match_arms", p.digests_match_arms.to_string()),
+                    ("digests_match_pipes", p.digests_match_pipes.to_string()),
+                ])
+            })
+            .collect();
+        json_doc(&[
+            ("bench", json_str("churn")),
+            ("smoke", self.smoke.to_string()),
+            ("warmup_waves", self.params.warmup_waves.to_string()),
+            ("waves", self.params.waves.to_string()),
+            ("flows_per_wave", self.params.flows_per_wave.to_string()),
+            ("batch", self.params.batch.to_string()),
+            ("pipe_counts", json_array(&self.params.pipe_counts)),
+            (
+                "note",
+                json_str(
+                    "correctness gate, no wall-clock fields: one workload through \
+                     per-packet process_packet and chunked process_batch_into at every pipe \
+                     count; digests are the engine's commutative decision fold and must match \
+                     across arms and pipe counts; every value is deterministic; setup rates \
+                     live in benchmark/ (churn workload: setups_per_s, \
+                     conn_table.install_ns_per_entry)",
+                ),
+            ),
+            ("points", json_rows(&points)),
+        ])
     }
 }
 
@@ -213,9 +200,8 @@ fn flow_tuple(g: u32) -> FiveTuple {
 fn churn_cfg(total_flows: u32) -> SilkRoadConfig {
     SilkRoadConfig {
         conn_capacity: (total_flows as usize) * 2,
-        // Same geometry as the saturation/wall sweeps: wide digests and
-        // a big transit bloom keep collision noise out of the
-        // digest-identity gate.
+        // Wide digests and a big transit bloom keep collision noise out
+        // of the digest-identity gate.
         digest_bits: 24,
         transit_bytes: 4_096,
         ..Default::default()

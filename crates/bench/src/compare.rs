@@ -32,6 +32,7 @@
 //!
 //! Gate logic lives in the `repro` binary; this module only measures.
 
+use crate::report::{json_doc, json_object, json_rows, json_str};
 use silkroad::{PoolUpdate, SilkRoadConfig, SilkRoadSwitch};
 use sr_algo::{
     concury_lb, conn_entry_bits, cucotrack_lb, hybrid_lb, AlgoEngine, AlgoName, ConnState,
@@ -144,60 +145,54 @@ impl CompareBench {
 
     /// Render as the committed `BENCH_compare.json` document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"compare\",\n");
-        s.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        s.push_str(&format!("  \"waves\": {},\n", self.params.waves));
-        s.push_str(&format!(
-            "  \"flows_per_wave\": {},\n",
-            self.params.flows_per_wave
-        ));
-        s.push_str(&format!(
-            "  \"steady_passes\": {},\n",
-            self.params.steady_passes
-        ));
-        s.push_str(
-            "  \"note\": \"identical deterministic workload (waves of new flows + data + \
-             closes, two mid-run DIP-pool updates) through every sr-algo zoo member; \
-             sram_bytes_per_conn is measured peak state over the live connections it \
-             covered; model_bits_per_entry is the shared sr_algo::cost formula; \
-             pcc_violations counts unique remapped connections; every value is \
-             deterministic\",\n",
-        );
-        s.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"algo\": \"{}\", \"packets\": {}, \"setups\": {}, \"inserts\": {}, \
-                 \"insert_fraction\": {:.4}, \"entries_peak\": {}, \"live_peak\": {}, \
-                 \"state_bytes_peak\": {}, \"live_at_state_peak\": {}, \
-                 \"sram_bytes_per_conn\": {:.3}, \"model_bits_per_entry\": {}, \
-                 \"table_bytes\": {}, \"pcc_violations\": {}, \"false_hits\": {}, \
-                 \"stamp_checks\": {}, \"stamp_failures\": {}, \
-                 \"placeable\": {}, \"layout_sram_bytes\": {}}}{}\n",
-                p.algo,
-                p.packets,
-                p.setups,
-                p.inserts,
-                p.insert_fraction,
-                p.entries_peak,
-                p.live_peak,
-                p.state_bytes_peak,
-                p.live_at_state_peak,
-                p.sram_bytes_per_conn,
-                p.model_bits_per_entry,
-                p.table_bytes,
-                p.pcc_violations,
-                p.false_hits,
-                p.stamp_checks,
-                p.stamp_failures,
-                p.placeable,
-                p.layout_sram_bytes,
-                if i + 1 == self.points.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let points: Vec<String> = self
+            .points
+            .iter()
+            .map(|p| {
+                json_object(&[
+                    ("algo", json_str(p.algo.label())),
+                    ("packets", p.packets.to_string()),
+                    ("setups", p.setups.to_string()),
+                    ("inserts", p.inserts.to_string()),
+                    ("insert_fraction", format!("{:.4}", p.insert_fraction)),
+                    ("entries_peak", p.entries_peak.to_string()),
+                    ("live_peak", p.live_peak.to_string()),
+                    ("state_bytes_peak", p.state_bytes_peak.to_string()),
+                    ("live_at_state_peak", p.live_at_state_peak.to_string()),
+                    (
+                        "sram_bytes_per_conn",
+                        format!("{:.3}", p.sram_bytes_per_conn),
+                    ),
+                    ("model_bits_per_entry", p.model_bits_per_entry.to_string()),
+                    ("table_bytes", p.table_bytes.to_string()),
+                    ("pcc_violations", p.pcc_violations.to_string()),
+                    ("false_hits", p.false_hits.to_string()),
+                    ("stamp_checks", p.stamp_checks.to_string()),
+                    ("stamp_failures", p.stamp_failures.to_string()),
+                    ("placeable", p.placeable.to_string()),
+                    ("layout_sram_bytes", p.layout_sram_bytes.to_string()),
+                ])
+            })
+            .collect();
+        json_doc(&[
+            ("bench", json_str("compare")),
+            ("smoke", self.smoke.to_string()),
+            ("waves", self.params.waves.to_string()),
+            ("flows_per_wave", self.params.flows_per_wave.to_string()),
+            ("steady_passes", self.params.steady_passes.to_string()),
+            (
+                "note",
+                json_str(
+                    "identical deterministic workload (waves of new flows + data + closes, \
+                     two mid-run DIP-pool updates) through every sr-algo zoo member; \
+                     sram_bytes_per_conn is measured peak state over the live connections \
+                     it covered; model_bits_per_entry is the shared sr_algo::cost formula; \
+                     pcc_violations counts unique remapped connections; every value is \
+                     deterministic",
+                ),
+            ),
+            ("points", json_rows(&points)),
+        ])
     }
 }
 

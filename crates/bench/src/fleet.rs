@@ -15,7 +15,7 @@
 //!
 //! Gate logic lives in the `repro` binary; this module only measures.
 
-use crate::rss::{peak_rss_bytes, rss_json};
+use crate::report::{json_doc, json_hex, json_object, json_str};
 use sr_netwide::{sram_fit, SramFitReport};
 use sr_sim::{run_fleet, FleetParams, FleetReport};
 use sr_workload::{synthesize_fleet, FleetConfig};
@@ -59,8 +59,10 @@ pub fn fleet_params(smoke: bool) -> FleetParams {
     }
 }
 
-/// One fleet-bench run: the engine report plus host metadata and the
-/// measured-occupancy SRAM fit.
+/// One fleet-bench run: the engine report plus the measured-occupancy
+/// SRAM fit. Nothing here is timed, and the engine is sharding-invariant,
+/// so the document is the same bytes on every host and at every worker
+/// count.
 #[derive(Clone, Debug)]
 pub struct FleetBench {
     /// Whether this was the CI-sized smoke profile.
@@ -71,20 +73,11 @@ pub struct FleetBench {
     pub report: FleetReport,
     /// Measured-occupancy SRAM fit at [`SRAM_BUDGET_MB`].
     pub fit: SramFitReport,
-    /// Cores on the host that ran the bench.
-    pub host_cores: usize,
-    /// Peak resident set of the process (`null` off-Linux).
-    pub peak_rss_bytes: Option<u64>,
-    /// Wall-clock of the engine run, nanoseconds.
-    pub elapsed_ns: u64,
 }
 
 /// Run the bench with explicit parameters (tests use tiny fleets).
-#[allow(clippy::disallowed_methods)] // wall-clock is bench metadata
 pub fn run_with(params: FleetParams, smoke: bool) -> FleetBench {
-    let t0 = std::time::Instant::now();
     let report = run_fleet(&params);
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
     let specs = synthesize_fleet(params.fleet);
     let fit = sram_fit(&specs, &report.per_cluster_peak, SRAM_BUDGET_MB);
     FleetBench {
@@ -92,9 +85,6 @@ pub fn run_with(params: FleetParams, smoke: bool) -> FleetBench {
         params,
         report,
         fit,
-        host_cores: sr_exec::available_cores(),
-        peak_rss_bytes: peak_rss_bytes(),
-        elapsed_ns,
     }
 }
 
@@ -107,58 +97,48 @@ impl FleetBench {
     /// Render as the committed `BENCH_fleet.json` document.
     pub fn to_json(&self) -> String {
         let r = &self.report;
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"fleet\",\n");
-        s.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(&format!(
-            "  \"peak_rss_bytes\": {},\n",
-            rss_json(self.peak_rss_bytes)
-        ));
-        s.push_str(&format!(
-            "  \"target_conns\": {},\n",
-            self.params.target_conns
-        ));
-        s.push_str(&format!("  \"sim_secs\": {},\n", self.params.sim_secs));
-        s.push_str(&format!("  \"epoch_ms\": {},\n", self.params.epoch_ms));
-        s.push_str(&format!(
-            "  \"storm_factor\": {},\n",
-            self.params.storm_factor
-        ));
-        s.push_str(&format!("  \"clusters\": {},\n", r.clusters));
-        s.push_str(&format!("  \"workers\": {},\n", r.workers));
-        s.push_str(&format!("  \"epochs\": {},\n", r.epochs));
-        s.push_str(&format!("  \"held_median\": {},\n", r.held_median));
-        s.push_str(&format!("  \"held_peak\": {},\n", r.held_peak));
-        s.push_str(&format!("  \"held_final\": {},\n", r.held_final));
-        s.push_str(&format!("  \"opens\": {},\n", r.opens));
-        s.push_str(&format!("  \"closes\": {},\n", r.closes));
-        s.push_str(&format!("  \"opens_per_sec\": {:.0},\n", r.opens_per_sec));
-        s.push_str(&format!("  \"pcc_violations\": {},\n", r.pcc_violations));
-        s.push_str(&format!("  \"updates_applied\": {},\n", r.updates_applied));
-        s.push_str(&format!("  \"updates_skipped\": {},\n", r.updates_skipped));
-        s.push_str(&format!("  \"state_bytes\": {},\n", r.state_bytes));
-        s.push_str(&format!("  \"bytes_per_conn\": {:.2},\n", r.bytes_per_conn));
-        s.push_str(&format!("  \"control_bytes\": {},\n", r.control_bytes));
-        s.push_str(&format!("  \"digest\": \"{:016x}\",\n", r.digest));
-        s.push_str(&format!("  \"elapsed_ns\": {},\n", self.elapsed_ns));
-        s.push_str(
-            "  \"note\": \"bytes_per_conn = (flow stores + timer wheels) / held_peak; \
-             sram_fit scales measured per-cluster peaks to paper occupancy\",\n",
-        );
-        s.push_str(&format!(
-            "  \"sram_fit\": {{\"budget_mb\": {:.0}, \"clusters\": {}, \"fitting\": {}, \
-             \"median_mb\": {:.1}, \"max_mb\": {:.1}, \"scale\": {:.1}}}\n",
-            self.fit.budget_mb,
-            self.fit.clusters,
-            self.fit.fitting,
-            self.fit.median_mb,
-            self.fit.max_mb,
-            self.fit.scale
-        ));
-        s.push_str("}\n");
-        s
+        let fit = &self.fit;
+        json_doc(&[
+            ("bench", json_str("fleet")),
+            ("smoke", self.smoke.to_string()),
+            ("target_conns", self.params.target_conns.to_string()),
+            ("sim_secs", self.params.sim_secs.to_string()),
+            ("epoch_ms", self.params.epoch_ms.to_string()),
+            ("storm_factor", self.params.storm_factor.to_string()),
+            ("clusters", r.clusters.to_string()),
+            ("epochs", r.epochs.to_string()),
+            ("held_median", r.held_median.to_string()),
+            ("held_peak", r.held_peak.to_string()),
+            ("held_final", r.held_final.to_string()),
+            ("opens", r.opens.to_string()),
+            ("closes", r.closes.to_string()),
+            ("opens_per_sec", format!("{:.0}", r.opens_per_sec)),
+            ("pcc_violations", r.pcc_violations.to_string()),
+            ("updates_applied", r.updates_applied.to_string()),
+            ("updates_skipped", r.updates_skipped.to_string()),
+            ("state_bytes", r.state_bytes.to_string()),
+            ("bytes_per_conn", format!("{:.2}", r.bytes_per_conn)),
+            ("control_bytes", r.control_bytes.to_string()),
+            ("digest", json_hex(r.digest)),
+            (
+                "note",
+                json_str(
+                    "bytes_per_conn = (flow stores + timer wheels) / held_peak; \
+                     sram_fit scales measured per-cluster peaks to paper occupancy",
+                ),
+            ),
+            (
+                "sram_fit",
+                json_object(&[
+                    ("budget_mb", format!("{:.0}", fit.budget_mb)),
+                    ("clusters", fit.clusters.to_string()),
+                    ("fitting", fit.fitting.to_string()),
+                    ("median_mb", format!("{:.1}", fit.median_mb)),
+                    ("max_mb", format!("{:.1}", fit.max_mb)),
+                    ("scale", format!("{:.1}", fit.scale)),
+                ]),
+            ),
+        ])
     }
 }
 
@@ -168,7 +148,7 @@ mod tests {
 
     #[test]
     fn tiny_fleet_bench_reports_sane_json() {
-        let params = FleetParams {
+        let mut params = FleetParams {
             fleet: FleetConfig {
                 pops: 2,
                 frontends: 1,
@@ -190,14 +170,20 @@ mod tests {
         for key in [
             "\"bench\": \"fleet\"",
             "\"smoke\": true",
-            "\"host_cores\"",
-            "\"peak_rss_bytes\"",
             "\"pcc_violations\": 0",
             "\"sram_fit\"",
             "\"digest\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
+        // No host stamp, peak-RSS sample, clock reading or worker count.
+        for key in ["host_", "peak_rss", "elapsed_ns", "pps", "workers"] {
+            assert!(!json.contains(key), "host-dependent {key} in {json}");
+        }
+        // The document is a pure function of the workload: sharding the
+        // clusters across more workers changes no byte of it.
+        params.workers = 3;
+        assert_eq!(run_with(params, true).to_json(), json);
     }
 
     #[test]

@@ -23,11 +23,8 @@ pub mod fig_version;
 pub mod fleet;
 pub mod replay;
 pub mod report;
-pub mod rss;
-pub mod saturation;
 pub mod scale;
 pub mod tables;
-pub mod wall;
 
 pub use exec::Exec;
 pub use scale::Scale;

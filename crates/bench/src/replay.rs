@@ -7,17 +7,15 @@
 //! [`MultiPipeSwitch::process_batch_into`], and carried to their DIP by
 //! the [`sr_wire::rewrite_frame`] engine (L4 NAT or IP-in-IP encap).
 //!
-//! Two passes over the capture:
-//!
-//! 1. a **timed pass** — parse → steer → resolve → rewrite, nothing else —
-//!    which produces the pps/Gbps numbers;
-//! 2. an untimed **verification pass** on a fresh switch that recomputes
-//!    the same decisions while folding them into a FNV-1a *decision
-//!    digest*, folding every rewritten frame into a *rewrite digest*,
-//!    validating each rewritten frame's checksums by full recomputation
-//!    (independent of the RFC 1624 incremental math the rewriter used),
-//!    and checking per-connection consistency: once a flow is pinned to a
-//!    DIP, every later packet must keep it.
+//! One untimed pass over the capture folds every decision into a FNV-1a
+//! *decision digest* and every rewritten frame into a *rewrite digest*,
+//! counts the rewritten and skipped frames and the bytes out, validates
+//! each rewritten frame's checksums by full recomputation (independent of
+//! the RFC 1624 incremental math the rewriter used), and checks
+//! per-connection consistency: once a flow is pinned to a DIP, every later
+//! packet must keep it. Nothing reads a clock, so the report is the same
+//! bytes on every host; the wire path's packet rate is the `replay`
+//! workload of `benchmark/`.
 //!
 //! Halfway through the capture a DIP-pool update (remove the first VIP's
 //! first DIP) is injected, so the PCC check exercises the paper's central
@@ -25,6 +23,7 @@
 //! while the pool changes underneath them. The digests are deterministic
 //! for a given capture, so CI pins the smoke capture's decision digest.
 
+use crate::report::{json_doc, json_hex, json_str};
 use silkroad::{DataPath, ForwardDecision, MultiPipeSwitch, PoolUpdate, SilkRoadConfig};
 use sr_types::{Addr, AddrFamily, Dip, Nanos, PacketMeta, RewriteMode, Vip};
 use sr_wire::{parse_frame, rewrite_frame, verify_checksums, Parsed, PcapReader, ENCAP_HEADROOM};
@@ -38,7 +37,7 @@ const BATCH: usize = 1_024;
 /// Largest frame the rewrite buffer accommodates (pcap snap length).
 const MAX_FRAME: usize = 65_535 + ENCAP_HEADROOM;
 
-/// One replay run's results: throughput, correctness counters, digests.
+/// One replay run's results: correctness counters and digests.
 #[derive(Clone, Debug)]
 pub struct ReplayReport {
     /// Pipes in the engine.
@@ -67,24 +66,16 @@ pub struct ReplayReport {
     pub pcc_violations: u64,
     /// Frame index where the DIP-pool update was injected.
     pub update_at: u64,
-    /// Timed-pass duration, nanoseconds.
-    pub elapsed_ns: u64,
-    /// Timed-pass throughput, packets/s.
-    pub pps: f64,
     /// FNV-1a digest of the decision stream (path, DIP, version).
     pub decision_digest: u64,
     /// FNV-1a digest of every rewritten output frame's bytes.
     pub rewrite_digest: u64,
-    /// ConnTable hits during the verification pass.
+    /// ConnTable hits.
     pub conn_table_hits: u64,
-    /// VIPTable miss-path packets during the verification pass.
+    /// VIPTable miss-path packets.
     pub vip_table_misses: u64,
-    /// SYNs redirected to software during the verification pass.
+    /// SYNs redirected to software.
     pub syn_redirects: u64,
-    /// Cores on the host that ran the replay.
-    pub host_cores: usize,
-    /// Peak resident set of the process (`None` off-Linux).
-    pub peak_rss_bytes: Option<u64>,
 }
 
 impl ReplayReport {
@@ -95,52 +86,28 @@ impl ReplayReport {
 
     /// Render as the `BENCH_replay.json` document.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"bench\": \"replay\",\n");
-        s.push_str(&format!("  \"pipes\": {},\n", self.pipes));
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode.label()));
-        s.push_str(&format!("  \"frames\": {},\n", self.frames));
-        s.push_str(&format!("  \"parse_errors\": {},\n", self.parse_errors));
-        s.push_str(&format!("  \"conns\": {},\n", self.conns));
-        s.push_str(&format!("  \"vips\": {},\n", self.vips));
-        s.push_str(&format!("  \"bytes_in\": {},\n", self.bytes_in));
-        s.push_str(&format!("  \"bytes_out\": {},\n", self.bytes_out));
-        s.push_str(&format!("  \"rewritten\": {},\n", self.rewritten));
-        s.push_str(&format!("  \"skipped\": {},\n", self.skipped));
-        s.push_str(&format!(
-            "  \"checksum_failures\": {},\n",
-            self.checksum_failures
-        ));
-        s.push_str(&format!("  \"pcc_violations\": {},\n", self.pcc_violations));
-        s.push_str(&format!("  \"update_at\": {},\n", self.update_at));
-        s.push_str(&format!("  \"elapsed_ns\": {},\n", self.elapsed_ns));
-        s.push_str(&format!("  \"pps\": {:.0},\n", self.pps));
-        s.push_str(&format!(
-            "  \"decision_digest\": \"{:016x}\",\n",
-            self.decision_digest
-        ));
-        s.push_str(&format!(
-            "  \"rewrite_digest\": \"{:016x}\",\n",
-            self.rewrite_digest
-        ));
-        s.push_str(&format!(
-            "  \"conn_table_hits\": {},\n",
-            self.conn_table_hits
-        ));
-        s.push_str(&format!(
-            "  \"vip_table_misses\": {},\n",
-            self.vip_table_misses
-        ));
-        s.push_str(&format!("  \"syn_redirects\": {},\n", self.syn_redirects));
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(&format!(
-            "  \"peak_rss_bytes\": {},\n",
-            crate::rss::rss_json(self.peak_rss_bytes)
-        ));
-        s.push_str(&format!("  \"ok\": {}\n", self.ok()));
-        s.push_str("}\n");
-        s
+        json_doc(&[
+            ("bench", json_str("replay")),
+            ("pipes", self.pipes.to_string()),
+            ("mode", json_str(self.mode.label())),
+            ("frames", self.frames.to_string()),
+            ("parse_errors", self.parse_errors.to_string()),
+            ("conns", self.conns.to_string()),
+            ("vips", self.vips.to_string()),
+            ("bytes_in", self.bytes_in.to_string()),
+            ("bytes_out", self.bytes_out.to_string()),
+            ("rewritten", self.rewritten.to_string()),
+            ("skipped", self.skipped.to_string()),
+            ("checksum_failures", self.checksum_failures.to_string()),
+            ("pcc_violations", self.pcc_violations.to_string()),
+            ("update_at", self.update_at.to_string()),
+            ("decision_digest", json_hex(self.decision_digest)),
+            ("rewrite_digest", json_hex(self.rewrite_digest)),
+            ("conn_table_hits", self.conn_table_hits.to_string()),
+            ("vip_table_misses", self.vip_table_misses.to_string()),
+            ("syn_redirects", self.syn_redirects.to_string()),
+            ("ok", self.ok().to_string()),
+        ])
     }
 }
 
@@ -229,7 +196,7 @@ fn build_switch(cap: &Capture<'_>, pipes: usize) -> Result<MultiPipeSwitch, Stri
     let cfg = SilkRoadConfig {
         conn_capacity: (cap.conns as usize * 2).max(4_096),
         // Wide digests keep the replay's decision stream free of
-        // collision noise, as in the saturation sweep.
+        // collision noise.
         digest_bits: 24,
         transit_bytes: 4_096,
         ..Default::default()
@@ -243,14 +210,14 @@ fn build_switch(cap: &Capture<'_>, pipes: usize) -> Result<MultiPipeSwitch, Stri
 }
 
 /// Stream the capture through `sw` batch by batch, invoking `sink` for
-/// every (frame index, timestamp, parsed, raw frame, decision). Injects
+/// every parsed frame with its raw bytes and decision. Injects
 /// the mid-capture DIP-pool update at the batch boundary nearest
 /// `update_at`. Returns nothing the sink didn't keep.
 fn stream<'a>(
     cap: &Capture<'a>,
     sw: &mut MultiPipeSwitch,
     update_at: u64,
-    mut sink: impl FnMut(u64, Nanos, &Parsed, &'a [u8], &ForwardDecision),
+    mut sink: impl FnMut(&Parsed, &'a [u8], &ForwardDecision),
 ) {
     let (update_vip, update_dip) = match cap.vips.first() {
         Some((v, dips)) => (Some(*v), dips.first().copied()),
@@ -276,8 +243,7 @@ fn stream<'a>(
             injected = true;
         }
         sw.advance(now);
-        for (ts_p, parsed, _) in &cap.recs[i..end] {
-            let _ = ts_p;
+        for (_, parsed, _) in &cap.recs[i..end] {
             if let Some(p) = parsed {
                 batch_idx.push(batch_meta.len());
                 batch_meta.push(p.meta);
@@ -286,7 +252,7 @@ fn stream<'a>(
             }
         }
         sw.process_batch_into(&batch_meta, now, &mut decisions);
-        for (off, (ts, parsed, raw)) in cap.recs[i..end].iter().enumerate() {
+        for (off, (_, parsed, raw)) in cap.recs[i..end].iter().enumerate() {
             let Some(p) = parsed else { continue };
             let Some(&di) = batch_idx.get(off) else {
                 continue;
@@ -294,7 +260,7 @@ fn stream<'a>(
             let Some(d) = decisions.get(di) else {
                 continue;
             };
-            sink((i + off) as u64, *ts, p, raw, d);
+            sink(p, raw, d);
         }
         i = end;
     }
@@ -302,44 +268,21 @@ fn stream<'a>(
 
 /// Replay `bytes` (a classic pcap capture) through a `pipes`-pipe switch,
 /// rewriting every forwarded frame in `mode`.
-#[allow(clippy::disallowed_methods)] // wall-clock is the point of a bench
 pub fn replay(bytes: &[u8], pipes: usize, mode: RewriteMode) -> Result<ReplayReport, String> {
     let cap = scan(bytes)?;
     let update_at = cap.frames / 2;
-
-    // Timed pass: parse already done (zero-copy scan); steer + resolve +
-    // rewrite is what we meter. Rewrite output goes to one reused buffer.
     let mut sw = build_switch(&cap, pipes)?;
-    let mut out = vec![0u8; MAX_FRAME];
+    let mut decision_digest = Fnv::new();
+    let mut rewrite_digest = Fnv::new();
     let mut bytes_out = 0u64;
     let mut rewritten = 0u64;
     let mut skipped = 0u64;
-    let t0 = std::time::Instant::now();
-    stream(&cap, &mut sw, update_at, |_, _, p, raw, d| {
-        match d.rewrite_op(mode) {
-            Some(op) => match rewrite_frame(raw, &p.view, &op, &mut out) {
-                Ok(n) => {
-                    bytes_out += n as u64;
-                    rewritten += 1;
-                }
-                Err(_) => skipped += 1,
-            },
-            None => skipped += 1,
-        }
-    });
-    let elapsed_ns = t0.elapsed().as_nanos() as u64;
-
-    // Verification pass: fresh switch, same stream; digests, full
-    // checksum recomputation, and the PCC ledger.
-    let mut sw2 = build_switch(&cap, pipes)?;
-    let mut decision_digest = Fnv::new();
-    let mut rewrite_digest = Fnv::new();
     let mut checksum_failures = 0u64;
     let mut pcc_violations = 0u64;
     let mut pinned: HashMap<Vec<u8>, Addr> = HashMap::new();
-    let mut out2 = vec![0u8; MAX_FRAME];
+    let mut out = vec![0u8; MAX_FRAME];
     let mut addr_buf = [0u8; 18];
-    stream(&cap, &mut sw2, update_at, |_, _, p, raw, d| {
+    stream(&cap, &mut sw, update_at, |p, raw, d| {
         // Decision digest: path, DIP endpoint, pool version, hit flag.
         decision_digest.write_u8(match d.path {
             DataPath::AsicConnTable => 0,
@@ -369,21 +312,29 @@ pub fn replay(bytes: &[u8], pipes: usize, mode: RewriteMode) -> Result<ReplayRep
             }
         }
 
-        // Rewrite + independent full-recompute checksum validation.
-        if let Some(op) = d.rewrite_op(mode) {
-            if let Ok(n) = rewrite_frame(raw, &p.view, &op, &mut out2) {
-                rewrite_digest.write(&out2[..n]);
-                if verify_checksums(&out2[..n]).is_err() {
+        // Rewrite + independent full-recompute checksum validation. A
+        // frame the rewriter refuses is both skipped and a failure.
+        let Some(op) = d.rewrite_op(mode) else {
+            skipped += 1;
+            return;
+        };
+        match rewrite_frame(raw, &p.view, &op, &mut out) {
+            Ok(n) => {
+                bytes_out += n as u64;
+                rewritten += 1;
+                rewrite_digest.write(&out[..n]);
+                if verify_checksums(&out[..n]).is_err() {
                     checksum_failures += 1;
                 }
-            } else {
+            }
+            Err(_) => {
+                skipped += 1;
                 checksum_failures += 1;
             }
         }
     });
-    let stats = sw2.stats();
+    let stats = sw.stats();
 
-    let secs = (elapsed_ns as f64 / 1e9).max(1e-9);
     Ok(ReplayReport {
         pipes,
         mode,
@@ -398,15 +349,11 @@ pub fn replay(bytes: &[u8], pipes: usize, mode: RewriteMode) -> Result<ReplayRep
         checksum_failures,
         pcc_violations,
         update_at,
-        elapsed_ns,
-        pps: cap.frames as f64 / secs,
         decision_digest: decision_digest.0,
         rewrite_digest: rewrite_digest.0,
         conn_table_hits: stats.conn_table_hits,
         vip_table_misses: stats.vip_table_misses,
         syn_redirects: stats.syn_repairs + stats.transit_syn_redirects,
-        host_cores: sr_exec::available_cores(),
-        peak_rss_bytes: crate::rss::peak_rss_bytes(),
     })
 }
 
@@ -466,8 +413,7 @@ mod tests {
         assert_eq!(a.rewritten + a.skipped, a.frames);
         assert!(a.rewritten > 0);
         let b = replay(&pcap, 2, RewriteMode::Nat).unwrap();
-        assert_eq!(a.decision_digest, b.decision_digest);
-        assert_eq!(a.rewrite_digest, b.rewrite_digest);
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]
@@ -506,11 +452,13 @@ mod tests {
             "\"decision_digest\"",
             "\"rewrite_digest\"",
             "\"pcc_violations\": 0",
-            "\"host_cores\"",
-            "\"peak_rss_bytes\"",
             "\"ok\": true",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
+        }
+        // No host stamp, peak-RSS sample or clock reading.
+        for key in ["host_", "peak_rss", "elapsed_ns", "pps"] {
+            assert!(!json.contains(key), "host-dependent {key} in {json}");
         }
     }
 }

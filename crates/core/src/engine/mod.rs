@@ -22,8 +22,9 @@
 //!   decisions and PCC under concurrent updates.
 //! * **Streaming** — [`MultiPipeSwitch::stream_batch`] keeps all pipes
 //!   busy without waiting per batch; decisions fold into a commutative
-//!   digest so sustained wall-clock benchmarks (`repro wall`) can prove
-//!   decision identity across pipe counts at full speed.
+//!   digest so sustained streaming (the benchmark's `stream-64k`
+//!   workload, `tests/engine_threaded.rs`) can prove decision identity
+//!   across pipe counts at full speed.
 //!
 //! Each pipe sits behind one *lane* with two operations, send a job and
 //! receive a completion. A threaded lane pushes to and pops from its
@@ -133,16 +134,6 @@ impl Pipe {
     /// The shard's switch, for per-pipe inspection.
     pub fn switch(&self) -> &SilkRoadSwitch {
         &self.switch
-    }
-
-    /// Mutable access to the shard's switch — for drivers that have
-    /// already steered their traffic (e.g. the saturation benchmark times
-    /// each pipe's drain in isolation) or per-pipe fault injection.
-    /// Feeding packets whose flows steer to a *different* pipe breaks
-    /// flow-to-pipe affinity; normal traffic should go through
-    /// [`MultiPipeSwitch::process_batch_into`].
-    pub fn switch_mut(&mut self) -> &mut SilkRoadSwitch {
-        &mut self.switch
     }
 }
 
@@ -442,15 +433,6 @@ impl MultiPipeSwitch {
     /// the threaded backend, where workers own the pipes exclusively.
     pub fn pipe(&self, id: usize) -> Option<&Pipe> {
         match &self.lanes.get(id)?.link {
-            Link::Inline { pipe, .. } => Some(pipe),
-            Link::Worker { .. } => None,
-        }
-    }
-
-    /// One pipe, mutably (see [`Pipe::switch_mut`] for the contract).
-    /// `None` on the threaded backend.
-    pub fn pipe_mut(&mut self, id: usize) -> Option<&mut Pipe> {
-        match &mut self.lanes.get_mut(id)?.link {
             Link::Inline { pipe, .. } => Some(pipe),
             Link::Worker { .. } => None,
         }
@@ -1078,13 +1060,12 @@ mod tests {
 
     #[test]
     fn pipe_access_is_inline_only() {
-        let mut inline = engine(2);
+        let inline = engine(2);
         assert!(inline.pipe(0).is_some());
-        assert!(inline.pipe_mut(1).is_some());
+        assert!(inline.pipe(1).is_some());
         assert!(!inline.is_threaded());
-        let mut thr = threaded(2);
+        let thr = threaded(2);
         assert!(thr.is_threaded());
         assert!(thr.pipe(0).is_none());
-        assert!(thr.pipe_mut(0).is_none());
     }
 }
