@@ -48,9 +48,7 @@ impl AlgoName {
     /// same declaration discipline with their own table shapes.
     pub fn layout(self) -> PipelineProgram {
         match self {
-            AlgoName::Silkroad => {
-                PipelineProgram::silkroad(1_000_000, 4, 16, 6, 1_000, 4_000, 144, 256, 4)
-            }
+            AlgoName::Silkroad => PipelineProgram::silkroad_paper(),
             AlgoName::Concury => concury_layout(),
             AlgoName::Cucotrack => cucotrack_layout(),
             AlgoName::Hybrid => hybrid_layout(),

@@ -362,6 +362,15 @@ impl PipelineProgram {
         }
     }
 
+    /// The paper's reference geometry of the SilkRoad addition: 1 M
+    /// connections over 4 stages, 16-bit digests, 6-bit versions, 1 K
+    /// VIPs, 4 K DIP-pool rows, a 144-bit DIP action and a 256 B transit
+    /// bloom filter with 4 hashes. `p4/silkroad.p4` lowers to exactly
+    /// this program.
+    pub fn silkroad_paper() -> PipelineProgram {
+        PipelineProgram::silkroad(1_000_000, 4, 16, 6, 1_000, 4_000, 144, 256, 4)
+    }
+
     /// The SilkRoad addition (§5.1: "~400 lines of P4... all the tables and
     /// metadata needed").
     #[allow(clippy::too_many_arguments)] // mirrors the P4 program's table parameters 1:1
@@ -488,8 +497,7 @@ mod tests {
 
     #[test]
     fn silkroad_program_matches_paper_shape() {
-        let u = PipelineProgram::silkroad(1_000_000, 4, 16, 6, 1_000, 4_000, 144, 256, 4)
-            .resource_usage();
+        let u = PipelineProgram::silkroad_paper().resource_usage();
         // No TCAM at all; one SRAM word per 4 connections dominates memory.
         assert_eq!(u.tcam_bytes, 0.0);
         assert!(u.sram_bytes > 3.4e6 && u.sram_bytes < 4.5e6, "{u:?}");
@@ -512,8 +520,7 @@ mod tests {
 
     #[test]
     fn digest_width_changes_storage_not_crossbar() {
-        let d16 = PipelineProgram::silkroad(1_000_000, 4, 16, 6, 1_000, 4_000, 144, 256, 4)
-            .resource_usage();
+        let d16 = PipelineProgram::silkroad_paper().resource_usage();
         let d24 = PipelineProgram::silkroad(1_000_000, 4, 24, 6, 1_000, 4_000, 144, 256, 4)
             .resource_usage();
         assert!(d24.sram_bytes > d16.sram_bytes);

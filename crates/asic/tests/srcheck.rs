@@ -7,13 +7,6 @@
 
 use sr_asic::{ChipSpec, PipelineProgram, Rule, Severity, TableDependency};
 
-fn reference_silkroad() -> PipelineProgram {
-    // The paper-default parameterization used across the repro driver:
-    // 1M connections over 4 stages, 16-bit digest, 6-bit version, 1K VIPs,
-    // 4K DIP-pool rows, 144-bit DIP action, 256 B transit bloom, 4 hashes.
-    PipelineProgram::silkroad(1_000_000, 4, 16, 6, 1_000, 4_000, 144, 256, 4)
-}
-
 #[test]
 fn golden_baseline_switch_p4_is_placeable() {
     let report = PipelineProgram::baseline_switch_p4().check(&ChipSpec::tofino_class());
@@ -32,7 +25,7 @@ fn golden_baseline_switch_p4_is_placeable() {
 
 #[test]
 fn golden_silkroad_reference_is_placeable() {
-    let report = reference_silkroad().check(&ChipSpec::tofino_class());
+    let report = PipelineProgram::silkroad_paper().check(&ChipSpec::tofino_class());
     assert!(
         report.is_placeable(),
         "reference SilkRoad program must verify clean:\n{}",
@@ -49,7 +42,7 @@ fn golden_silkroad_reference_is_placeable() {
 
 #[test]
 fn golden_report_renders_placement_rows() {
-    let report = reference_silkroad().check(&ChipSpec::tofino_class());
+    let report = PipelineProgram::silkroad_paper().check(&ChipSpec::tofino_class());
     let text = report.render();
     for unit in ["ConnTable", "TransitTable", "VIPTable", "DIPPoolTable"] {
         assert!(text.contains(unit), "report missing {unit}:\n{text}");
@@ -73,7 +66,7 @@ fn mutation_oversized_conntable_rejected_src002() {
 
 #[test]
 fn mutation_transactional_register_spanning_stages_rejected_src010() {
-    let mut prog = reference_silkroad();
+    let mut prog = PipelineProgram::silkroad_paper();
     prog.registers[0].stages = 2;
     let report = prog.check(&ChipSpec::tofino_class());
     assert!(!report.is_placeable());
@@ -86,7 +79,7 @@ fn mutation_transactional_register_spanning_stages_rejected_src010() {
 
 #[test]
 fn mutation_dependency_cycle_rejected_src013() {
-    let mut prog = reference_silkroad();
+    let mut prog = PipelineProgram::silkroad_paper();
     // Close the paper's miss-path chain into a loop:
     // ConnTable -> TransitTable -> VIPTable -> DIPPoolTable -> ConnTable.
     prog.deps.push(TableDependency {
@@ -106,7 +99,7 @@ fn mutation_dependency_cycle_rejected_src013() {
 
 #[test]
 fn mutation_digest_wider_than_key_rejected_src014() {
-    let mut prog = reference_silkroad();
+    let mut prog = PipelineProgram::silkroad_paper();
     // A 200-bit stored match field cannot be derived from a 104-bit key.
     prog.tables[0].stored_key_bits = 200;
     let report = prog.check(&ChipSpec::tofino_class());
@@ -120,7 +113,7 @@ fn mutation_digest_wider_than_key_rejected_src014() {
 
 #[test]
 fn mutation_unknown_dependency_rejected_src011() {
-    let mut prog = reference_silkroad();
+    let mut prog = PipelineProgram::silkroad_paper();
     prog.deps.push(TableDependency {
         before: "NoSuchTable",
         after: "VIPTable",
@@ -136,7 +129,7 @@ fn golden_silkroad_replicated_across_all_pipes_is_placeable() {
     // at the chip's full pipe count — and the chip-wide resource roll-up
     // scales linearly with the replication factor.
     let chip = ChipSpec::tofino_class();
-    let prog = reference_silkroad().with_pipes(chip.pipes);
+    let prog = PipelineProgram::silkroad_paper().with_pipes(chip.pipes);
     let report = prog.check(&chip);
     assert!(
         report.is_placeable(),
@@ -144,7 +137,7 @@ fn golden_silkroad_replicated_across_all_pipes_is_placeable() {
         report.render()
     );
     assert_eq!(report.pipes, chip.pipes);
-    let one = reference_silkroad().chip_usage();
+    let one = PipelineProgram::silkroad_paper().chip_usage();
     let all = prog.chip_usage();
     assert_eq!(all.sram_bytes, one.sram_bytes * chip.pipes as f64);
 }
@@ -152,7 +145,9 @@ fn golden_silkroad_replicated_across_all_pipes_is_placeable() {
 #[test]
 fn mutation_too_many_pipes_rejected_src016() {
     let chip = ChipSpec::tofino_class();
-    let report = reference_silkroad().with_pipes(chip.pipes + 4).check(&chip);
+    let report = PipelineProgram::silkroad_paper()
+        .with_pipes(chip.pipes + 4)
+        .check(&chip);
     assert!(!report.is_placeable());
     assert!(
         report.has_error(Rule::PipeCount),
@@ -163,7 +158,7 @@ fn mutation_too_many_pipes_rejected_src016() {
 
 #[test]
 fn mutation_zero_pipes_rejected_src016() {
-    let report = reference_silkroad()
+    let report = PipelineProgram::silkroad_paper()
         .with_pipes(0)
         .check(&ChipSpec::tofino_class());
     assert!(report.has_error(Rule::PipeCount));
@@ -171,7 +166,7 @@ fn mutation_zero_pipes_rejected_src016() {
 
 #[test]
 fn mutation_overlong_span_rejected_src001() {
-    let mut prog = reference_silkroad();
+    let mut prog = PipelineProgram::silkroad_paper();
     prog.tables[0].first_stage = 10;
     prog.tables[0].stages = 4; // stages 10..13 of a 12-stage pipeline
     let report = prog.check(&ChipSpec::tofino_class());

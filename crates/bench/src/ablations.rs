@@ -8,8 +8,8 @@
 //! * **Per-stage digest widths** (§7) — false-positive reduction from
 //!   spending more digest bits in the stages that fill first.
 
-use crate::exec::Exec;
 use crate::scale::Scale;
+use sr_exec::Exec;
 use sr_hash::cuckoo::{CuckooConfig, CuckooTable, MatchMode};
 use sr_sim::{run_scenario, RunMetrics, Scenario, SystemKind};
 use sr_types::Duration;

@@ -8,13 +8,15 @@
 //! `--full` runs the simulation-backed figures at paper scale (2.77 M new
 //! connections/min for one hour per data point) — expect long runtimes.
 //!
-//! `--jobs N` fans each figure's independent simulation jobs across N
-//! worker threads (default: available cores). Results are reduced in job
-//! order, so stdout is byte-identical for every N; per-figure wall-clock
-//! goes to stderr, which is the only output that differs.
+//! `--jobs N` fans each figure's independent simulation jobs (and
+//! `fleet`'s clusters) across N worker threads (default: available
+//! cores). Results are reduced in job order, so stdout is byte-identical
+//! for every N; per-figure wall-clock goes to stderr, which is the only
+//! output that differs.
 
 use sr_bench::report::{mb, pct, Table};
-use sr_bench::{extras, fig_memory, fig_meta, fig_pcc, fig_version, tables, Exec, Scale};
+use sr_bench::{extras, fig_memory, fig_meta, fig_pcc, fig_version, tables, Scale};
+use sr_exec::Exec;
 use sr_types::Duration;
 
 /// Parse `--<flag> V` / `--<flag>=V` as a raw string; `None` means
@@ -141,7 +143,7 @@ fn main() {
         // `export`/`replay` take a file argument. All are part of the
         // verification surface, not the figure set.
         "check" => run_check(parse_value_flag(&args, "p4").as_deref()),
-        "fleet" => run_fleet(args.iter().any(|a| a == "--smoke")),
+        "fleet" => run_fleet(args.iter().any(|a| a == "--smoke"), &exec),
         "churn" => run_churn(
             args.iter().any(|a| a == "--smoke"),
             args.iter().any(|a| a == "--flood"),
@@ -266,7 +268,7 @@ fn run_check(p4_path: Option<&str>) {
     // Parity gate: the lowered bundled source must match the hand-built
     // reference field-for-field, or the P4 text has drifted from the
     // program the rest of the workspace evaluates.
-    let hand_built = PipelineProgram::silkroad(1_000_000, 4, 16, 6, 1_000, 4_000, 144, 256, 4);
+    let hand_built = PipelineProgram::silkroad_paper();
     match sr_p4::compile(sr_p4::SILKROAD_P4) {
         Ok(lowered) if format!("{lowered:#?}") == format!("{hand_built:#?}") => {
             println!("parity    : p4/silkroad.p4 == hand-built reference (IDENTICAL)");
@@ -303,9 +305,9 @@ fn write_doc(path: &str, json: &str) {
 /// within 64 bytes at every scale. The full run additionally requires at
 /// least 100 clusters and a held median of at least 2 M live
 /// connections — the paper-scale claim the committed JSON records.
-fn run_fleet(smoke: bool) {
+fn run_fleet(smoke: bool, exec: &Exec) {
     use sr_bench::fleet;
-    let b = fleet::run(smoke);
+    let b = fleet::run(smoke, exec);
     let r = &b.report;
     let mut t = Table::new(
         format!(
@@ -1049,8 +1051,7 @@ fn run(cmd: &str, scale: Scale, exec: &Exec) {
         "pipeline" => {
             use sr_asic::PipelineProgram;
             let base = PipelineProgram::baseline_switch_p4().resource_usage();
-            let silk = PipelineProgram::silkroad(1_000_000, 4, 16, 6, 1_000, 4_000, 144, 256, 4)
-                .resource_usage();
+            let silk = PipelineProgram::silkroad_paper().resource_usage();
             let mut t = Table::new(
                 "Pipeline resource report — switch.p4 baseline vs SilkRoad addition",
                 &["resource", "switch.p4", "SilkRoad", "added %"],

@@ -1,10 +1,10 @@
 //! The remaining §5/§6 experiments: meter accuracy, digest-size
 //! false-positive tradeoffs, and the cost/power comparison.
 
-use crate::exec::Exec;
 use silkroad::{SilkRoadConfig, SilkRoadSwitch};
 use sr_asic::{Meter, MeterConfig};
 use sr_baselines::CostModel;
+use sr_exec::Exec;
 use sr_types::{Duration, Nanos, PacketMeta};
 use sr_workload::{TraceConfig, TraceEvent, TraceIter};
 

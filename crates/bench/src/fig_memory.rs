@@ -4,9 +4,9 @@
 //! counts feed the `silkroad::memory` model (Fig 12, 14) and the
 //! `sr_baselines::cost` model (Fig 13).
 
-use crate::exec::Exec;
 use silkroad::memory::{cost, saving_vs_naive, MemoryDesign, MemoryInputs};
 use sr_baselines::CostModel;
+use sr_exec::Exec;
 use sr_workload::dists::percentile;
 use sr_workload::{ClusterKind, ClusterSpec};
 

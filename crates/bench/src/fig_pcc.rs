@@ -4,9 +4,9 @@
 //! jobs and fans them across [`Exec`]; results come back in job order, so
 //! the rendered tables do not depend on the worker count.
 
-use crate::exec::Exec;
 use crate::scale::Scale;
 use sr_baselines::MigrationPolicy;
+use sr_exec::Exec;
 use sr_sim::{run_scenario, RunMetrics, Scenario, SystemKind};
 use sr_types::Duration;
 use sr_workload::TraceConfig;
@@ -144,6 +144,7 @@ pub fn fig18(exec: &Exec, scale: Scale, sizes: &[usize], timeouts: &[Duration]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Table;
 
     #[test]
     fn fig16_ordering_holds() {
@@ -207,5 +208,31 @@ mod tests {
             small.metrics
         );
         assert_eq!(big.metrics.pcc_violations, 0, "{}", big.metrics);
+    }
+
+    /// The acceptance property behind `--jobs`: a quick figure rendered
+    /// from a 4-worker run is byte-identical to the sequential run.
+    #[test]
+    fn figure_output_is_worker_count_invariant() {
+        let render = |exec: &Exec| {
+            let sizes = [8usize, 256];
+            let timeouts = [Duration::from_millis(5)];
+            let points = fig18(exec, Scale::test(), &sizes, &timeouts);
+            let mut t = Table::new(
+                "determinism probe",
+                &["TransitTable", "violations", "metrics"],
+            );
+            for p in &points {
+                t.row(vec![
+                    format!("{} B", p.transit_bytes),
+                    p.metrics.pcc_violations.to_string(),
+                    format!("{}", p.metrics),
+                ]);
+            }
+            t.render()
+        };
+        let seq = render(&Exec::sequential());
+        let par = render(&Exec::new(4));
+        assert_eq!(seq, par, "parallel run diverged from sequential");
     }
 }

@@ -12,9 +12,9 @@
 //! "to cover the lifetime for most of the connections", i.e. versions stay
 //! referenced within a window).
 
-use crate::exec::Exec;
 use silkroad::pool::{DipPool, PoolUpdate};
 use silkroad::version::VersionManager;
+use sr_exec::Exec;
 use sr_types::{Addr, Dip, Duration, Vip};
 use sr_workload::updates::DipOp;
 use sr_workload::{UpdatePlanConfig, UpdatePlanner};

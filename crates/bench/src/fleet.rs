@@ -16,6 +16,7 @@
 //! Gate logic lives in the `repro` binary; this module only measures.
 
 use crate::report::{json_doc, json_hex, json_object, json_str};
+use sr_exec::Exec;
 use sr_netwide::{sram_fit, SramFitReport};
 use sr_sim::{run_fleet, FleetParams, FleetReport};
 use sr_workload::{synthesize_fleet, FleetConfig};
@@ -44,7 +45,6 @@ pub fn fleet_params(smoke: bool) -> FleetParams {
             sim_secs: 10,
             epoch_ms: 250,
             storm_factor: 10.0,
-            workers: sr_exec::available_cores(),
         }
     } else {
         FleetParams {
@@ -54,7 +54,6 @@ pub fn fleet_params(smoke: bool) -> FleetParams {
             sim_secs: 60,
             epoch_ms: 100,
             storm_factor: 10.0,
-            workers: sr_exec::available_cores(),
         }
     }
 }
@@ -76,8 +75,8 @@ pub struct FleetBench {
 }
 
 /// Run the bench with explicit parameters (tests use tiny fleets).
-pub fn run_with(params: FleetParams, smoke: bool) -> FleetBench {
-    let report = run_fleet(&params);
+pub fn run_with(params: FleetParams, smoke: bool, exec: &Exec) -> FleetBench {
+    let report = run_fleet(&params, exec);
     let specs = synthesize_fleet(params.fleet);
     let fit = sram_fit(&specs, &report.per_cluster_peak, SRAM_BUDGET_MB);
     FleetBench {
@@ -89,8 +88,8 @@ pub fn run_with(params: FleetParams, smoke: bool) -> FleetBench {
 }
 
 /// Run the committed full or smoke profile.
-pub fn run(smoke: bool) -> FleetBench {
-    run_with(fleet_params(smoke), smoke)
+pub fn run(smoke: bool, exec: &Exec) -> FleetBench {
+    run_with(fleet_params(smoke), smoke, exec)
 }
 
 impl FleetBench {
@@ -148,7 +147,7 @@ mod tests {
 
     #[test]
     fn tiny_fleet_bench_reports_sane_json() {
-        let mut params = FleetParams {
+        let params = FleetParams {
             fleet: FleetConfig {
                 pops: 2,
                 frontends: 1,
@@ -160,9 +159,8 @@ mod tests {
             sim_secs: 4,
             epoch_ms: 250,
             storm_factor: 10.0,
-            workers: 1,
         };
-        let b = run_with(params, true);
+        let b = run_with(params, true, &Exec::new(1));
         assert_eq!(b.report.pcc_violations, 0);
         assert_eq!(b.fit.clusters, 5);
         assert!(b.report.bytes_per_conn <= 64.0);
@@ -182,8 +180,7 @@ mod tests {
         }
         // The document is a pure function of the workload: sharding the
         // clusters across more workers changes no byte of it.
-        params.workers = 3;
-        assert_eq!(run_with(params, true).to_json(), json);
+        assert_eq!(run_with(params, true, &Exec::new(3)).to_json(), json);
     }
 
     #[test]

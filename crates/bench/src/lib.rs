@@ -14,7 +14,6 @@
 pub mod ablations;
 pub mod churn;
 pub mod compare;
-pub mod exec;
 pub mod extras;
 pub mod fig_memory;
 pub mod fig_meta;
@@ -26,5 +25,4 @@ pub mod report;
 pub mod scale;
 pub mod tables;
 
-pub use exec::Exec;
 pub use scale::Scale;

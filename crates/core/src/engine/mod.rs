@@ -51,7 +51,6 @@ mod worker;
 
 use crate::config::SilkRoadConfig;
 use crate::dataplane::ForwardDecision;
-use crate::health::HealthEvent;
 use crate::memory::MemoryBreakdown;
 use crate::pool::PoolUpdate;
 use crate::stats::SwitchStats;
@@ -599,19 +598,6 @@ impl MultiPipeSwitch {
     ) -> Result<(), TypeError> {
         self.control(ControlOp::RequestUpdate { vip, op, now })
             .map(|_| ())
-    }
-
-    /// Apply health transitions on every pipe.
-    pub fn apply_health_events(
-        &mut self,
-        events: &[HealthEvent],
-        now: Nanos,
-    ) -> Result<(), TypeError> {
-        self.control(ControlOp::Health {
-            events: events.to_vec(),
-            now,
-        })
-        .map(|_| ())
     }
 
     /// Attach a VIP meter on every pipe. Each pipe polices its own share

@@ -15,7 +15,6 @@
 
 use super::{FlowSteering, Pipe, MAX_ADDR_BYTES};
 use crate::dataplane::{DataPath, ForwardDecision};
-use crate::health::HealthEvent;
 use crate::memory::MemoryBreakdown;
 use crate::pool::PoolUpdate;
 use crate::stats::SwitchStats;
@@ -48,13 +47,6 @@ pub(crate) enum ControlOp {
         vip: Vip,
         /// The pool change.
         op: PoolUpdate,
-        /// Request time.
-        now: Nanos,
-    },
-    /// Apply health transitions (every pipe).
-    Health {
-        /// The transitions.
-        events: Vec<HealthEvent>,
         /// Request time.
         now: Nanos,
     },

@@ -6,11 +6,12 @@
 //!
 //! The [`HealthChecker`] schedules per-DIP probes on a fixed interval,
 //! declares a DIP down after `fail_threshold` consecutive missed replies,
-//! and up again after `rise_threshold` successes. The switch integration
-//! turns those verdicts into `Remove`/`Add` pool updates, which the
-//! version-reuse machinery then collapses into at most a couple of pool
-//! versions per flap.
+//! and up again after `rise_threshold` successes. Each verdict comes out
+//! as the `Remove`/`Add` pool update it stands for, which the caller hands
+//! to `request_update`; the version-reuse machinery then collapses a flap
+//! into at most a couple of pool versions.
 
+use crate::pool::PoolUpdate;
 use sr_hash::FxHashMap;
 use sr_types::{Dip, Duration, Nanos, Vip};
 
@@ -38,15 +39,6 @@ impl Default for HealthConfig {
     }
 }
 
-/// A health-state transition the switch must act on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HealthEvent {
-    /// The DIP crossed the failure threshold: remove it from its pool.
-    Down(Vip, Dip),
-    /// The DIP recovered: add it back.
-    Up(Vip, Dip),
-}
-
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Verdict {
     Healthy,
@@ -64,16 +56,22 @@ struct Target {
 /// The BFD-offload health checker.
 ///
 /// ```
-/// use silkroad::{HealthChecker, HealthConfig, HealthEvent};
+/// use silkroad::{HealthChecker, HealthConfig, PoolUpdate, SilkRoadConfig, SilkRoadSwitch};
 /// use sr_types::{Addr, Dip, Nanos, Vip};
 /// let mut hc = HealthChecker::new(HealthConfig { fail_threshold: 2, ..Default::default() });
 /// let vip = Vip(Addr::v4(20, 0, 0, 1, 80));
 /// let dip = Dip(Addr::v4(10, 0, 0, 1, 20));
+/// let mut sw = SilkRoadSwitch::new(SilkRoadConfig::small_test());
+/// sw.add_vip(vip, vec![dip, Dip(Addr::v4(10, 0, 0, 2, 20))]).unwrap();
 /// hc.watch(vip, dip, Nanos::ZERO);
 /// // Two probe rounds (at 0 s and 10 s) with no reply: declared down.
 /// assert!(hc.poll(Nanos::from_secs(5), |_, _| false).is_empty());
-/// let events = hc.poll(Nanos::from_secs(15), |_, _| false);
-/// assert_eq!(events, vec![HealthEvent::Down(vip, dip)]);
+/// let now = Nanos::from_secs(15);
+/// let updates = hc.poll(now, |_, _| false);
+/// assert_eq!(updates, vec![(vip, PoolUpdate::Remove(dip))]);
+/// for (vip, op) in updates {
+///     sw.request_update(vip, op, now).unwrap();
+/// }
 /// ```
 pub struct HealthChecker {
     cfg: HealthConfig,
@@ -144,13 +142,14 @@ impl HealthChecker {
     }
 
     /// Run all probes due at `now`. `responder` answers whether the DIP
-    /// replied (the simulator's ground truth). Returns the state
-    /// transitions crossed.
+    /// replied (the simulator's ground truth). Returns one pool update per
+    /// state transition crossed: `Remove` when a DIP goes down, `Add` when
+    /// it comes back up.
     pub fn poll<F: FnMut(Vip, Dip) -> bool>(
         &mut self,
         now: Nanos,
         mut responder: F,
-    ) -> Vec<HealthEvent> {
+    ) -> Vec<(Vip, PoolUpdate)> {
         let mut events = Vec::new();
         for t in &mut self.targets {
             while t.next_probe <= now {
@@ -166,7 +165,7 @@ impl HealthChecker {
                         if t.consecutive >= self.cfg.fail_threshold {
                             t.verdict = Verdict::Failed;
                             t.consecutive = 0;
-                            events.push(HealthEvent::Down(t.vip, t.dip));
+                            events.push((t.vip, PoolUpdate::Remove(t.dip)));
                         }
                     }
                     (Verdict::Failed, true) => {
@@ -174,7 +173,7 @@ impl HealthChecker {
                         if t.consecutive >= self.cfg.rise_threshold {
                             t.verdict = Verdict::Healthy;
                             t.consecutive = 0;
-                            events.push(HealthEvent::Up(t.vip, t.dip));
+                            events.push((t.vip, PoolUpdate::Add(t.dip)));
                         }
                     }
                 }
@@ -234,7 +233,7 @@ mod tests {
         for s in 1..=10 {
             let ev = h.poll(Nanos::from_secs(s), |_, d| d != dip(2));
             for e in ev {
-                assert_eq!(e, HealthEvent::Down(vip(), dip(2)));
+                assert_eq!(e, (vip(), PoolUpdate::Remove(dip(2))));
                 assert!(down_at.is_none());
                 down_at = Some(s);
             }
@@ -256,8 +255,8 @@ mod tests {
         assert_eq!(
             events,
             vec![
-                HealthEvent::Down(vip(), dip(1)),
-                HealthEvent::Up(vip(), dip(1))
+                (vip(), PoolUpdate::Remove(dip(1))),
+                (vip(), PoolUpdate::Add(dip(1)))
             ]
         );
     }

@@ -69,7 +69,7 @@ pub mod vip_table;
 pub use config::{ConnMapping, SilkRoadConfig};
 pub use dataplane::{BloomHashes, DataPath, ForwardDecision, HashedKey, KeyHasher};
 pub use engine::{EngineOptions, FlowSteering, MultiPipeSwitch, Pipe, StreamStats};
-pub use health::{HealthChecker, HealthConfig, HealthEvent};
+pub use health::{HealthChecker, HealthConfig};
 pub use pool::{DipPool, PoolUpdate};
 pub use stats::SwitchStats;
 pub use switch::SilkRoadSwitch;

@@ -932,27 +932,6 @@ impl SilkRoadSwitch {
         n
     }
 
-    /// Apply health-checker verdicts (§7): a `Down` removes the DIP from
-    /// its pool, an `Up` re-adds it — both through the normal 3-step PCC
-    /// update path, where version reuse absorbs the flap.
-    pub fn apply_health_events(
-        &mut self,
-        events: &[crate::health::HealthEvent],
-        now: Nanos,
-    ) -> Result<(), TypeError> {
-        for e in events {
-            match *e {
-                crate::health::HealthEvent::Down(vip, dip) => {
-                    self.request_update(vip, PoolUpdate::Remove(dip), now)?;
-                }
-                crate::health::HealthEvent::Up(vip, dip) => {
-                    self.request_update(vip, PoolUpdate::Add(dip), now)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Apply one multi-pipe engine control op. Returns the connections an
     /// idle-expiry op expired (0 for every other op).
     pub(crate) fn apply(&mut self, op: &ControlOp) -> Result<usize, TypeError> {
@@ -962,7 +941,6 @@ impl SilkRoadSwitch {
             ControlOp::RequestUpdate { vip, op, now } => {
                 self.request_update(*vip, *op, *now).map(|()| 0)
             }
-            ControlOp::Health { events, now } => self.apply_health_events(events, *now).map(|()| 0),
             ControlOp::AttachMeter { vip, cfg } => {
                 self.attach_meter(*vip, *cfg);
                 Ok(0)
@@ -1556,16 +1534,18 @@ mod tests {
         let mut t = Nanos::ZERO;
         for s in 1..=4u64 {
             t = Nanos::from_secs(s);
-            let events = hc.poll(t, |_, d| d != dip(2));
-            sw.apply_health_events(&events, t).unwrap();
+            for (v, op) in hc.poll(t, |_, d| d != dip(2)) {
+                sw.request_update(v, op, t).unwrap();
+            }
         }
         sw.advance(t + sr_types::Duration::from_millis(50));
         assert!(!sw.current_dips(vip()).unwrap().contains(&dip(2)));
         // It recovers; one healthy round re-adds it.
         for s in 5..=7u64 {
             t = Nanos::from_secs(s);
-            let events = hc.poll(t, |_, _| true);
-            sw.apply_health_events(&events, t).unwrap();
+            for (v, op) in hc.poll(t, |_, _| true) {
+                sw.request_update(v, op, t).unwrap();
+            }
         }
         sw.advance(t + sr_types::Duration::from_millis(50));
         assert!(sw.current_dips(vip()).unwrap().contains(&dip(2)));

@@ -5,7 +5,7 @@
 //! pipe (stability/symmetry), and only *fast* if a uniform trace spreads
 //! evenly across pipes (balance). Stability and symmetry are checked over
 //! arbitrary proptest-generated endpoints; balance over large synthetic
-//! traces at every pipe count the saturation sweep uses.
+//! traces at 2, 4 and 8 pipes.
 
 use proptest::prelude::*;
 use silkroad::FlowSteering;

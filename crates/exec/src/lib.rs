@@ -8,18 +8,14 @@
 //!   byte-identical to a sequential run regardless of worker count or
 //!   scheduling. The experiment driver (`sr-bench`) uses it for
 //!   simulation-backed figures: lists of independent (data point,
-//!   system, seed) jobs.
+//!   system, seed) jobs. The fleet simulator (`sr-sim::fleet`) runs one
+//!   job per cluster on it.
 //! * **Run-to-completion plumbing** — the multi-pipe packet engine
 //!   (`silkroad::engine`) keeps long-lived per-pipe workers fed through
 //!   bounded [`ring`] SPSC rings ([`spsc`]), padded with [`CachePadded`]
 //!   and optionally pinned to cores with [`pin_current_thread`]. The
 //!   old per-batch scoped fan-out it replaced paid a thread
 //!   spawn/join per batch and could never scale wall-clock throughput.
-//! * **Lockstep control broadcast** — [`EpochLog`] is an epoch-versioned
-//!   op log, generic over the op type: resident workers adopt immutable
-//!   `Arc`-shared ops in publication order at epoch boundaries, which
-//!   keeps sharded state bit-identical across worker counts. The fleet
-//!   simulator (`sr-sim::fleet`) drives its per-cluster shards with it.
 //!
 //! Built on `std` plus the vendored `parking_lot`: no executor
 //! dependency, no `'static` bounds in `Exec::run`, and no `unsafe`.
@@ -28,12 +24,10 @@
 #![warn(missing_docs)]
 
 pub mod affinity;
-pub mod epoch;
 pub mod pad;
 pub mod ring;
 
 pub use affinity::{available_cores, pin_current_thread};
-pub use epoch::EpochLog;
 pub use pad::CachePadded;
 pub use ring::{spsc, Consumer, Producer, PushError};
 
@@ -61,11 +55,7 @@ impl Exec {
 
     /// One worker per available core (the `--jobs` default).
     pub fn available() -> Exec {
-        Exec::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
+        Exec::new(available_cores())
     }
 
     /// Worker count.

@@ -1,12 +1,13 @@
 //! The parity gate: compiling the bundled `p4/silkroad.p4` must yield a
 //! `PipelineProgram` resource-for-resource identical to the hand-built
 //! reference the rest of the workspace runs on
-//! (`SilkRoadConfig::default().pipeline_program()`), down to an identical
-//! srcheck placement report. This is what turns `sr-asic` from a fixture
+//! (`SilkRoadConfig::default().pipeline_program()`, and the paper geometry
+//! `PipelineProgram::silkroad_paper()`), down to an identical srcheck
+//! placement report. This is what turns `sr-asic` from a fixture
 //! into a target: the P4 source is now the authoritative program text.
 
 use silkroad::SilkRoadConfig;
-use sr_asic::ChipSpec;
+use sr_asic::{ChipSpec, PipelineProgram};
 
 #[test]
 fn lowered_silkroad_is_identical_to_hand_built_reference() {
@@ -18,6 +19,11 @@ fn lowered_silkroad_is_identical_to_hand_built_reference() {
         format!("{hand_built:#?}"),
         format!("{lowered:#?}"),
         "lowered silkroad.p4 drifted from the hand-built reference"
+    );
+    assert_eq!(
+        format!("{:#?}", PipelineProgram::silkroad_paper()),
+        format!("{lowered:#?}"),
+        "lowered silkroad.p4 drifted from the paper geometry"
     );
 }
 

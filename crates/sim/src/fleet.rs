@@ -19,12 +19,12 @@
 //!   bitmasks with reference counts — SilkRoad's version-reuse scheme in
 //!   miniature (≤ 256 live versions per VIP; an update that finds no
 //!   free version is counted and skipped, never applied in place).
-//! * **Sharded lockstep.** Clusters are independent shards, distributed
-//!   round-robin over resident workers. A scripted [`sr_exec::EpochLog`]
-//!   broadcasts epoch advances and storm toggles; every worker adopts
-//!   ops in publication order at epoch boundaries, so per-cluster event
-//!   sequences — and therefore the commutative fleet digest — are
-//!   bit-identical for any worker count.
+//! * **One job per cluster.** Clusters are independent shards, so each
+//!   is one [`Exec`] job that builds its shard and walks the whole epoch
+//!   script (storm on, storm off, an advance at every boundary) on its
+//!   own. Jobs share nothing, and `Exec` returns the shards in cluster
+//!   order, so per-cluster event sequences — and therefore the
+//!   commutative fleet digest — are bit-identical for any worker count.
 //!
 //! Closes fire in wheel-tick batches at epoch boundaries rather than
 //! interleaved with same-epoch arrivals — a ≤ one-epoch timing
@@ -34,7 +34,7 @@
 use crate::wheel::TimerWheel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sr_exec::EpochLog;
+use sr_exec::Exec;
 use sr_workload::dists::exponential;
 use sr_workload::{
     flow_attrs, prewarm_close_ns, synthesize_fleet, ClusterSpec, FleetConfig, FlowGen, FlowRecord,
@@ -64,23 +64,6 @@ pub struct FleetParams {
     /// Multiplier on every cluster's DIP-update rate during the storm
     /// window (middle third of the run).
     pub storm_factor: f64,
-    /// Resident workers sharding the clusters (1 = inline, no threads).
-    pub workers: usize,
-}
-
-/// One scripted control op, broadcast through the [`EpochLog`].
-#[derive(Clone, Copy, Debug)]
-pub enum FleetOp {
-    /// Advance every shard to this absolute time (one epoch boundary).
-    Advance {
-        /// Epoch-end timestamp, ns.
-        to_ns: u64,
-    },
-    /// Rescale every cluster's DIP-update rate (storm on/off).
-    SetUpdateFactor {
-        /// New multiplier on the base update rate.
-        factor: f64,
-    },
 }
 
 /// What the fleet run measured.
@@ -88,8 +71,6 @@ pub enum FleetOp {
 pub struct FleetReport {
     /// Clusters simulated.
     pub clusters: u32,
-    /// Worker threads used.
-    pub workers: usize,
     /// Control epochs executed.
     pub epochs: u64,
     /// Median of the per-epoch fleet-wide live-connection samples.
@@ -284,21 +265,15 @@ impl ClusterShard {
         self.wheel.schedule(slot, close_ns);
     }
 
-    /// Apply one broadcast control op.
-    fn apply(&mut self, op: &FleetOp) {
-        match *op {
-            FleetOp::Advance { to_ns } => self.advance_to(to_ns),
-            FleetOp::SetUpdateFactor { factor } => {
-                // Rescale the pending gap so the rate change takes effect
-                // immediately (deterministically — `now_ns` is an epoch
-                // boundary on every worker).
-                let old = self.upd_factor.max(1e-12);
-                let new = factor.max(1e-12);
-                let rem = self.next_upd_ns.saturating_sub(self.now_ns) as f64 * (old / new);
-                self.next_upd_ns = self.now_ns.saturating_add(rem as u64);
-                self.upd_factor = factor;
-            }
-        }
+    /// Rescale the DIP-update rate (storm on/off). The pending gap is
+    /// rescaled too, so the change takes effect at once (and
+    /// deterministically: `now_ns` is always an epoch boundary).
+    fn set_update_factor(&mut self, factor: f64) {
+        let old = self.upd_factor.max(1e-12);
+        let new = factor.max(1e-12);
+        let rem = self.next_upd_ns.saturating_sub(self.now_ns) as f64 * (old / new);
+        self.next_upd_ns = self.now_ns.saturating_add(rem as u64);
+        self.upd_factor = factor;
     }
 
     /// Advance one epoch: merge arrivals and updates by timestamp, then
@@ -461,93 +436,34 @@ impl ClusterShard {
     }
 }
 
-/// Run the fleet engine to completion and report.
-pub fn run_fleet(params: &FleetParams) -> FleetReport {
+/// Run the fleet engine to completion and report: one `exec` job per
+/// cluster, folded in cluster order.
+pub fn run_fleet(params: &FleetParams, exec: &Exec) -> FleetReport {
     let specs = synthesize_fleet(params.fleet);
     let total_weight: u64 = specs.iter().map(|s| s.total_conns_p99()).sum();
-    let targets: Vec<u64> = specs
-        .iter()
-        .map(|s| {
-            ((params.target_conns as u128 * u128::from(s.total_conns_p99()))
-                / u128::from(total_weight.max(1))) as u64
-        })
-        .map(|t| t.max(16))
-        .collect();
     let epoch_ns = params.epoch_ms.max(1) * 1_000_000;
     let epochs = (params.sim_secs * 1_000) / params.epoch_ms.max(1);
     let storm_on = epochs / 3;
     let storm_off = 2 * epochs / 3;
 
-    // The whole control script is known upfront; publish it and close.
-    // Workers adopt in publication order — the lockstep idiom matters
-    // because every shard must see the same (advance, storm) interleaving
-    // at the same boundaries regardless of which worker owns it.
-    let log: EpochLog<FleetOp> = EpochLog::new();
-    for e in 1..=epochs {
-        if e == storm_on {
-            log.publish(FleetOp::SetUpdateFactor {
-                factor: params.storm_factor,
-            });
-        }
-        if e == storm_off {
-            log.publish(FleetOp::SetUpdateFactor { factor: 1.0 });
-        }
-        log.publish(FleetOp::Advance {
-            to_ns: e * epoch_ns,
-        });
-    }
-    log.close();
-
-    let workers = params.workers.max(1);
-    let run_worker = |w: usize| -> Vec<ClusterShard> {
-        let mut mine: Vec<ClusterShard> = specs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % workers == w)
-            .map(|(i, spec)| {
-                ClusterShard::new(
-                    i as u32,
-                    spec,
-                    params.seed,
-                    *targets.get(i).unwrap_or(&16),
-                    epochs,
-                )
-            })
-            .collect();
-        let mut cursor = 0u64;
-        let mut buf = Vec::new();
-        loop {
-            let target = log.wait_beyond(cursor);
-            if target == cursor {
-                break;
+    let shards = exec.run(specs.iter().enumerate().collect(), |(i, spec)| {
+        let target = ((params.target_conns as u128 * u128::from(spec.total_conns_p99()))
+            / u128::from(total_weight.max(1))) as u64;
+        let mut shard = ClusterShard::new(i as u32, spec, params.seed, target.max(16), epochs);
+        for e in 1..=epochs {
+            if e == storm_on {
+                shard.set_update_factor(params.storm_factor);
             }
-            buf.clear();
-            log.copy_range(cursor, target, &mut buf);
-            for op in &buf {
-                for shard in &mut mine {
-                    shard.apply(op);
-                }
+            if e == storm_off {
+                shard.set_update_factor(1.0);
             }
-            cursor = target;
+            shard.advance_to(e * epoch_ns);
         }
-        mine
-    };
-    let shards: Vec<ClusterShard> = if workers == 1 {
-        run_worker(0)
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| s.spawn(move || run_worker(w)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("fleet worker panicked"))
-                .collect()
-        })
-    };
+        shard
+    });
 
     let mut held = vec![0u64; epochs as usize];
-    let mut per_cluster_peak = vec![0u64; specs.len()];
+    let mut per_cluster_peak = Vec::with_capacity(shards.len());
     let (mut opens, mut closes, mut pcc, mut upd_a, mut upd_s) = (0u64, 0u64, 0u64, 0u64, 0u64);
     let (mut state_bytes, mut control_bytes, mut digest, mut held_final) = (0u64, 0u64, 0u64, 0u64);
     for sh in &shards {
@@ -556,9 +472,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
                 *h += v;
             }
         }
-        if let Some(p) = per_cluster_peak.get_mut(sh.id as usize) {
-            *p = sh.peak_live;
-        }
+        per_cluster_peak.push(sh.peak_live);
         opens += sh.opens;
         closes += sh.closes;
         pcc += sh.pcc_violations;
@@ -575,7 +489,6 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
     let held_peak = held.iter().copied().max().unwrap_or(0);
     FleetReport {
         clusters: specs.len() as u32,
-        workers,
         epochs,
         held_median,
         held_peak,
@@ -598,7 +511,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetReport {
 mod tests {
     use super::*;
 
-    fn small_params(workers: usize) -> FleetParams {
+    fn small_params() -> FleetParams {
         FleetParams {
             fleet: FleetConfig {
                 pops: 2,
@@ -611,13 +524,12 @@ mod tests {
             sim_secs: 5,
             epoch_ms: 250,
             storm_factor: 10.0,
-            workers,
         }
     }
 
     #[test]
     fn holds_target_with_zero_pcc_violations() {
-        let r = run_fleet(&small_params(1));
+        let r = run_fleet(&small_params(), &Exec::new(1));
         assert_eq!(r.pcc_violations, 0);
         assert_eq!(r.clusters, 5);
         assert_eq!(r.epochs, 20);
@@ -638,8 +550,8 @@ mod tests {
 
     #[test]
     fn digest_and_counters_invariant_across_worker_counts() {
-        let a = run_fleet(&small_params(1));
-        let b = run_fleet(&small_params(3));
+        let a = run_fleet(&small_params(), &Exec::new(1));
+        let b = run_fleet(&small_params(), &Exec::new(3));
         assert_eq!(a.digest, b.digest, "event stream diverged across shardings");
         assert_eq!(a.opens, b.opens);
         assert_eq!(a.closes, b.closes);
@@ -648,7 +560,6 @@ mod tests {
         assert_eq!(a.updates_applied, b.updates_applied);
         assert_eq!(a.updates_skipped, b.updates_skipped);
         assert_eq!(a.per_cluster_peak, b.per_cluster_peak);
-        assert_eq!(b.workers, 3);
     }
 
     #[test]
@@ -677,9 +588,7 @@ mod tests {
         };
         let mut sh = ClusterShard::new(0, &spec, 7, 300_000, 40);
         for e in 1..=40u64 {
-            sh.apply(&FleetOp::Advance {
-                to_ns: e * 250_000_000,
-            });
+            sh.advance_to(e * 250_000_000);
         }
         assert!(sh.upd_skipped > 0, "storm never exhausted version space");
         assert!(sh.upd_applied > 0);

@@ -54,7 +54,7 @@ pub trait LoadBalancer {
     }
 }
 
-// The parallel experiment driver (sr-bench's `Exec`) fans scenarios across
+// The parallel experiment driver (`sr_exec::Exec`) fans scenarios across
 // worker threads, so every system under test must stay `Send`. Assert it
 // at compile time so a stray `Rc`/`RefCell` in a balancer is caught here,
 // not in a cryptic spawn error two crates away.

@@ -31,7 +31,7 @@ pub mod metrics;
 pub mod scenarios;
 pub mod wheel;
 
-pub use fleet::{run_fleet, FleetOp, FleetParams, FleetReport};
+pub use fleet::{run_fleet, FleetParams, FleetReport};
 pub use harness::{Harness, HarnessConfig};
 pub use lb::{LoadBalancer, PacketVerdict, ASIC_LATENCY};
 pub use metrics::{LatencyHist, RunMetrics};

@@ -13,8 +13,8 @@
 
 use silkroad::engine::{packet_digest, running_workers};
 use silkroad::{
-    EngineOptions, FlowSteering, ForwardDecision, HealthEvent, MultiPipeSwitch, PoolUpdate,
-    SilkRoadConfig, SilkRoadSwitch, StreamStats,
+    EngineOptions, FlowSteering, ForwardDecision, MultiPipeSwitch, PoolUpdate, SilkRoadConfig,
+    SilkRoadSwitch, StreamStats,
 };
 use sr_types::{Addr, Dip, Duration, FiveTuple, Nanos, PacketMeta, TypeError, Vip};
 
@@ -73,7 +73,6 @@ trait Target {
     fn add_vip(&mut self, vip: Vip, dips: Vec<Dip>) -> Result<(), TypeError>;
     fn remove_vip(&mut self, vip: Vip) -> Result<(), TypeError>;
     fn request_update(&mut self, vip: Vip, op: PoolUpdate, now: Nanos) -> Result<(), TypeError>;
-    fn apply_health_events(&mut self, ev: &[HealthEvent], now: Nanos) -> Result<(), TypeError>;
     fn advance(&mut self, now: Nanos);
     fn expire_idle(&mut self, now: Nanos) -> usize;
 }
@@ -96,9 +95,6 @@ impl Target for MultiPipeSwitch {
     }
     fn request_update(&mut self, vip: Vip, op: PoolUpdate, now: Nanos) -> Result<(), TypeError> {
         MultiPipeSwitch::request_update(self, vip, op, now)
-    }
-    fn apply_health_events(&mut self, ev: &[HealthEvent], now: Nanos) -> Result<(), TypeError> {
-        MultiPipeSwitch::apply_health_events(self, ev, now)
     }
     fn advance(&mut self, now: Nanos) {
         MultiPipeSwitch::advance(self, now)
@@ -156,9 +152,6 @@ impl Target for Reference {
     fn request_update(&mut self, vip: Vip, op: PoolUpdate, now: Nanos) -> Result<(), TypeError> {
         self.sw.request_update(vip, op, now)
     }
-    fn apply_health_events(&mut self, ev: &[HealthEvent], now: Nanos) -> Result<(), TypeError> {
-        self.sw.apply_health_events(ev, now)
-    }
     fn advance(&mut self, now: Nanos) {
         self.sw.advance(now)
     }
@@ -199,15 +192,13 @@ fn churn_script(sw: &mut impl Target) -> StreamStats {
             2 => sw
                 .request_update(vip(), PoolUpdate::Remove(Dip(Addr::v4(10, 0, 0, 8, 20))), t)
                 .unwrap(),
-            3 => sw
-                .apply_health_events(
-                    &[
-                        HealthEvent::Down(vip(), Dip(Addr::v4(10, 0, 0, 7, 20))),
-                        HealthEvent::Up(aux_vip, Dip(Addr::v4(10, 0, 1, 9, 20))),
-                    ],
-                    t,
-                )
-                .unwrap(),
+            3 => {
+                // Two health verdicts: one DIP down, one back up.
+                sw.request_update(vip(), PoolUpdate::Remove(Dip(Addr::v4(10, 0, 0, 7, 20))), t)
+                    .unwrap();
+                sw.request_update(aux_vip, PoolUpdate::Add(Dip(Addr::v4(10, 0, 1, 9, 20))), t)
+                    .unwrap();
+            }
             5 => sw.advance(t.saturating_add(Duration::from_secs(5))),
             7 => {
                 // Expiry mid-stream: nothing is idle long enough, so this

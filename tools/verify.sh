@@ -2,7 +2,8 @@
 # Tier-1 verification gate (see ROADMAP.md): release build, full test
 # suite, formatting + warning-free clippy over every first-party crate,
 # the srlint source gate, the srcheck pipeline-layout gate, the committed
-# BENCH_*.json documents regenerated and cmp'd, the replay smoke golden,
+# BENCH_*.json documents regenerated and cmp'd, the fleet smoke document
+# cmp'd between --jobs 1 and --jobs 2, the replay smoke golden,
 # the `repro all` and examples goldens, the release-mode
 # allocation regression, the repo benchmark's smoke pass (which must leave
 # its lockfile untouched), and its hit-1m seed-204 PCC and peak-RSS
@@ -70,11 +71,14 @@ done
 #             least 100 clusters and a held median of at least 2 M;
 #   replay  — a 100K+-frame capture, zero parse errors, checksum
 #             failures and PCC violations.
+# The fleet runs one job per cluster on repro's --jobs pool, so the smoke
+# document written at --jobs 1 must be byte-identical to the one written
+# at --jobs 2.
 # The SYN-flood scenario writes no document; its gates (the filter sheds
 # load, installed state stays bounded, zero PCC violations on the
 # background flows) run at smoke size. Packet rates are the benchmark's
 # business, not these documents'.
-echo "== BENCH_*.json (full churn/compare/fleet/replay, cmp'd against the committed documents)"
+echo "== BENCH_*.json (full churn/compare/fleet/replay cmp'd against the committed documents; fleet --smoke --jobs 1 vs 2)"
 DOC_TMP="$(mktemp -d)"
 (
     cd "$DOC_TMP"
@@ -87,6 +91,10 @@ DOC_TMP="$(mktemp -d)"
     for doc in churn compare fleet replay; do
         cmp "$OLDPWD/BENCH_$doc.json" "BENCH_$doc.json"
     done
+    "$repro" fleet --smoke --jobs 1 > /dev/null
+    mv BENCH_fleet.json fleet_smoke_jobs1.json
+    "$repro" fleet --smoke --jobs 2 > /dev/null
+    cmp fleet_smoke_jobs1.json BENCH_fleet.json
     "$repro" churn --smoke --flood > /dev/null
 )
 rm -rf "$DOC_TMP"
