@@ -132,11 +132,6 @@ impl<C: ConnState, S: Steering> AlgoEngine<C, S> {
         }
     }
 
-    /// The steering half (control-plane hooks).
-    pub fn steering_mut(&mut self) -> &mut S {
-        &mut self.steer
-    }
-
     /// The steering half, read-only (accounting).
     pub fn steering(&self) -> &S {
         &self.steer

@@ -18,9 +18,10 @@
 //!   and **meters** ([`meter`]) — RFC 4115 two-rate three-color markers for
 //!   per-VIP isolation.
 //!
-//! [`resources`] adds the chip-level resource-accounting model used to
-//! regenerate Table 1 (SRAM growth across ASIC generations) and Table 2
-//! (SilkRoad's additional resource usage over the baseline switch.p4).
+//! [`resources`] holds Table 1 (SRAM growth across ASIC generations) and
+//! switch.p4's documented usage, the denominator of Table 2; the numerator
+//! is the structural count [`PipelineProgram::resource_usage`] of the
+//! SilkRoad program ([`pipeline`]).
 //!
 //! [`check`] adds `srcheck`, the pipeline-layout verifier: it validates a
 //! [`PipelineProgram`]'s physical placement against a [`ChipSpec`]'s
@@ -46,6 +47,6 @@ pub use learning::{LearnEvent, LearningFilter, LearningFilterConfig};
 pub use meter::{Meter, MeterColor, MeterConfig};
 pub use pipeline::{MatchKind, PipelineProgram, RegisterDecl, TableDecl, TableDependency};
 pub use register::RegisterArray;
-pub use resources::{AsicGeneration, RatioError, ResourceModel, ResourcePercent, ResourceUsage};
+pub use resources::{AsicGeneration, ResourcePercent, ResourceUsage, SWITCH_P4_USAGE};
 pub use sram::{SramError, SramSpec, WORD_BITS};
 pub use table::TableSpec;

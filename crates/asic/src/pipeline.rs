@@ -4,8 +4,9 @@
 //! compiler's resource report exposes: its tables (match kind, key/action
 //! widths, entry counts, stages), register arrays, and carried metadata.
 //! [`PipelineProgram::resource_usage`] derives the chip resources the
-//! program consumes under RMT-style allocation rules — the structured
-//! source behind the Table 2 reproduction (`resources`).
+//! program consumes under RMT-style allocation rules — over
+//! [`PipelineProgram::silkroad_paper`] it is the numerator of every Table 2
+//! row (`repro table2`).
 //!
 //! Two reference programs are provided: [`PipelineProgram::baseline_switch_p4`],
 //! approximating the open-source `switch.p4` L2/L3/ACL/QoS program the
@@ -205,7 +206,10 @@ impl PipelineProgram {
     }
 
     /// An approximation of the baseline `switch.p4` (L2/L3/ACL/QoS) at the
-    /// granularity its published resource reports use.
+    /// granularity its published resource reports use: srcheck's placement
+    /// fixture for `repro check`. Its structural count is not the Table 2
+    /// denominator — that is the documented
+    /// [`crate::resources::SWITCH_P4_USAGE`].
     pub fn baseline_switch_p4() -> PipelineProgram {
         PipelineProgram {
             name: "switch.p4",

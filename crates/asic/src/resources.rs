@@ -5,17 +5,13 @@
 //! it alongside our assumed deployment target.
 //!
 //! Table 2 reports the *additional* hardware resources SilkRoad consumes,
-//! normalised by the usage of the baseline `switch.p4` program. We rebuild
-//! that accounting from first principles: SilkRoad's demand per resource is
-//! computed from its table/register geometry, and the baseline's absolute
-//! usage is encoded as documented constants calibrated against the figures
-//! published for switch.p4 on a Tofino-class chip. The calibration
-//! constants are exactly that — calibration — but the *structure* (what
-//! scales with connection count, what is fixed) is faithful, so the model
-//! correctly extrapolates from 1 M to 10 M connections.
-
-use crate::sram::bytes_to_mb;
-use crate::table::TableSpec;
+//! normalised by the usage of the baseline `switch.p4` program. SilkRoad's
+//! demand is structural: [`crate::PipelineProgram::resource_usage`] over
+//! the program `p4/silkroad.p4` lowers to, so what scales with connection
+//! count and what is fixed follows from the tables themselves. The
+//! baseline's absolute usage is [`SWITCH_P4_USAGE`], documented constants
+//! calibrated against the figures published for switch.p4 on a
+//! Tofino-class chip.
 
 /// One row of Table 1: an ASIC generation.
 #[derive(Clone, Copy, Debug)]
@@ -76,34 +72,6 @@ pub struct ResourceUsage {
     pub phv_bits: f64,
 }
 
-/// Why a resource ratio cannot be computed meaningfully.
-///
-/// [`ResourceUsage::percent_of`] keeps its forgiving semantics (0/0 → 0,
-/// x/0 → ∞) for report rendering; [`ResourceUsage::try_percent_of`] instead
-/// refuses inputs that would silently turn a Table 2 row into nonsense —
-/// negative or non-finite usage numbers, which can only come from upstream
-/// overflow or a bug in a demand model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RatioError {
-    /// A usage number is negative, NaN, or infinite.
-    NonFinite {
-        /// Which resource class carried the bad value.
-        resource: &'static str,
-    },
-}
-
-impl std::fmt::Display for RatioError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RatioError::NonFinite { resource } => {
-                write!(f, "non-finite or negative usage for resource '{resource}'")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RatioError {}
-
 impl ResourceUsage {
     /// Chip-wide demand when this (per-pipe) usage is replicated across
     /// `pipes` independent pipes. Every resource class scales linearly:
@@ -119,34 +87,6 @@ impl ResourceUsage {
             stateful_alus: self.stateful_alus * n,
             phv_bits: self.phv_bits * n,
         }
-    }
-
-    /// The usage numbers as named fields, for validation and reporting.
-    fn named_fields(&self) -> [(&'static str, f64); 7] {
-        [
-            ("crossbar", self.crossbar_bits),
-            ("sram", self.sram_bytes),
-            ("tcam", self.tcam_bytes),
-            ("vliw", self.vliw_actions),
-            ("hash_bits", self.hash_bits),
-            ("stateful_alus", self.stateful_alus),
-            ("phv", self.phv_bits),
-        ]
-    }
-
-    /// [`ResourceUsage::percent_of`] with typed failure when either side
-    /// carries a negative or non-finite number (the signature of upstream
-    /// overflow — e.g. a saturated [`crate::sram::SramSpec::bytes_for`]
-    /// cast through `f64`).
-    pub fn try_percent_of(&self, base: &ResourceUsage) -> Result<ResourcePercent, RatioError> {
-        for side in [self, base] {
-            for (resource, v) in side.named_fields() {
-                if !v.is_finite() || v < 0.0 {
-                    return Err(RatioError::NonFinite { resource });
-                }
-            }
-        }
-        Ok(self.percent_of(base))
     }
 
     /// Element-wise ratio `self / base` expressed as percentages, with 0/0
@@ -192,153 +132,28 @@ pub struct ResourcePercent {
     pub phv: f64,
 }
 
-/// The resource model: baseline switch.p4 usage plus SilkRoad demand
-/// derivation.
-#[derive(Clone, Copy, Debug)]
-pub struct ResourceModel {
-    /// Baseline switch.p4 absolute usage (calibration constants; see module
-    /// docs). Derived from a ~5000-line L2/L3/ACL/QoS program on a
-    /// Tofino-class target.
-    pub baseline: ResourceUsage,
-}
-
-impl Default for ResourceModel {
-    fn default() -> Self {
-        ResourceModel {
-            baseline: ResourceUsage {
-                // switch.p4 matches on many L2/L3/ACL fields across ~30
-                // logical tables: ~1.6 kb of crossbar.
-                crossbar_bits: 1600.0,
-                // Forwarding/MAC/ACL tables: ~12.8 MB of table SRAM.
-                sram_bytes: 12.8e6,
-                // LPM/ACL TCAM — SilkRoad adds none, so only used for the
-                // 0% row.
-                tcam_bytes: 2.0e6,
-                // ~90 VLIW action slots.
-                vliw_actions: 90.0,
-                // Hash bits for ECMP/LAG/learning: ~640 b.
-                hash_bits: 640.0,
-                // Counters/meters in the baseline: 18 sALUs.
-                stateful_alus: 18.0,
-                // PHV: ~3.2 kb of header vector in use.
-                phv_bits: 3250.0,
-            },
-        }
-    }
-}
-
-/// Geometry of a SilkRoad instantiation, for resource derivation.
-#[derive(Clone, Copy, Debug)]
-pub struct SilkRoadGeometry {
-    /// Provisioned ConnTable entries.
-    pub conn_entries: u64,
-    /// ConnTable entry layout.
-    pub conn_spec: TableSpec,
-    /// Pipeline stages ConnTable spans.
-    pub conn_stages: u32,
-    /// Number of VIPs in VIPTable.
-    pub vips: u64,
-    /// Total (vip, version) rows in DIPPoolTable times average pool size.
-    pub dip_pool_rows: u64,
-    /// DIP action bits (IPv6: 144).
-    pub dip_action_bits: u32,
-    /// TransitTable bloom size in bytes.
-    pub transit_bytes: u64,
-    /// Bloom hash functions.
-    pub transit_hashes: u32,
-}
-
-impl SilkRoadGeometry {
-    /// The paper's Table 2 configuration: 1 M connections, 16-bit digest,
-    /// 6-bit version.
-    pub fn table2_config() -> SilkRoadGeometry {
-        SilkRoadGeometry {
-            conn_entries: 1_000_000,
-            conn_spec: TableSpec::silkroad_conntable(),
-            conn_stages: 4,
-            vips: 1000,
-            // One row per (VIP, active version) with its member list; ~4
-            // live versions per VIP at steady state.
-            dip_pool_rows: 4 * 1000,
-            dip_action_bits: 144,
-            transit_bytes: 256,
-            transit_hashes: 4,
-        }
-    }
-
-    /// Derive absolute resource demand from the geometry.
-    pub fn demand(&self) -> ResourceUsage {
-        let conn_sram = self.conn_spec.bytes_for(self.conn_entries) as f64;
-        // VIPTable: VIP key (IPv6 addr+port+proto = 152 bits) -> version.
-        let vip_spec = TableSpec {
-            match_bits: 152,
-            action_bits: 2 * 6, // old + new version during updates
-            overhead_bits: 6,
-        };
-        let vip_sram = vip_spec.bytes_for(self.vips) as f64;
-        // DIPPoolTable: (vip idx, version) -> DIP+port.
-        let pool_spec = TableSpec {
-            match_bits: 32 + 6,
-            action_bits: self.dip_action_bits,
-            overhead_bits: 6,
-        };
-        let pool_sram = pool_spec.bytes_for(self.dip_pool_rows) as f64;
-        // LearnTable + metadata plumbing: small fixed SRAM.
-        let learn_sram = 64.0 * 1024.0;
-
-        // Crossbar: each table contributes its match width once per
-        // instantiated stage (ConnTable replicates its key across stages).
-        let crossbar = (self.conn_spec.match_bits * self.conn_stages) as f64
-            + vip_spec.match_bits as f64
-            + pool_spec.match_bits as f64
-            + /* transit key select */ 104.0;
-
-        // Hash bits: per-stage bucket hash for ConnTable (log2(words) ~ 17
-        // bits each, plus the 16-bit digest computed once), VIP/pool table
-        // addressing, and k bloom indices of ~11 bits each.
-        let hash = (self.conn_stages * 17 + 16) as f64
-            + 2.0 * 14.0
-            + (self.transit_hashes * 11) as f64
-            + /* ECMP-style DIP select hash */ 64.0;
-
-        // VLIW: rewrite dst addr+port (2 ops), version carry (1), learn
-        // digest generation (1), transit set/test (2), meter color (1),
-        // plus per-table hit/miss bookkeeping.
-        let vliw = 17.0;
-
-        // Stateful ALUs: bloom filter read/write paths (k each) — matches
-        // the paper's observation that TransitTable is the sALU consumer.
-        let salus = (2 * self.transit_hashes) as f64;
-
-        // PHV: carried metadata — version (6b), old/new version (12b),
-        // digest (16b), transit flag (1b) ≈ 32 bits rounded to containers.
-        let phv = 32.0;
-
-        ResourceUsage {
-            crossbar_bits: crossbar,
-            sram_bytes: conn_sram + vip_sram + pool_sram + learn_sram + self.transit_bytes as f64,
-            tcam_bytes: 0.0,
-            vliw_actions: vliw,
-            hash_bits: hash,
-            stateful_alus: salus,
-            phv_bits: phv,
-        }
-    }
-}
-
-impl ResourceModel {
-    /// Compute the Table 2 row set for a SilkRoad geometry.
-    pub fn table2(&self, geom: &SilkRoadGeometry) -> ResourcePercent {
-        geom.demand().percent_of(&self.baseline)
-    }
-
-    /// Whether a geometry fits a given ASIC generation's SRAM (using the
-    /// high end of the range, as the paper's 10 M-connection claim does).
-    pub fn fits(&self, geom: &SilkRoadGeometry, gen: &AsicGeneration) -> bool {
-        let need_mb = bytes_to_mb((geom.demand().sram_bytes + self.baseline.sram_bytes) as u64);
-        need_mb <= gen.sram_mb_high as f64
-    }
-}
+/// Documented absolute usage of the baseline `switch.p4` program (a
+/// ~5000-line L2/L3/ACL/QoS program) on a Tofino-class target: the
+/// denominator of every Table 2 row. These are calibration constants (see
+/// module docs), not a structural count — the placement fixture
+/// [`crate::PipelineProgram::baseline_switch_p4`] tallies differently.
+pub const SWITCH_P4_USAGE: ResourceUsage = ResourceUsage {
+    // switch.p4 matches on many L2/L3/ACL fields across ~30 logical
+    // tables: ~1.6 kb of crossbar.
+    crossbar_bits: 1600.0,
+    // Forwarding/MAC/ACL tables: ~12.8 MB of table SRAM.
+    sram_bytes: 12.8e6,
+    // LPM/ACL TCAM — SilkRoad adds none, so only used for the 0% row.
+    tcam_bytes: 2.0e6,
+    // ~90 VLIW action slots.
+    vliw_actions: 90.0,
+    // Hash bits for ECMP/LAG/learning: ~640 b.
+    hash_bits: 640.0,
+    // Counters/meters in the baseline: 18 sALUs.
+    stateful_alus: 18.0,
+    // PHV: ~3.2 kb of header vector in use.
+    phv_bits: 3250.0,
+};
 
 #[cfg(test)]
 mod tests {
@@ -356,96 +171,18 @@ mod tests {
     }
 
     #[test]
-    fn table2_percentages_in_paper_ballpark() {
-        // Paper: crossbar 37.53, SRAM 27.92, TCAM 0, VLIW 18.89,
-        // hash 34.17, sALU 44.44, PHV 0.98 (percent).
-        let m = ResourceModel::default();
-        let p = m.table2(&SilkRoadGeometry::table2_config());
-        assert!(
-            (20.0..60.0).contains(&p.crossbar),
-            "crossbar {}",
-            p.crossbar
-        );
-        assert!((20.0..40.0).contains(&p.sram), "sram {}", p.sram);
-        assert_eq!(p.tcam, 0.0);
-        assert!((10.0..30.0).contains(&p.vliw), "vliw {}", p.vliw);
-        assert!((20.0..50.0).contains(&p.hash_bits), "hash {}", p.hash_bits);
-        assert!(
-            (30.0..60.0).contains(&p.stateful_alus),
-            "salu {}",
-            p.stateful_alus
-        );
-        assert!(p.phv < 2.0, "phv {}", p.phv);
-        // All additional usage below 50%, the paper's headline for Table 2.
-        for v in [
-            p.crossbar,
-            p.sram,
-            p.tcam,
-            p.vliw,
-            p.hash_bits,
-            p.stateful_alus,
-            p.phv,
-        ] {
-            assert!(v < 60.0);
-        }
-    }
-
-    #[test]
-    fn ten_million_connections_fit_2016_asic() {
-        let mut g = SilkRoadGeometry::table2_config();
-        g.conn_entries = 10_000_000;
-        let m = ResourceModel::default();
-        assert!(m.fits(&g, &ASIC_GENERATIONS[2]));
-        // ...but not the 2012 generation.
-        assert!(!m.fits(&g, &ASIC_GENERATIONS[0]));
-    }
-
-    #[test]
-    fn demand_scales_with_connections() {
-        let small = SilkRoadGeometry {
-            conn_entries: 100_000,
-            ..SilkRoadGeometry::table2_config()
-        };
-        let big = SilkRoadGeometry {
-            conn_entries: 10_000_000,
-            ..SilkRoadGeometry::table2_config()
-        };
-        assert!(big.demand().sram_bytes > small.demand().sram_bytes * 50.0);
-        // Non-SRAM resources are geometry-fixed, not per-connection.
-        assert_eq!(big.demand().stateful_alus, small.demand().stateful_alus);
-    }
-
-    #[test]
-    fn try_percent_of_rejects_non_finite_usage() {
-        let good = ResourceModel::default().baseline;
-        assert!(good.try_percent_of(&good).is_ok());
-        let bad = ResourceUsage {
-            sram_bytes: f64::NAN,
-            ..good
-        };
-        assert_eq!(
-            bad.try_percent_of(&good).unwrap_err(),
-            RatioError::NonFinite { resource: "sram" }
-        );
-        let neg = ResourceUsage {
-            hash_bits: -1.0,
-            ..good
-        };
-        assert_eq!(
-            good.try_percent_of(&neg).unwrap_err(),
-            RatioError::NonFinite {
-                resource: "hash_bits"
-            }
-        );
-    }
-
-    #[test]
     fn replicated_scales_every_field_linearly() {
-        let one = ResourceModel::default().baseline;
-        let four = one.replicated(4);
-        for ((name_a, a), (_, b)) in one.named_fields().iter().zip(four.named_fields().iter()) {
-            assert_eq!(*b, a * 4.0, "field {name_a}");
-        }
+        let one = SWITCH_P4_USAGE;
+        let four = ResourceUsage {
+            crossbar_bits: 4.0 * one.crossbar_bits,
+            sram_bytes: 4.0 * one.sram_bytes,
+            tcam_bytes: 4.0 * one.tcam_bytes,
+            vliw_actions: 4.0 * one.vliw_actions,
+            hash_bits: 4.0 * one.hash_bits,
+            stateful_alus: 4.0 * one.stateful_alus,
+            phv_bits: 4.0 * one.phv_bits,
+        };
+        assert_eq!(one.replicated(4), four);
         assert_eq!(one.replicated(1), one);
     }
 

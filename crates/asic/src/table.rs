@@ -1,8 +1,8 @@
 //! Exact-match table entry layouts and their SRAM cost.
 //!
 //! A [`TableSpec`] describes the on-chip layout of one table entry — the
-//! *cost* side of a table (SRAM words, crossbar bits, hash bits) that feeds
-//! the Table 2 resource model and the Fig 12/14 memory results. The
+//! *cost* side of a table (SRAM words per entry) that feeds the Fig 12/14
+//! memory results. The
 //! *behaviour* side (lookup/insert/relocate) is the multi-stage cuckoo
 //! store in `sr-hash`; the one rule tying them together is how many entries
 //! pack into an SRAM word, which fixes the cuckoo bucket width — see

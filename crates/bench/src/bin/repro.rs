@@ -13,11 +13,96 @@
 //! cores). Results are reduced in job order, so stdout is byte-identical
 //! for every N; per-figure wall-clock goes to stderr, which is the only
 //! output that differs.
+//!
+//! The target comes first. Each target owns its flags ([`TARGETS`]); `--jobs`
+//! is accepted by all of them, any other flag the target does not read is
+//! a usage error (exit 2), and `repro <target> --help` prints the target's
+//! usage and runs nothing.
 
 use sr_bench::report::{mb, pct, Table};
 use sr_bench::{extras, fig_memory, fig_meta, fig_pcc, fig_version, tables, Scale};
 use sr_exec::Exec;
 use sr_types::Duration;
+
+/// The evaluation targets, in the order `all` runs them.
+const FIGURES: [&str; 20] = [
+    "table1",
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig8",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "meters",
+    "digests",
+    "cost",
+    "ablations",
+    "latency",
+];
+
+/// Every target's positional operand and flags. A flag with a
+/// placeholder takes a value (`--p4 <file.p4>`); the figures share the
+/// `<figure>` row, and every target also reads `--jobs N`.
+const TARGETS: [(&str, Option<&str>, &[&str]); 9] = [
+    ("help", None, &[]),
+    ("all", None, &["--full"]),
+    ("<figure>", None, &["--full"]),
+    ("check", None, &["--p4 <file.p4>"]),
+    ("fleet", None, &["--smoke"]),
+    ("churn", None, &["--smoke", "--flood"]),
+    ("compare", None, &["--smoke", "--algo <name>"]),
+    ("export", Some("<file.pcap>"), &["--smoke"]),
+    (
+        "replay",
+        Some("<file.pcap>"),
+        &["--smoke", "--encap", "--pipes N"],
+    ),
+];
+
+/// What one target reads.
+struct Spec {
+    operand: Option<&'static str>,
+    flags: Vec<&'static str>,
+}
+
+impl Spec {
+    /// `target`'s row of [`TARGETS`], or `None` for an unknown target.
+    fn of(target: &str) -> Option<Spec> {
+        let row = if FIGURES.contains(&target) {
+            "<figure>"
+        } else {
+            target
+        };
+        let &(_, operand, flags) = TARGETS.iter().find(|t| t.0 == row)?;
+        let flags = flags.iter().copied().chain(["--jobs N"]).collect();
+        Some(Spec { operand, flags })
+    }
+
+    /// The usage line, generated from the row so it cannot drift.
+    fn usage(&self, target: &str) -> String {
+        let mut u = format!("repro {target}");
+        if let Some(op) = self.operand {
+            u += &format!(" {op}");
+        }
+        for f in &self.flags {
+            u += &format!(" [{f}]");
+        }
+        u
+    }
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
 
 /// Parse `--<flag> V` / `--<flag>=V` as a raw string; `None` means
 /// "not given". A bare flag with no value is a usage error.
@@ -27,10 +112,9 @@ fn parse_value_flag(args: &[String], flag: &str) -> Option<String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if *a == bare {
-            let v = it.next().unwrap_or_else(|| {
-                eprintln!("{bare} needs a value");
-                std::process::exit(2);
-            });
+            let v = it
+                .next()
+                .unwrap_or_else(|| usage_error(&format!("{bare} needs a value")));
             return Some(v.clone());
         }
         if let Some(v) = a.strip_prefix(&eq) {
@@ -42,99 +126,106 @@ fn parse_value_flag(args: &[String], flag: &str) -> Option<String> {
 
 /// Parse `--<flag> N` / `--<flag>=N`; `None` means "not given".
 fn parse_count_flag(args: &[String], flag: &str) -> Option<usize> {
-    parse_value_flag(args, flag).map(|v| parse_count_value(&format!("--{flag}"), &v))
+    parse_value_flag(args, flag).map(|v| match v.parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => usage_error(&format!("--{flag} wants a positive integer, got '{v}'")),
+    })
 }
 
-fn parse_count_value(flag: &str, v: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("{flag} wants a positive integer, got '{v}'");
-            std::process::exit(2);
-        }
+fn print_help() {
+    println!("usage: repro <target> [flags]   (repro <target> --help: one target)");
+    println!(
+        "figures, in the order `all` runs them: {}",
+        FIGURES.join(" ")
+    );
+    for (target, _, _) in TARGETS.iter().filter(|t| t.0 != "help") {
+        let spec = Spec::of(target).expect("a TARGETS row");
+        println!("  {}", spec.usage(target));
     }
+    println!("fleet/churn/compare/export/replay --smoke: the small, CI-sized profile");
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let scale = if full { Scale::full() } else { Scale::quick() };
-    let exec = match parse_count_flag(&args, "jobs") {
+    let target = match args.first().map(String::as_str) {
+        None | Some("-h" | "--help") => "help",
+        Some(t) => t,
+    };
+    let spec = Spec::of(target)
+        .unwrap_or_else(|| usage_error(&format!("unknown target '{target}' — try: repro help")));
+    let rest = args.get(1..).unwrap_or_default();
+    // Flags are a closed set per target: a misspelled flag, or one meant
+    // for another target, must fail loudly rather than silently run the
+    // defaults it was meant to override.
+    let mut operands: Vec<&str> = Vec::new();
+    let mut help = false;
+    let mut it = rest.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with('-') {
+            operands.push(a);
+            continue;
+        }
+        if a == "--help" || a == "-h" {
+            help = true;
+            continue;
+        }
+        let name = a.split_once('=').map_or(a.as_str(), |(n, _)| n);
+        match spec
+            .flags
+            .iter()
+            .find(|f| f.split(' ').next() == Some(name))
+        {
+            Some(f) if f.contains(' ') => {
+                if name == a {
+                    it.next(); // the value; a missing one is reported below
+                }
+            }
+            Some(_) if name == a => {}
+            _ => usage_error(&format!(
+                "unknown flag '{a}' for '{target}' — usage: {}",
+                spec.usage(target)
+            )),
+        }
+    }
+    if target == "help" {
+        print_help();
+        return;
+    }
+    if help {
+        println!("usage: {}", spec.usage(target));
+        return;
+    }
+    if let Some(extra) = operands.get(spec.operand.is_some() as usize) {
+        usage_error(&format!(
+            "unexpected argument '{extra}' — usage: {}",
+            spec.usage(target)
+        ));
+    }
+    let operand = || {
+        operands.first().copied().unwrap_or_else(|| {
+            usage_error(&format!(
+                "{target} needs {} — usage: {}",
+                spec.operand.unwrap_or_default(),
+                spec.usage(target)
+            ))
+        })
+    };
+    let has = |flag: &str| rest.iter().any(|a| a == flag);
+    let exec = match parse_count_flag(rest, "jobs") {
         Some(n) => Exec::new(n),
         None => Exec::available(),
     };
-    // Flags are a closed set: a misspelled flag must fail loudly, not
-    // silently run the full-scale defaults it was meant to override.
-    const BOOL_FLAGS: [&str; 5] = ["--full", "--smoke", "--encap", "--flood", "--help"];
-    const VALUE_FLAGS: [&str; 4] = ["--jobs", "--pipes", "--p4", "--algo"];
-    let mut cmds: Vec<&str> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if VALUE_FLAGS.contains(&a.as_str()) {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            let known = BOOL_FLAGS.contains(&a.as_str())
-                || VALUE_FLAGS
-                    .iter()
-                    .any(|f| a.strip_prefix(*f).is_some_and(|r| r.starts_with('=')));
-            if !known {
-                eprintln!("unknown flag '{a}' — try: repro help");
-                std::process::exit(2);
-            }
-            continue;
-        }
-        cmds.push(a.as_str());
-    }
-    let cmd = cmds.first().copied().unwrap_or("help");
-
-    let all = [
-        "table1",
-        "table2",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig8",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "meters",
-        "digests",
-        "cost",
-        "ablations",
-        "pipeline",
-        "latency",
-    ];
-    match cmd {
+    let scale = if has("--full") {
+        Scale::full()
+    } else {
+        Scale::quick()
+    };
+    match target {
         "all" => {
-            for c in all {
+            for c in FIGURES {
                 run_timed(c, scale, &exec);
                 println!();
             }
-        }
-        "help" | "-h" | "--help" => {
-            println!("usage: repro <target> [--full] [--jobs N]");
-            println!(
-                "targets: all {} check fleet churn compare export replay",
-                all.join(" ")
-            );
-            println!("fleet/churn/compare options: --smoke (small trace, CI-sized)");
-            println!("check usage: repro check [--p4 <file.p4>]");
-            println!("churn usage: repro churn [--smoke] [--flood]");
-            println!("compare usage: repro compare [--smoke] [--algo <name>]");
-            println!("export usage: repro export <file.pcap> [--smoke]");
-            println!("replay usage: repro replay <file.pcap> [--pipes N] [--smoke] [--encap]");
         }
         // `check` is deliberately not part of `all`: it is the srcheck
         // verification gate (placement reports + pass/fail exit code), not
@@ -142,37 +233,18 @@ fn main() {
         // committed `BENCH_*.json` documents and gate on them;
         // `export`/`replay` take a file argument. All are part of the
         // verification surface, not the figure set.
-        "check" => run_check(parse_value_flag(&args, "p4").as_deref()),
-        "fleet" => run_fleet(args.iter().any(|a| a == "--smoke"), &exec),
-        "churn" => run_churn(
-            args.iter().any(|a| a == "--smoke"),
-            args.iter().any(|a| a == "--flood"),
-        ),
-        "compare" => run_compare(
-            args.iter().any(|a| a == "--smoke"),
-            parse_value_flag(&args, "algo").as_deref(),
-        ),
-        "export" => run_export(
-            cmds.get(1).copied().unwrap_or_else(|| {
-                eprintln!("export needs a destination: repro export <file.pcap> [--smoke]");
-                std::process::exit(2);
-            }),
-            args.iter().any(|a| a == "--smoke"),
-        ),
+        "check" => run_check(parse_value_flag(rest, "p4").as_deref()),
+        "fleet" => run_fleet(has("--smoke"), &exec),
+        "churn" => run_churn(has("--smoke"), has("--flood")),
+        "compare" => run_compare(has("--smoke"), parse_value_flag(rest, "algo").as_deref()),
+        "export" => run_export(operand(), has("--smoke")),
         "replay" => run_replay(
-            cmds.get(1).copied().unwrap_or_else(|| {
-                eprintln!("replay needs a capture: repro replay <file.pcap> [--pipes N]");
-                std::process::exit(2);
-            }),
-            parse_count_flag(&args, "pipes").unwrap_or(2),
-            args.iter().any(|a| a == "--smoke"),
-            args.iter().any(|a| a == "--encap"),
+            operand(),
+            parse_count_flag(rest, "pipes").unwrap_or(2),
+            has("--smoke"),
+            has("--encap"),
         ),
-        c if all.contains(&c) => run_timed(c, scale, &exec),
-        other => {
-            eprintln!("unknown target '{other}' — try: repro help");
-            std::process::exit(2);
-        }
+        figure => run_timed(figure, scale, &exec),
     }
 }
 
@@ -1045,37 +1117,6 @@ fn run(cmd: &str, scale: Scale, exec: &Exec) {
             );
             for p in extras::latency_comparison(exec, scale) {
                 t.row(vec![p.system, format!("{}", p.p50), format!("{}", p.p99)]);
-            }
-            println!("{}", t.render());
-        }
-        "pipeline" => {
-            use sr_asic::PipelineProgram;
-            let base = PipelineProgram::baseline_switch_p4().resource_usage();
-            let silk = PipelineProgram::silkroad_paper().resource_usage();
-            let mut t = Table::new(
-                "Pipeline resource report — switch.p4 baseline vs SilkRoad addition",
-                &["resource", "switch.p4", "SilkRoad", "added %"],
-            );
-            let rows: [(&str, f64, f64); 7] = [
-                ("crossbar bits", base.crossbar_bits, silk.crossbar_bits),
-                ("SRAM bytes", base.sram_bytes, silk.sram_bytes),
-                ("TCAM bytes", base.tcam_bytes, silk.tcam_bytes),
-                ("VLIW actions", base.vliw_actions, silk.vliw_actions),
-                ("hash bits", base.hash_bits, silk.hash_bits),
-                ("stateful ALUs", base.stateful_alus, silk.stateful_alus),
-                ("PHV bits", base.phv_bits, silk.phv_bits),
-            ];
-            for (name, b, s_) in rows {
-                t.row(vec![
-                    name.to_string(),
-                    format!("{b:.0}"),
-                    format!("{s_:.0}"),
-                    if b > 0.0 {
-                        format!("{:.1}%", 100.0 * s_ / b)
-                    } else {
-                        "-".to_string()
-                    },
-                ]);
             }
             println!("{}", t.render());
         }

@@ -31,10 +31,11 @@
 //! violations.
 
 use crate::report::{json_array, json_doc, json_hex, json_object, json_rows, json_str};
+use crate::waves::{base_pool, build_waves, dip, drain, vip, Wave};
 use silkroad::engine::packet_digest;
 use silkroad::{FlowSteering, ForwardDecision, MultiPipeSwitch, PoolUpdate, SilkRoadConfig};
 use sr_hash::FxHashMap;
-use sr_types::{Addr, Dip, Duration, FiveTuple, Nanos, PacketMeta, Vip};
+use sr_types::{Addr, Dip, Duration, FiveTuple, Nanos, PacketMeta};
 
 /// Workload shape for one churn sweep.
 #[derive(Clone, Debug)]
@@ -183,20 +184,6 @@ impl ChurnBench {
     }
 }
 
-fn vip() -> Vip {
-    Vip(Addr::v4(20, 0, 0, 1, 80))
-}
-
-fn dip(i: u8) -> Dip {
-    Dip(Addr::v4(10, 0, 0, i, 20))
-}
-
-/// The `g`-th brand-new flow of the sweep (globally unique tuples; the
-/// port spread keeps source endpoints from colliding on one address).
-fn flow_tuple(g: u32) -> FiveTuple {
-    FiveTuple::tcp(Addr::v4_indexed(100, g, 1024 + (g % 251) as u16), vip().0)
-}
-
 fn churn_cfg(total_flows: u32) -> SilkRoadConfig {
     SilkRoadConfig {
         conn_capacity: (total_flows as usize) * 2,
@@ -206,53 +193,6 @@ fn churn_cfg(total_flows: u32) -> SilkRoadConfig {
         transit_bytes: 4_096,
         ..Default::default()
     }
-}
-
-/// One wave of the prebuilt workload.
-struct Wave {
-    /// SYN burst: `storm` copies of each new flow, round-major so one
-    /// flow's duplicates are spread across the burst (retransmissions
-    /// interleave with other handshakes, they don't arrive back to
-    /// back).
-    syns: Vec<PacketMeta>,
-    /// Data for this wave's flows plus the two previous cohorts still
-    /// open — the witnesses that stretch connections across the mid-run
-    /// pool updates and make the PCC check bite.
-    data: Vec<PacketMeta>,
-    /// The wave w-2 cohort, closed once its last data packet is served.
-    closes: Vec<FiveTuple>,
-}
-
-/// Prebuild the whole workload once per storm factor; every run replays
-/// the identical packets.
-fn build_waves(p: &ChurnParams, storm: u32) -> Vec<Wave> {
-    let flows = p.flows_per_wave;
-    (0..p.warmup_waves + p.waves)
-        .map(|w| {
-            let base = w * flows;
-            let cohort: Vec<FiveTuple> = (0..flows).map(|f| flow_tuple(base + f)).collect();
-            let mut syns = Vec::with_capacity((flows * storm) as usize);
-            for _ in 0..storm {
-                syns.extend(cohort.iter().map(|t| PacketMeta::syn(*t)));
-            }
-            let mut data = Vec::with_capacity((flows * 3) as usize);
-            for back in (0..=2u32).rev() {
-                if back > w {
-                    continue;
-                }
-                let b = (w - back) * flows;
-                data.extend((0..flows).map(|f| PacketMeta::data(flow_tuple(b + f), 800)));
-            }
-            let closes: Vec<FiveTuple> = if w >= 2 {
-                (0..flows)
-                    .map(|f| flow_tuple((w - 2) * flows + f))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            Wave { syns, data, closes }
-        })
-        .collect()
 }
 
 /// Per-connection consistency witness: a flow's first DIP is its DIP
@@ -340,18 +280,13 @@ fn run_workload(p: &ChurnParams, waves: &[Wave], pipes: usize, batched: bool) ->
     let cfg = churn_cfg(total_flows);
     let mut folder = Folder::new(cfg.seed);
     let mut sw = MultiPipeSwitch::inline(cfg, pipes);
-    sw.add_vip(vip(), (1..=16).map(dip).collect())
-        .expect("churn VIP registers");
+    sw.add_vip(vip(), base_pool()).expect("churn VIP registers");
     let mut out: Vec<ForwardDecision> = Vec::with_capacity(p.batch);
     let mut depth_samples = Vec::with_capacity(p.waves as usize);
     let mut transit_peak = 0f64;
     let mut packets = 0u64;
     let mut now = Nanos::ZERO;
-    // Per-wave drain budget: the learning filter's 1 ms notification,
-    // the CPU's 5 µs per install for a full cohort, plus slack.
-    let drain = Duration::from_millis(1)
-        + Duration::from_micros(5 * u64::from(p.flows_per_wave))
-        + Duration::from_millis(1);
+    let drain = drain(p.flows_per_wave);
     for (w, wave) in (0u32..).zip(waves) {
         // Position inside the counted window (`None` during lead-in).
         let counted = w.checked_sub(p.warmup_waves);
@@ -448,7 +383,7 @@ fn percentile(sorted: &[usize], q: f64) -> usize {
 /// at every swept pipe count. All digests must agree bit-for-bit; depth
 /// and fill samples are reported from the 1-pipe runs.
 fn measure_storm(p: &ChurnParams, storm: u32) -> ChurnPoint {
-    let waves = build_waves(p, storm);
+    let waves = build_waves(p.warmup_waves + p.waves, p.flows_per_wave, storm);
     let per_packet = run_workload(p, &waves, 1, false);
     let batched: Vec<RunOut> = p
         .pipe_counts
@@ -551,8 +486,7 @@ pub fn flood_with(waves: u32, syns_per_wave: u32, background: u32) -> FloodRepor
     };
     let filter_capacity = cfg.learning.capacity;
     let mut sw = MultiPipeSwitch::inline(cfg, 1);
-    sw.add_vip(vip(), (1..=16).map(dip).collect())
-        .expect("flood VIP registers");
+    sw.add_vip(vip(), base_pool()).expect("flood VIP registers");
 
     // Establish the background population (flow ids far above the flood
     // range) and record each flow's DIP.

@@ -33,6 +33,7 @@
 //! Gate logic lives in the `repro` binary; this module only measures.
 
 use crate::report::{json_doc, json_object, json_rows, json_str};
+use crate::waves::{base_pool, build_waves, dip, drain, flow_tuple, vip, Wave};
 use silkroad::{PoolUpdate, SilkRoadConfig, SilkRoadSwitch};
 use sr_algo::{
     concury_lb, conn_entry_bits, cucotrack_lb, hybrid_lb, AlgoEngine, AlgoName, ConnState,
@@ -40,7 +41,7 @@ use sr_algo::{
 };
 use sr_asic::ChipSpec;
 use sr_hash::FxHashMap;
-use sr_types::{Addr, AddrFamily, Dip, Duration, FiveTuple, Nanos, PacketMeta, TcpFlags, Vip};
+use sr_types::{AddrFamily, Dip, Duration, FiveTuple, Nanos, PacketMeta, TcpFlags};
 
 /// How many freshly recorded stamps are round-tripped through a real
 /// frame per arm (`sr_wire::stamp` spot checks).
@@ -196,76 +197,17 @@ impl CompareBench {
     }
 }
 
-fn vip() -> Vip {
-    Vip(Addr::v4(20, 0, 0, 1, 80))
-}
-
-fn dip(i: u8) -> Dip {
-    Dip(Addr::v4(10, 0, 0, i, 20))
-}
-
-/// The `g`-th brand-new flow of the run (globally unique tuples).
-fn flow_tuple(g: u32) -> FiveTuple {
-    FiveTuple::tcp(Addr::v4_indexed(100, g, 1024 + (g % 251) as u16), vip().0)
-}
-
-/// One wave of the prebuilt workload.
-struct Wave {
-    /// Full target membership to install at this wave's boundary, if any
-    /// (the two mid-run updates).
-    update: Option<Vec<Dip>>,
-    /// This wave's brand-new cohort.
-    syns: Vec<PacketMeta>,
-    /// Data for this wave's flows plus the two previous cohorts still
-    /// open — the witnesses that stretch connections across the updates.
-    data: Vec<PacketMeta>,
-    /// The wave w-2 cohort, closed once its last data packet is served.
-    closes: Vec<FiveTuple>,
-}
-
-/// Prebuild the whole workload so every arm sees identical packets.
-fn build_waves(p: &CompareParams) -> Vec<Wave> {
-    let flows = p.flows_per_wave;
-    let base: Vec<Dip> = (1..=16).map(dip).collect();
-    let grown: Vec<Dip> = (1..=17).map(dip).collect();
-    (0..p.waves)
-        .map(|w| {
-            // Two full-membership updates land mid-run: grow by one DIP
-            // at a third of the way, shrink back at two thirds.
-            let update = if w == p.waves / 3 {
-                Some(grown.clone())
-            } else if w == 2 * p.waves / 3 {
-                Some(base.clone())
-            } else {
-                None
-            };
-            let cohort_base = w * flows;
-            let syns = (0..flows)
-                .map(|f| PacketMeta::syn(flow_tuple(cohort_base + f)))
-                .collect();
-            let mut data = Vec::with_capacity((flows * 3) as usize);
-            for back in (0..=2u32).rev() {
-                if back > w {
-                    continue;
-                }
-                let b = (w - back) * flows;
-                data.extend((0..flows).map(|f| PacketMeta::data(flow_tuple(b + f), 800)));
-            }
-            let closes: Vec<FiveTuple> = if w >= 2 {
-                (0..flows)
-                    .map(|f| flow_tuple((w - 2) * flows + f))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            Wave {
-                update,
-                syns,
-                data,
-                closes,
-            }
-        })
-        .collect()
+/// The pool membership installed before wave `w`, if any: two
+/// full-membership updates land mid-run, growing the pool by one DIP a
+/// third of the way in and shrinking it back at two thirds.
+fn pool_update(p: &CompareParams, w: u32) -> Option<Vec<Dip>> {
+    if w == p.waves / 3 {
+        Some((1..=17).map(dip).collect())
+    } else if w == 2 * p.waves / 3 {
+        Some(base_pool())
+    } else {
+        None
+    }
 }
 
 /// The settled population the steady passes replay: data for the two
@@ -328,7 +270,7 @@ impl SilkroadArm {
             ..Default::default()
         };
         let mut sw = SilkRoadSwitch::new(cfg);
-        sw.add_vip(vip(), (1..=16).map(dip).collect())
+        sw.add_vip(vip(), base_pool())
             .expect("compare VIP registers");
         SilkroadArm { sw }
     }
@@ -409,10 +351,7 @@ struct EngineArm<C: ConnState, S: Steering> {
 
 impl<C: ConnState, S: Steering> EngineArm<C, S> {
     fn new(mut e: AlgoEngine<C, S>) -> EngineArm<C, S> {
-        assert!(
-            e.add_vip(vip(), &(1..=16).map(dip).collect::<Vec<_>>()),
-            "compare VIP registers"
-        );
+        assert!(e.add_vip(vip(), &base_pool()), "compare VIP registers");
         EngineArm { e }
     }
 }
@@ -562,17 +501,13 @@ fn drive(
     let mut live_peak = 0u64;
     let mut state_bytes_peak = 0u64;
     let mut live_at_state_peak = 0u64;
-    // Per-wave drain budget mirroring the churn bench: the learning
-    // filter's notification latency plus the switch CPU's install time
-    // for a full cohort, with slack. Doubles as the update-window /
-    // settle horizon for the window-pinning designs.
-    let drain = Duration::from_millis(1)
-        + Duration::from_micros(5 * u64::from(p.flows_per_wave))
-        + Duration::from_millis(1);
+    // The churn bench's per-wave drain budget; it doubles as the
+    // update-window / settle horizon for the window-pinning designs.
+    let drain = drain(p.flows_per_wave);
     let mut now = Nanos::ZERO;
-    for wave in waves {
-        if let Some(m) = &wave.update {
-            arm.update_pool(m, now);
+    for (w, wave) in (0u32..).zip(waves) {
+        if let Some(m) = pool_update(p, w) {
+            arm.update_pool(&m, now);
         }
         for pkt in &wave.syns {
             ctx.step(arm, pkt, now);
@@ -622,9 +557,7 @@ fn drive(
 /// Build one algorithm's arm at SilkRoad-comparable parameters.
 fn build_arm(algo: AlgoName, p: &CompareParams) -> Box<dyn CompareArm> {
     let seed = 7;
-    let settle = Duration::from_millis(1)
-        + Duration::from_micros(5 * u64::from(p.flows_per_wave))
-        + Duration::from_millis(1);
+    let settle = drain(p.flows_per_wave);
     match algo {
         AlgoName::Silkroad => Box::new(SilkroadArm::new(p)),
         AlgoName::Concury => Box::new(EngineArm::new(concury_lb(seed, AddrFamily::V4, settle))),
@@ -670,7 +603,7 @@ fn measure(algo: AlgoName, p: &CompareParams, waves: &[Wave], steady: &[PacketMe
 /// Run a comparison with explicit parameters (tests use tiny workloads).
 /// `only` restricts the matrix to a single algorithm (`--algo`).
 pub fn run_with(params: CompareParams, smoke: bool, only: Option<AlgoName>) -> CompareBench {
-    let waves = build_waves(&params);
+    let waves = build_waves(params.waves, params.flows_per_wave, 1);
     let steady = build_steady(&params);
     let algos: Vec<AlgoName> = match only {
         Some(a) => vec![a],

@@ -24,5 +24,6 @@ pub mod replay;
 pub mod report;
 pub mod scale;
 pub mod tables;
+mod waves;
 
 pub use scale::Scale;

@@ -85,6 +85,108 @@ fn unknown_flags_are_rejected_not_ignored() {
     }
 }
 
+/// Each target owns its flags: a flag another target reads is as unknown
+/// as a misspelled one, and fails before any work starts.
+#[test]
+fn flags_of_other_targets_are_rejected() {
+    for args in [
+        &["table1", "--pipes", "4", "--smoke", "--algo", "x"][..],
+        &["table2", "--smoke"][..],
+        &["fig16", "--encap"][..],
+        &["all", "--p4", "p4/silkroad.p4"][..],
+        &["check", "--full"][..],
+        &["fleet", "--flood"][..],
+        &["churn", "--algo", "silkroad"][..],
+        &["compare", "--pipes=4"][..],
+        &["export", "x.pcap", "--encap"][..],
+        &["replay", "x.pcap", "--full"][..],
+        &["help", "--smoke"][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("unknown flag"), "args {args:?}: {err}");
+        assert!(err.contains("usage: repro"), "args {args:?}: {err}");
+    }
+}
+
+/// `--jobs` is global, `--full` belongs to `all` and the figures.
+#[test]
+fn global_and_figure_flags_are_accepted() {
+    for args in [
+        &["table2", "--full", "--jobs", "1"][..],
+        &["table1", "--jobs=2"][..],
+        &["check", "--jobs", "1"][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "args {args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
+/// A target takes at most its one operand; a second target name is not
+/// silently dropped.
+#[test]
+fn stray_operands_are_usage_errors() {
+    for args in [
+        &["fig16", "fig17"][..],
+        &["table2", "extra"][..],
+        &["replay", "a.pcap", "b.pcap"][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        assert!(
+            stderr(&out).contains("unexpected argument"),
+            "args {args:?}: {}",
+            stderr(&out)
+        );
+    }
+    let out = repro(&["export"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        stderr(&out).contains("needs <file.pcap>"),
+        "{}",
+        stderr(&out)
+    );
+}
+
+/// `repro <target> --help` prints that target's usage and runs nothing:
+/// no table on stdout, no `BENCH_*.json` in the working directory.
+#[test]
+fn target_help_prints_usage_and_runs_nothing() {
+    for (target, usage) in [
+        ("all", "usage: repro all [--full] [--jobs N]"),
+        ("fig16", "usage: repro fig16 [--full] [--jobs N]"),
+        ("check", "usage: repro check [--p4 <file.p4>] [--jobs N]"),
+        ("fleet", "usage: repro fleet [--smoke] [--jobs N]"),
+        ("churn", "usage: repro churn [--smoke] [--flood] [--jobs N]"),
+        (
+            "compare",
+            "usage: repro compare [--smoke] [--algo <name>] [--jobs N]",
+        ),
+        (
+            "export",
+            "usage: repro export <file.pcap> [--smoke] [--jobs N]",
+        ),
+        (
+            "replay",
+            "usage: repro replay <file.pcap> [--smoke] [--encap] [--pipes N] [--jobs N]",
+        ),
+    ] {
+        let (out, dir) = repro_in_scratch(&format!("help-{target}"), &[target, "--help"]);
+        let wrote = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(out.status.code(), Some(0), "{target}: {}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert_eq!(stdout.trim_end(), usage, "{target}");
+        assert_eq!(wrote, 0, "{target} --help wrote files");
+    }
+}
+
 #[test]
 fn p4_flag_without_a_path_is_a_usage_error() {
     let out = repro(&["check", "--p4"]);
@@ -197,8 +299,10 @@ fn algo_flag_without_a_value_is_a_usage_error() {
 #[test]
 fn unknown_targets_are_rejected() {
     // `scale` and `wall` were host-bound rate sweeps; packet rates are
-    // measured only by the `benchmark/` package now.
-    for target in ["fig99", "scale", "wall"] {
+    // measured only by the `benchmark/` package now. `pipeline` priced
+    // SilkRoad against a second switch.p4 baseline; `table2` prints its
+    // absolute columns.
+    for target in ["fig99", "scale", "wall", "pipeline"] {
         let out = repro(&[target]);
         assert_eq!(out.status.code(), Some(2), "target {target}");
         assert!(stderr(&out).contains("unknown target"), "target {target}");

@@ -172,11 +172,6 @@ impl TimerWheel {
         }
     }
 
-    /// Current tick (level-0 granularity).
-    pub fn current_tick(&self) -> u64 {
-        self.cur
-    }
-
     /// Events scheduled and not yet fired.
     pub fn pending(&self) -> u64 {
         self.pending

@@ -115,11 +115,6 @@ impl Duration {
         self.0 as f64 / 1e9
     }
 
-    /// Span as fractional milliseconds (for reporting only).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Integer division of spans (how many `rhs` fit in `self`).
     pub fn div_duration(self, rhs: Duration) -> u64 {
         self.0.checked_div(rhs.0).unwrap_or(0)

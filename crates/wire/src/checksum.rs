@@ -54,13 +54,6 @@ pub fn combine(parts: &[u16]) -> u16 {
     fold(sum)
 }
 
-/// The checksum field value for a span whose one's-complement sum is
-/// `sum`: the complement.
-#[inline]
-pub fn checksum_from_sum(sum: u16) -> u16 {
-    !sum
-}
-
 /// Full checksum of one contiguous span.
 #[inline]
 pub fn checksum(data: &[u8]) -> u16 {

@@ -149,9 +149,6 @@ rm -rf "$EX_TMP"
 echo "== alloc regression (release)"
 cargo test --test alloc_regression --release
 
-echo "== benches compile"
-cargo bench --workspace --no-run
-
 # The repo benchmark (BENCHMARK.json, benchmark/): all six workloads at
 # 1/16 size. A correctness pass, not a timing gate — every run is judged
 # by its own PCC/checksum oracle and traced/untraced digests must agree.
