@@ -196,8 +196,9 @@ impl ConnTable {
     }
 
     /// ASIC lookup, for software inspection: no hit bit is set (the data
-    /// plane probes with [`ConnTable::locate`] +
-    /// [`ConnTable::lookup_marking_at`], which marks exact hits).
+    /// plane probes with [`ConnTable::locate_lane`] +
+    /// [`ConnTable::locate_record`] + [`ConnTable::lookup_marking_at`],
+    /// which marks exact hits).
     ///
     /// Returns `(value, exact, resident)` where `resident` carries the
     /// resident entry's key *only on a false hit* (the repair path needs it
@@ -235,13 +236,36 @@ impl ConnTable {
     }
 
     // srlint: hot-path begin
-    /// First half of the data plane's marking lookup: the `(stage, slot)` a
-    /// prehashed probe would hit (hashes as for [`ConnTable::lookup_pre`]),
-    /// with the entry's cache line already warming. No side effects;
-    /// resolve with [`ConnTable::lookup_marking_at`] before the next table
-    /// mutation (install, remove, relocate, aging).
+    /// First half of the data plane's marking lookup, for one packet: the
+    /// `(stage, slot)` a prehashed probe would hit (hashes as for
+    /// [`ConnTable::lookup_pre`]) — [`ConnTable::locate_lane`] then
+    /// [`ConnTable::locate_record`]. No side effects; resolve with
+    /// [`ConnTable::lookup_marking_at`] before the next table mutation
+    /// (install, remove, relocate, aging).
     pub fn locate(&self, key: &[u8], stage_hashes: &[u64], match_hash: u64) -> Option<(u32, u32)> {
         self.table.locate_pre(key, stage_hashes, match_hash)
+    }
+
+    /// The lane pass of [`ConnTable::locate`]: the first match-field plane
+    /// lane equal to the probe's, reading only the dense planes.
+    #[inline]
+    pub fn locate_lane(&self, stage_hashes: &[u64], match_hash: u64) -> Option<(u32, u32)> {
+        self.table.locate_lane_pre(stage_hashes, match_hash)
+    }
+
+    /// The record pass of [`ConnTable::locate`]: confirm a lane candidate
+    /// on its record's stored digest, falling back to the full scan when
+    /// the lane is an alias. One record read per candidate.
+    #[inline]
+    pub fn locate_record(
+        &self,
+        lane: (u32, u32),
+        key: &[u8],
+        stage_hashes: &[u64],
+        match_hash: u64,
+    ) -> Option<(u32, u32)> {
+        self.table
+            .locate_record_pre(lane, key, stage_hashes, match_hash)
     }
 
     /// Second half of the marking lookup — the result

@@ -56,14 +56,23 @@ struct FallbackConn {
     hit: bool,
 }
 
-/// Batch chunk length: enough split probes in flight to overlap their
-/// entry loads without spilling the chunk's [`HashedKey`]s out of L1. A
+/// Batch chunk length: how many record reads the record pass keeps in
+/// flight, without spilling the chunk's [`HashedKey`]s out of L1. A
 /// batch chunk's scratch arrays, the setup stage's included, are sized by
-/// the same constant. Sixteen measures ~10% faster than eight on the churn
-/// sweep (deeper memory-level parallelism in the hash/locate passes and
-/// longer same-VIP runs of misses sharing one state resolve in the setup
-/// stage); chunk length never changes decisions, only how much work
-/// overlaps.
+/// the same constant. Chunk length never changes decisions, only how much
+/// work overlaps. Median `pps` (M pkt/s) of 4 rotated runs per size,
+/// `sr-benchmark --workload W --seed 301..304 --seconds 3 --trace 0` on a
+/// 2-vCPU shared x86 host:
+///
+/// | chunk | hit-64k | hit-1m | churn |
+/// |-------|---------|--------|-------|
+/// | 8     | 4.47    | 3.19   | 2.03  |
+/// | 16    | 4.50    | 3.35   | 2.13  |
+/// | 32    | 4.36    | 3.50   | 2.20  |
+///
+/// No size wins all three: 32 gains ≈ 4 % on `hit-1m` and ≈ 3 % on
+/// `churn` and loses ≈ 3 % on `hit-64k`, each within the runs' spread,
+/// so sixteen stays.
 const SETUP_CHUNK: usize = 16;
 
 // srlint: hot-path begin
@@ -421,14 +430,15 @@ impl SilkRoadSwitch {
     /// buffer, so a driver can recycle one allocation across batches.
     ///
     /// Packets run in chunks of up to `SETUP_CHUNK` (the last one may be
-    /// partial), each in three passes: hash every key (pure compute),
-    /// locate every packet's ConnTable slot (match-field plane only,
-    /// leaving each winning entry's cache-line load in flight), then run
-    /// the real pipeline, resolving the located slots. Splitting the probe
-    /// this way overlaps the per-packet chain of dependent random reads
-    /// across the chunk. The first two passes have no side effects; the
-    /// third resolves hits in place and sends the chunk's ConnTable misses
-    /// through the one setup stage ([`SilkRoadSwitch::setup_deferred`]).
+    /// partial), each in four passes: hash every key, warming its
+    /// match-field plane lines; the lane pass, which finds every packet's
+    /// first plane-lane hit from those planes alone; the record pass, a
+    /// short loop that reads each candidate's record and confirms its
+    /// stored field, so the chunk's record misses are in flight together;
+    /// then the real pipeline, resolving the located slots. The first
+    /// three passes have no side effects; the fourth resolves hits in
+    /// place and sends the chunk's ConnTable misses through the one setup
+    /// stage ([`SilkRoadSwitch::setup_deferred`]).
     /// This is the only way a packet crosses the switch —
     /// [`SilkRoadSwitch::process_packet`] is a chunk of one — and chunk
     /// length never changes a decision, only how much work overlaps.
@@ -452,16 +462,20 @@ impl SilkRoadSwitch {
     /// [`SilkRoadSwitch::process_packet`] — so a batch of one sets up one
     /// slot, not sixteen.
     ///
-    /// Admission, the located ConnTable probe and the fallback probe run in
-    /// packet order with hits resolved immediately; VIPTable misses are
-    /// deferred into [`SilkRoadSwitch::setup_deferred`]. Deferral is
-    /// order-safe because hits touch none of the state the miss path
-    /// writes (transit bloom, learning filter, pending set) and misses
-    /// touch no ConnTable state. The one packet that mutates the table
-    /// mid-chunk — a SYN falsely hitting a resident, whose §4.2 repair
-    /// relocates it — is deferred as a software-redirected miss, and the
-    /// rest of the chunk re-enters the locate pass with its hashes kept:
-    /// the relocation may have moved a slot located before it.
+    /// The lane and record passes locate each packet's ConnTable slot: a
+    /// lane hit whose record holds a different field (a lane alias) falls
+    /// back to the full scan, so every located slot is the one
+    /// [`ConnTable::lookup`] finds. Admission, the located ConnTable probe
+    /// and the fallback probe then run in packet order with hits resolved
+    /// immediately; VIPTable misses are deferred into
+    /// [`SilkRoadSwitch::setup_deferred`]. Deferral is order-safe because
+    /// hits touch none of the state the miss path writes (transit bloom,
+    /// learning filter, pending set) and misses touch no ConnTable state.
+    /// The one packet that mutates the table mid-chunk — a SYN falsely
+    /// hitting a resident, whose §4.2 repair relocates it — is deferred as
+    /// a software-redirected miss, and the rest of the chunk re-enters the
+    /// lane pass with its hashes kept: the relocation may have moved a
+    /// slot located before it.
     fn process_chunk<const N: usize>(
         &mut self,
         chunk: &[PacketMeta],
@@ -469,7 +483,7 @@ impl SilkRoadSwitch {
     ) -> [ForwardDecision; N] {
         let mut out = [ForwardDecision::not_vip(); N];
         // Pass 1: hash every key in the chunk, warming each key's
-        // match-field words as its hashes land so the locate pass probes
+        // match-field words as its hashes land so the lane pass probes
         // already-inbound cache lines.
         let mut hashed: [Option<HashedKey>; N] = [None; N];
         for (slot, pkt) in hashed.iter_mut().zip(chunk) {
@@ -483,16 +497,29 @@ impl SilkRoadSwitch {
         let mut n_def = 0usize;
         let mut resume = Some(0usize);
         while let Some(from) = resume.take() {
-            // Pass 2: locate every remaining packet's candidate slot.
+            // Pass 2, the lane pass: every remaining packet's first
+            // match-field lane hit, from the planes pass 1 warmed.
             let mut located: [Option<(u32, u32)>; N] = [None; N];
             for (loc, h) in located.iter_mut().zip(hashed.iter().flatten()).skip(from) {
-                *loc = self.conn_table.locate(
-                    h.key().as_slice(),
-                    h.conn_stage_hashes(),
-                    h.conn_match_hash(),
-                );
+                *loc = self
+                    .conn_table
+                    .locate_lane(h.conn_stage_hashes(), h.conn_match_hash());
             }
-            // Pass 3: hits resolve in place, misses defer into the setup
+            // Pass 3, the record pass: confirm each candidate on its
+            // record's stored digest. The reads are independent and the
+            // loop is short, so the chunk's record misses are in flight
+            // together; a lane alias finishes with the full scan.
+            for (loc, h) in located.iter_mut().zip(hashed.iter().flatten()).skip(from) {
+                if let Some(lane) = *loc {
+                    *loc = self.conn_table.locate_record(
+                        lane,
+                        h.key().as_slice(),
+                        h.conn_stage_hashes(),
+                        h.conn_match_hash(),
+                    );
+                }
+            }
+            // Pass 4: hits resolve in place, misses defer into the setup
             // stage.
             let rest = chunk.iter().zip(hashed.iter().flatten()).zip(located);
             for (i, (((pkt, h), loc), d)) in rest.zip(out.iter_mut()).enumerate().skip(from) {
@@ -1651,5 +1678,85 @@ mod tests {
         let d = sw.process_packet(&PacketMeta::syn(conn(1)), Nanos::ZERO);
         assert_eq!(d.path, DataPath::Dropped);
         assert!(d.dip.is_none());
+    }
+
+    #[test]
+    fn lane_alias_cannot_fool_the_record_pass() {
+        // A resident whose stage-0 plane lane equals a flow's while its
+        // stored digest differs sits in front of the flow's own entry.
+        // Two shapes: 24-bit stage-0 digests sharing their low 16 bits,
+        // and a 16-bit table's 0xFFFF/0xFFFE pair, which the plane clamps
+        // to one lane.
+        for (bits, per_stage) in [(24u32, Some(vec![24, 16, 16, 16])), (16, None)] {
+            let mut sw = SilkRoadSwitch::new(SilkRoadConfig {
+                // One word per stage: every flow probes the same words.
+                conn_capacity: 15,
+                digest_bits_per_stage: per_stage,
+                ..SilkRoadConfig::small_test()
+            });
+            sw.add_vip(vip(), vec![dip(1), dip(2), dip(3), dip(4)])
+                .unwrap();
+            let flow = |i: u32| {
+                let [_, a, b, c] = i.to_be_bytes();
+                FiveTuple::tcp(Addr::v4(1, a, b, c, 4242), Addr::v4(20, 0, 0, 1, 80))
+            };
+            // A `bits`-wide digest is the top `bits` bits of the match
+            // hash (`DigestFn::digest_of`); its plane lane is the low 16,
+            // with 0xFFFF clamped to 0xFFFE.
+            let match_fn = sw.conn_table.match_fn();
+            let field = |t: &FiveTuple| match_fn.hash(t.tuple_key().as_slice()) >> (64 - bits);
+            let mut seen = FxHashMap::default();
+            let (alias, own) = (0u32..)
+                .find_map(|i| {
+                    let f = field(&flow(i));
+                    match seen.insert((f as u16).min(0xFFFE), (i, f)) {
+                        Some((j, g)) if g != f => Some((flow(j), flow(i))),
+                        _ => None,
+                    }
+                })
+                .unwrap();
+            // The alias sets up and installs first, then the flow.
+            let mut dips = Vec::new();
+            for (t, ms) in [(alias, 0), (own, 10)] {
+                dips.push(
+                    sw.process_packet(&PacketMeta::syn(t), Nanos::from_millis(ms))
+                        .dip,
+                );
+                settle(&mut sw, ms + 10);
+            }
+            assert_eq!(sw.conn_count(), 2);
+            let probe = |sw: &SilkRoadSwitch, t: &FiveTuple| {
+                let h = sw.hasher.hash_tuple(t);
+                let (sh, mh) = (h.conn_stage_hashes(), h.conn_match_hash());
+                let lane = sw.conn_table.locate_lane(sh, mh);
+                (lane, sw.conn_table.locate(h.key().as_slice(), sh, mh))
+            };
+            let (_, front) = probe(&sw, &alias);
+            let (lane, located) = probe(&sw, &own);
+            assert!(front.is_some() && lane == front, "{bits}: alias in front");
+            assert!(located.is_some() && located != front, "{bits}");
+            // Batches ending in the flow, alternating with the alias: the
+            // chunk path must locate the slot `lookup` finds.
+            let now = Nanos::from_millis(30);
+            for len in [1usize, 16, 17] {
+                let batch: Vec<(PacketMeta, Option<Dip>)> = (0..len)
+                    .map(|i| {
+                        let which = (len - 1 - i) % 2;
+                        let t = [own, alias][which];
+                        (PacketMeta::data(t, 100), dips[1 - which])
+                    })
+                    .collect();
+                let pkts: Vec<PacketMeta> = batch.iter().map(|(p, _)| *p).collect();
+                let ds = sw.process_batch(&pkts, now);
+                for ((p, want), d) in batch.iter().zip(&ds) {
+                    let key = p.tuple.tuple_key();
+                    let (_, exact, _) = sw.conn_table.lookup(key.as_slice()).unwrap();
+                    assert!(exact, "{bits}");
+                    assert!(d.conn_table_hit && !d.false_hit, "{bits}, batch of {len}");
+                    assert_eq!(d.dip, *want, "{bits}, batch of {len}");
+                }
+            }
+            assert_eq!(sw.stats().digest_false_hits, 0, "{bits}");
+        }
     }
 }

@@ -59,16 +59,16 @@ fn plane_mf(mf: u32) -> u16 {
     }
 }
 
+/// A `(stage, slot)` as the split probe hands it out.
+fn coords(stage: usize, slot: usize) -> Option<(u32, u32)> {
+    Some((u32::try_from(stage).ok()?, u32::try_from(slot).ok()?))
+}
+
 /// Longest key the table stores, in bytes: a v6 5-tuple key, the longest
 /// [`TupleKey`] holds. Keys are kept inline in the slot record, so the
 /// verify-on-hit compare reads the record's own cache line instead of
 /// chasing a per-entry heap pointer.
 pub const MAX_KEY_LEN: usize = sr_types::MAX_KEY_LEN;
-
-/// Stage-count bound for the probe's stack-resident word-index array
-/// (tables with more stages fall back to the serial walk; the paper's
-/// configurations use 2–4).
-const MAX_PROBE_STAGES: usize = 8;
 
 /// How entries are matched against probe keys.
 #[derive(Clone, Debug)]
@@ -669,43 +669,40 @@ impl<V: Clone> CuckooTable<V> {
         None
     }
 
-    /// [`CuckooTable::probe`] from precomputed hashes: `stage_hashes[i]`
-    /// must be `self.stage_fns()[i]` over the key, `match_hash` the output
-    /// of [`CuckooTable::match_fn`]. No hashing happens here.
-    fn probe_pre(
-        &self,
-        key: &[u8],
-        stage_hashes: &[u64],
-        match_hash: u64,
-    ) -> Option<(usize, usize, bool)> {
-        debug_assert_eq!(stage_hashes.len(), self.cfg.stages);
-        // Resolve every stage's word index first and touch its match-field
-        // word before any comparisons: the loads are independent, so their
-        // cache misses overlap instead of serializing stage by stage the
-        // way the comparison loop below would force on its own.
-        let mut words = [0usize; MAX_PROBE_STAGES];
-        if self.cfg.stages <= MAX_PROBE_STAGES {
-            for (stage, &h) in stage_hashes.iter().enumerate().take(self.cfg.stages) {
-                let w = self.word_from(h);
-                words[stage] = w;
-                std::hint::black_box(self.mfs[stage][w * self.cfg.entries_per_word]);
-            }
-            for (stage, &word) in words.iter().enumerate().take(self.cfg.stages) {
-                let mf = self.match_field_from(stage, match_hash);
-                if let Some((slot, exact)) = self.probe_word(stage, word, mf, key) {
-                    return Some((stage, slot, exact));
-                }
-            }
-            return None;
-        }
-        for (stage, &h) in stage_hashes.iter().enumerate().take(self.cfg.stages) {
+    /// [`CuckooTable::probe`] from precomputed hashes, stage by stage with
+    /// every lane hit confirmed on its record: the split probe's way out
+    /// when a lane hit is an alias (see [`CuckooTable::locate_record_pre`]).
+    #[cold]
+    #[inline(never)]
+    fn scan_pre(&self, key: &[u8], stage_hashes: &[u64], match_hash: u64) -> Option<(u32, u32)> {
+        stage_hashes.iter().enumerate().find_map(|(stage, &h)| {
             let mf = self.match_field_from(stage, match_hash);
+            let (slot, _) = self.probe_word(stage, self.word_from(h), mf, key)?;
+            coords(stage, slot)
+        })
+    }
+
+    /// The record in `slot` of `stage`, if the slot is occupied.
+    fn record(&self, stage: usize, slot: usize) -> Option<&Record<V>> {
+        self.slots.get(stage)?.get(slot)?.as_ref()
+    }
+
+    /// The `(stage, slot)` of the first plane lane in pipeline order equal
+    /// to the probe's plane image. Reads only the dense match-field
+    /// planes, which [`CuckooTable::prefetch_words_pre`] warms.
+    fn first_lane(&self, stage_hashes: &[u64], match_hash: u64) -> Option<(usize, usize)> {
+        debug_assert_eq!(stage_hashes.len(), self.cfg.stages);
+        let e = self.cfg.entries_per_word;
+        let mut planes = stage_hashes.iter().zip(&self.mfs).enumerate();
+        planes.find_map(|(stage, (&h, plane))| {
             let word = self.word_from(h);
-            if let Some((slot, exact)) = self.probe_word(stage, word, mf, key) {
-                return Some((stage, slot, exact));
-            }
-        }
-        None
+            let lane = plane_mf(self.match_field_from(stage, match_hash));
+            let off = plane
+                .get(word * e..(word + 1) * e)?
+                .iter()
+                .position(|&l| l == lane)?;
+            Some((stage, word * e + off))
+        })
     }
 
     fn hit_at(&self, stage: usize, slot: usize, exact: bool) -> LookupHit<'_, V> {
@@ -726,16 +723,22 @@ impl<V: Clone> CuckooTable<V> {
     }
 
     /// [`CuckooTable::lookup`] with all hashing done by the caller — the
-    /// hash-once packet path. Produces identical results to `lookup` when
-    /// the precomputed hashes honour the `probe_pre` contract.
+    /// hash-once packet path. `stage_hashes[i]` must be
+    /// `self.stage_fns()[i]` over the key and `match_hash` the output of
+    /// [`CuckooTable::match_fn`]; then the result is identical to
+    /// `lookup`'s. It is [`CuckooTable::locate_pre`] plus the exactness
+    /// compare.
     pub fn lookup_pre(
         &self,
         key: &[u8],
         stage_hashes: &[u64],
         match_hash: u64,
     ) -> Option<LookupHit<'_, V>> {
-        let (stage, slot, exact) = self.probe_pre(key, stage_hashes, match_hash)?;
-        Some(self.hit_at(stage, slot, exact))
+        let (stage, slot) = self.locate_pre(key, stage_hashes, match_hash)?;
+        let (stage, slot) = (stage as usize, slot as usize);
+        let mut hit = self.hit_at(stage, slot, false);
+        hit.exact = hit.resident_key == key;
+        Some(hit)
     }
 
     /// Warm the match-field words a prehashed probe will read: one plain
@@ -750,86 +753,76 @@ impl<V: Clone> CuckooTable<V> {
         }
     }
 
-    /// Warm the record a prehashed probe would dereference: replays the
-    /// match-field scan (cheap once [`CuckooTable::prefetch_words_pre`] has
-    /// pulled the words in) and reads the winning slot's stored field —
-    /// one touch brings in the whole line-aligned record, inline key
-    /// included. Pure reads — no hit-bit or stats side effects.
+    /// Warm the record a prehashed probe would dereference: the lane scan
+    /// (cheap once [`CuckooTable::prefetch_words_pre`] has pulled the
+    /// words in), then one read of the candidate's stored field — one
+    /// touch brings in the whole line-aligned record, inline key included.
+    /// Pure reads — no hit-bit or stats side effects.
     pub fn prefetch_entry_pre(&self, stage_hashes: &[u64], match_hash: u64) {
-        for (stage, &h) in stage_hashes.iter().enumerate().take(self.cfg.stages) {
-            let mf = self.match_field_from(stage, match_hash);
-            let probe = plane_mf(mf);
-            let word = self.word_from(h);
-            for slot in self.slot_range(word) {
-                if self.mfs[stage][slot] == probe {
-                    if let Some(e) = &self.slots[stage][slot] {
-                        if std::hint::black_box(e.match_field) != mf {
-                            continue;
-                        }
-                    }
-                    return;
-                }
-            }
+        if let Some((stage, slot)) = self.first_lane(stage_hashes, match_hash) {
+            std::hint::black_box(self.record(stage, slot).map(|e| e.match_field));
         }
     }
 
-    /// First half of the data plane's split probe: find the `(stage, slot)`
-    /// a prehashed probe would hit, scanning the match-field plane and
-    /// confirming the lane hit on the record's stored field — the one read
-    /// that puts the record's cache line in flight before
-    /// [`CuckooTable::lookup_marking_at`] dereferences it. No side
-    /// effects — a pipelined caller runs `locate_pre` for a whole chunk of
-    /// packets, then resolves each, overlapping the records' cache misses.
-    ///
-    /// In digest mode the slot choice depends only on the match-field
-    /// plane, exactly like [`CuckooTable::probe_pre`]; full-key mode also
-    /// needs the key compare to skip fingerprint aliases, so it runs the
-    /// whole probe. Coordinates are only valid until the next mutation
-    /// (insert, remove, relocate, retain).
+    /// The lane pass of the data plane's split probe: the `(stage, slot)`
+    /// of the first match-field plane lane equal to the probe's, reading
+    /// only the dense planes. A batched caller warms every packet's planes
+    /// with [`CuckooTable::prefetch_words_pre`], runs this over the whole
+    /// chunk, then hands each candidate to
+    /// [`CuckooTable::locate_record_pre`]. Hashes as for
+    /// [`CuckooTable::lookup_pre`].
+    pub fn locate_lane_pre(&self, stage_hashes: &[u64], match_hash: u64) -> Option<(u32, u32)> {
+        let (stage, slot) = self.first_lane(stage_hashes, match_hash)?;
+        coords(stage, slot)
+    }
+
+    /// The record pass of the split probe: confirm a lane candidate from
+    /// [`CuckooTable::locate_lane_pre`] on the record's stored field (and,
+    /// in full-key mode, its key). A lane is a 16-bit image of the field
+    /// (see `plane_mf`), so a record whose field differs is an alias; the
+    /// probe then finishes with the full stage-by-stage scan. Either way
+    /// the result is [`CuckooTable::locate_pre`]'s. Over a chunk of
+    /// candidates this is a tight loop of independent record reads, so
+    /// their cache misses overlap.
+    #[inline]
+    pub fn locate_record_pre(
+        &self,
+        lane: (u32, u32),
+        key: &[u8],
+        stage_hashes: &[u64],
+        match_hash: u64,
+    ) -> Option<(u32, u32)> {
+        let (stage, slot) = lane;
+        let (stage, slot) = (stage as usize, slot as usize);
+        let confirmed = self.record(stage, slot).is_some_and(|e| {
+            e.match_field == self.match_field_from(stage, match_hash)
+                && (self.is_digest_mode() || e.key.as_slice() == key)
+        });
+        if confirmed {
+            Some(lane)
+        } else {
+            self.scan_pre(key, stage_hashes, match_hash)
+        }
+    }
+
+    /// The split probe for one packet: the `(stage, slot)` a prehashed
+    /// probe hits — [`CuckooTable::prefetch_words_pre`], so every stage's
+    /// plane load is in flight before the first compare, then
+    /// [`CuckooTable::locate_lane_pre`] and
+    /// [`CuckooTable::locate_record_pre`]. In digest mode that is the first
+    /// slot whose stored field equals the probe's; in full-key mode the
+    /// slot storing the key. No side effects; resolve with
+    /// [`CuckooTable::lookup_marking_at`]. Coordinates are only valid until
+    /// the next mutation (insert, remove, relocate, retain).
     pub fn locate_pre(
         &self,
         key: &[u8],
         stage_hashes: &[u64],
         match_hash: u64,
     ) -> Option<(u32, u32)> {
-        if !self.is_digest_mode() {
-            return self
-                .probe_pre(key, stage_hashes, match_hash)
-                .map(|(stage, slot, _)| (stage as u32, slot as u32));
-        }
-        debug_assert_eq!(stage_hashes.len(), self.cfg.stages);
-        let mut words = [0usize; MAX_PROBE_STAGES];
-        if self.cfg.stages <= MAX_PROBE_STAGES {
-            // Same independent-load warm-up as `probe_pre`.
-            for (stage, &h) in stage_hashes.iter().enumerate().take(self.cfg.stages) {
-                let w = self.word_from(h);
-                words[stage] = w;
-                std::hint::black_box(self.mfs[stage][w * self.cfg.entries_per_word]);
-            }
-        } else {
-            for (stage, &h) in stage_hashes.iter().enumerate().take(self.cfg.stages) {
-                words[stage] = self.word_from(h);
-            }
-        }
-        for (stage, &word) in words.iter().enumerate().take(self.cfg.stages) {
-            let mf = self.match_field_from(stage, match_hash);
-            let probe = plane_mf(mf);
-            let mfs = &self.mfs[stage];
-            for slot in self.slot_range(word) {
-                if mfs[slot] == probe {
-                    let e = self.slots[stage][slot]
-                        .as_ref()
-                        .expect("match field set on vacant slot");
-                    // Plane lanes are a prefilter; confirm on the full
-                    // stored field (see `plane_mf`).
-                    if e.match_field != mf {
-                        continue;
-                    }
-                    return Some((stage as u32, slot as u32));
-                }
-            }
-        }
-        None
+        self.prefetch_words_pre(stage_hashes);
+        let lane = self.locate_lane_pre(stage_hashes, match_hash)?;
+        self.locate_record_pre(lane, key, stage_hashes, match_hash)
     }
 
     /// Second half of the split probe: resolve coordinates returned by
@@ -2100,6 +2093,104 @@ mod tests {
                         _ => panic!("occupancy differs at {stage}/{slot}"),
                     }
                 }
+            }
+        }
+    }
+
+    /// The data plane's chunk path over a batch: the lane pass for every
+    /// key, then the record pass for every candidate.
+    fn chunk_locate(t: &CuckooTable<u32>, keys: &[Vec<u8>]) -> Vec<Option<(u32, u32)>> {
+        let hashed: Vec<(Vec<u64>, u64)> = keys
+            .iter()
+            .map(|k| {
+                let mut sh = vec![0u64; t.stage_fns().len()];
+                crate::hasher::hash_all(t.stage_fns(), k, &mut sh);
+                (sh, t.match_fn().hash(k))
+            })
+            .collect();
+        let lanes: Vec<_> = hashed
+            .iter()
+            .map(|(sh, mh)| t.locate_lane_pre(sh, *mh))
+            .collect();
+        lanes
+            .into_iter()
+            .zip(keys.iter().zip(&hashed))
+            .map(|(lane, (k, (sh, mh)))| lane.and_then(|l| t.locate_record_pre(l, k, sh, *mh)))
+            .collect()
+    }
+
+    #[test]
+    fn lane_alias_cannot_fool_the_record_pass() {
+        // Two aliasing shapes: a 24-bit stage-0 digest whose low 16 bits
+        // (the plane lane) match while the digests differ, and a 16-bit
+        // table's 0xFFFF/0xFFFE pair, which `plane_mf` clamps to one lane.
+        for mode in [
+            MatchMode::DigestPerStage {
+                bits: vec![24, 16, 16, 16],
+            },
+            MatchMode::Digest { bits: 16 },
+        ] {
+            // One word per stage: every key probes the same stage-0 word.
+            let mut t = CuckooTable::<u32>::new(CuckooConfig {
+                stages: 4,
+                words_per_stage: 1,
+                entries_per_word: 4,
+                match_mode: mode.clone(),
+                seed: 42,
+                max_bfs_depth: 8,
+                max_bfs_nodes: 4096,
+            });
+            // The first key pair sharing a stage-0 lane with different
+            // stored fields.
+            let mut seen: crate::FxHashMap<u16, (u32, u32)> = Default::default();
+            let (alias, probe) = (0u32..)
+                .find_map(|i| {
+                    let mf = t.match_field_at(0, &key(i));
+                    match seen.insert(plane_mf(mf), (i, mf)) {
+                        Some((j, other)) if other != mf => Some((j, i)),
+                        _ => None,
+                    }
+                })
+                .unwrap();
+            // The alias goes in first, so it sits in front of the probe's
+            // own entry; a few other residents share the table.
+            let fillers: Vec<u32> = (1_000_000..1_000_006).collect();
+            for i in [alias, probe].into_iter().chain(fillers.iter().copied()) {
+                t.insert(&key(i), i).unwrap();
+            }
+            let front = t.find_exact(&key(alias)).unwrap();
+            let own = t.find_exact(&key(probe)).unwrap();
+            let mut sh = vec![0u64; 4];
+            crate::hasher::hash_all(t.stage_fns(), &key(probe), &mut sh);
+            let lane = t.locate_lane_pre(&sh, t.match_fn().hash(&key(probe)));
+            assert_eq!(lane, coords(front.0, front.1), "{mode:?}: alias in front");
+            assert_ne!(front, own, "{mode:?}");
+            // Residents, strangers, the alias and the probe, the probe
+            // last: the chunk path must locate the slot `lookup` finds.
+            let pool: Vec<u32> = [alias]
+                .into_iter()
+                .chain(fillers.iter().copied())
+                .chain(2_000_000..2_000_004)
+                .collect();
+            for len in [1usize, 16, 17] {
+                let batch: Vec<Vec<u8>> = pool
+                    .iter()
+                    .cycle()
+                    .take(len - 1)
+                    .chain(std::iter::once(&probe))
+                    .map(|&i| key(i))
+                    .collect();
+                let located = chunk_locate(&t, &batch);
+                for (k, loc) in batch.iter().zip(&located) {
+                    let got = loc.map(|(stage, slot)| {
+                        let e = t.record(stage as usize, slot as usize).unwrap();
+                        (stage as usize, e.value, e.key.as_slice() == k.as_slice())
+                    });
+                    let want = t.lookup(k).map(|hit| (hit.stage, *hit.value, hit.exact));
+                    assert_eq!(got, want, "{mode:?}, batch of {len}, key {k:?}");
+                }
+                let last = located.last().copied().flatten();
+                assert_eq!(last, coords(own.0, own.1), "{mode:?}, batch of {len}");
             }
         }
     }

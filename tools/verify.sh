@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate (see ROADMAP.md): release build, full test
-# suite, formatting + warning-free clippy over every first-party crate,
-# the srlint source gate, the srcheck pipeline-layout gate, the committed
-# BENCH_*.json documents regenerated and cmp'd, the fleet smoke document
+# Tier-1 verification gate (see ROADMAP.md): release build, every
+# first-party package's tests, formatting + warning-free clippy over
+# every first-party crate, the srlint source gate, the srcheck
+# pipeline-layout gate, the committed BENCH_*.json documents regenerated
+# and cmp'd, the fleet smoke document
 # cmp'd between --jobs 1 and --jobs 2, the replay smoke golden,
 # the `repro all` and examples goldens, the release-mode
 # allocation regression, the repo benchmark's smoke pass (which must leave
@@ -29,8 +30,11 @@ echo "== build (release)"
 # stale target/release/repro behind after CLI changes.
 cargo build --release --workspace
 
-echo "== tests"
-cargo test -q
+# Every first-party package, not a bare `cargo test`: that runs only the
+# root package's tests (the same trap as the build step above), and the
+# other crates' unit, property and CLI tests would run in no gate.
+echo "== tests (first-party)"
+cargo test -q "${PKG_FLAGS[@]}"
 
 echo "== fmt --check (first-party)"
 cargo fmt --check "${PKG_FLAGS[@]}"
