@@ -117,21 +117,32 @@ impl CuckooFilterState {
         [b0 as u32, b1 as u32]
     }
 
+    /// The first slot of `buckets` holding fingerprint `fp`: the entry the
+    /// ASIC matches, whoever it was installed for.
+    fn matching_slot(&self, buckets: [u32; 2], fp: u16) -> Option<(usize, usize)> {
+        buckets.iter().find_map(|&b| {
+            let b = b as usize;
+            let i = self
+                .buckets
+                .get(b)?
+                .iter()
+                .position(|s| s.as_ref().is_some_and(|s| s.fp == fp))?;
+            Some((b, i))
+        })
+    }
+
+    /// [`CuckooFilterState::matching_slot`], counting the match as a
+    /// collision when it was installed for another key.
     fn slot_scan(&mut self, buckets: [u32; 2], fp: u16, key: &TupleKey) -> Option<(usize, usize)> {
-        for &b in &buckets {
-            let bucket = self.buckets.get(b as usize)?;
-            for (i, slot) in bucket.iter().enumerate() {
-                if let Some(s) = slot {
-                    if s.fp == fp {
-                        if &s.key != key {
-                            self.fp_collisions += 1;
-                        }
-                        return Some((b as usize, i));
-                    }
-                }
-            }
+        let (b, i) = self.matching_slot(buckets, fp)?;
+        if self.slot(b, i).is_some_and(|s| &s.key != key) {
+            self.fp_collisions += 1;
         }
-        None
+        Some((b, i))
+    }
+
+    fn slot(&self, b: usize, i: usize) -> Option<&Slot> {
+        self.buckets.get(b)?.get(i)?.as_ref()
     }
 }
 
@@ -140,7 +151,7 @@ impl ConnState for CuckooFilterState {
         let fp = self.fingerprint(hashes);
         let buckets = self.bucket_pair(hashes, fp);
         let (b, i) = self.slot_scan(buckets, fp, key)?;
-        let slot = self.buckets.get(b)?.get(i)?.as_ref()?;
+        let slot = self.slot(b, i)?;
         Some(ConnHit {
             record: slot.record,
             exact: &slot.key == key,
@@ -209,28 +220,32 @@ impl ConnState for CuckooFilterState {
         Err(StateFull)
     }
 
-    fn touch(&mut self, key: &TupleKey, now: Nanos) {
-        for bucket in self.buckets.iter_mut() {
-            for slot in bucket.iter_mut().flatten() {
-                if &slot.key == key {
-                    slot.touched = now;
-                    return;
-                }
-            }
+    /// Refresh the entry a lookup of `key` matches — on an aliased hit,
+    /// the twin that answered. Only the key's two buckets are read.
+    fn touch(&mut self, _key: &TupleKey, hashes: &ConnHashes, now: Nanos) {
+        let fp = self.fingerprint(hashes);
+        let buckets = self.bucket_pair(hashes, fp);
+        let matched = self.matching_slot(buckets, fp);
+        if let Some(Some(s)) = matched.and_then(|(b, i)| self.buckets.get_mut(b)?.get_mut(i)) {
+            s.touched = now;
         }
     }
 
-    fn remove(&mut self, key: &TupleKey) -> Option<ConnRecord> {
-        for bucket in self.buckets.iter_mut() {
-            for slot in bucket.iter_mut() {
-                if let Some(s) = slot {
-                    if &s.key == key {
-                        let record = s.record;
-                        *slot = None;
-                        self.live -= 1;
-                        return Some(record);
-                    }
-                }
+    /// Remove `key`'s own entry, looking only in its two buckets.
+    fn remove(&mut self, key: &TupleKey, hashes: &ConnHashes) -> Option<ConnRecord> {
+        let fp = self.fingerprint(hashes);
+        let buckets = self.bucket_pair(hashes, fp);
+        for b in buckets {
+            let Some(bucket) = self.buckets.get_mut(b as usize) else {
+                continue;
+            };
+            if let Some(slot) = bucket
+                .iter_mut()
+                .find(|s| s.as_ref().is_some_and(|s| &s.key == key))
+            {
+                let record = slot.take()?.record;
+                self.live -= 1;
+                return Some(record);
             }
         }
         None
@@ -356,12 +371,34 @@ mod tests {
     }
 
     #[test]
+    fn touch_on_an_aliased_hit_refreshes_the_entry_that_answered() {
+        // One resident; a never-inserted probe that aliases onto it.
+        let (mut f, h) = filter(64);
+        let k = key(1);
+        let (hashes, _) = h.hash(&k);
+        f.insert(&k, &hashes, rec(1)).unwrap();
+        let (probe, probe_hashes) = (1000..100_000)
+            .map(|g| (key(g), h.hash(&key(g)).0))
+            .find(|(p, ph)| f.lookup(p, ph).is_some())
+            .expect("a probe aliases onto the lone resident");
+        // The probe's hit keeps the answering entry alive past the idle
+        // timeout (30 s) it would otherwise reach.
+        f.touch(&probe, &probe_hashes, Nanos::from_secs(20));
+        assert_eq!(f.expire_idle(Nanos::from_secs(40)), 0);
+        assert!(f.lookup(&k, &hashes).is_some_and(|hit| hit.exact));
+        // Closing the probe's flow removes nothing: it holds no entry.
+        assert!(f.remove(&probe, &probe_hashes).is_none());
+        assert_eq!(f.entries(), 1);
+        assert_eq!(f.expire_idle(Nanos::from_secs(60)), 1);
+    }
+
+    #[test]
     fn remove_frees_the_slot() {
         let (mut f, h) = filter(64);
         let k = key(1);
         let (hashes, _) = h.hash(&k);
         f.insert(&k, &hashes, rec(1)).unwrap();
-        assert_eq!(f.remove(&k).unwrap().dip, rec(1).dip);
+        assert_eq!(f.remove(&k, &hashes).unwrap().dip, rec(1).dip);
         assert_eq!(f.entries(), 0);
         assert!(f.lookup(&k, &hashes).is_none());
     }

@@ -198,9 +198,9 @@ impl<C: ConnState, S: Steering> AlgoEngine<C, S> {
                 self.stats.false_hits += 1;
             }
             if closing {
-                self.conn.remove(&key);
+                self.conn.remove(&key, &hashes);
             } else {
-                self.conn.touch(&key, now);
+                self.conn.touch(&key, &hashes, now);
             }
             return AlgoDecision {
                 dip: Some(hit.record.dip),

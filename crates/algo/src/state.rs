@@ -67,13 +67,15 @@ pub trait ConnState {
     /// Note activity on `key` at `now` for idle accounting. Implementations
     /// whose liveness tracking is already folded into [`ConnState::lookup`]
     /// (hit bits, as in SilkRoad's ConnTable) keep the default no-op.
-    fn touch(&mut self, key: &TupleKey, now: Nanos) {
-        let _ = (key, now);
+    /// `hashes` are the key's packet-time hashes, so a hashed structure
+    /// reads only the key's own buckets.
+    fn touch(&mut self, key: &TupleKey, hashes: &ConnHashes, now: Nanos) {
+        let _ = (key, hashes, now);
     }
 
     /// Remove `key`'s entry (connection close), returning the record if one
-    /// was held.
-    fn remove(&mut self, key: &TupleKey) -> Option<ConnRecord>;
+    /// was held. `hashes` as for [`ConnState::touch`].
+    fn remove(&mut self, key: &TupleKey, hashes: &ConnHashes) -> Option<ConnRecord>;
 
     /// Expire idle entries as of `now`; returns how many were evicted.
     fn expire_idle(&mut self, now: Nanos) -> usize;
@@ -130,7 +132,7 @@ impl ConnState for MapConnState {
         })
     }
 
-    fn touch(&mut self, key: &TupleKey, now: Nanos) {
+    fn touch(&mut self, key: &TupleKey, _hashes: &ConnHashes, now: Nanos) {
         if let Some((_, touched)) = self.map.get_mut(key) {
             *touched = now;
         }
@@ -146,7 +148,7 @@ impl ConnState for MapConnState {
         Ok(())
     }
 
-    fn remove(&mut self, key: &TupleKey) -> Option<ConnRecord> {
+    fn remove(&mut self, key: &TupleKey, _hashes: &ConnHashes) -> Option<ConnRecord> {
         self.map.remove(key).map(|(r, _)| r)
     }
 
@@ -213,7 +215,7 @@ mod tests {
         assert!(hit.exact);
         assert_eq!(hit.record.dip, rec(1).dip);
         assert_eq!(s.entries(), 1);
-        assert_eq!(s.remove(&key(1)).unwrap().dip, rec(1).dip);
+        assert_eq!(s.remove(&key(1), &h).unwrap().dip, rec(1).dip);
         assert_eq!(s.entries(), 0);
     }
 

@@ -96,8 +96,8 @@ fn read_back(seed: u64, groups: &BTreeSet<u32>) -> Result<u64, TestCaseError> {
         inexact,
         "every alias is counted"
     );
-    for (_, key, _) in &stored {
-        prop_assert!(filter.remove(key).is_some());
+    for (_, key, hashes) in &stored {
+        prop_assert!(filter.remove(key, hashes).is_some());
     }
     prop_assert_eq!(filter.entries(), 0);
     Ok(inexact)
@@ -193,6 +193,6 @@ proptest! {
 /// the alias, and this case is searched again.
 #[test]
 fn cucotrack_fingerprint_twin_reads_back_inexact_and_counted() {
-    let inexact = read_back(61, &(0..23).collect()).unwrap();
-    assert!(inexact > 0, "seed 61 no longer aliases: search a new case");
+    let inexact = read_back(31, &(0..23).collect()).unwrap();
+    assert!(inexact > 0, "seed 31 no longer aliases: search a new case");
 }

@@ -2,11 +2,11 @@
 //!
 //! The per-packet pipeline itself lives in [`crate::switch`] (it needs
 //! mutable access to every table); this module defines what it returns,
-//! plus the [`KeyHasher`]/[`HashedKey`] pair that lets the switch hash a
-//! packet's 5-tuple key exactly once and derive every table's hash values
+//! plus the [`KeyHasher`]/[`HashedKey`] pair that lets the switch walk a
+//! packet's 5-tuple key exactly once and finish every table's hash values
 //! from that single pass.
 
-use sr_hash::{hash_all, HashFn};
+use sr_hash::{key_pass, HashFn};
 use sr_types::{Dip, FiveTuple, PoolVersion, RewriteMode, RewriteOp, TupleKey};
 
 // The packet-time hash bundle and its lane bound are defined at the
@@ -21,14 +21,14 @@ pub const MAX_BLOOM_HASHES: usize = 8;
 /// The switch's per-packet hash-function list, split by when each value is
 /// needed. The eager list — ConnTable stage bucket hashes, the ConnTable
 /// match-field (digest) hash, the ECMP select hash — is everything a
-/// steady-state ConnTable hit consumes; [`KeyHasher::hash_tuple`] evaluates
-/// it in one multi-accumulator pass per packet ([`sr_hash::hash_all`]).
-/// The TransitTable bloom hashes are only read on the VIPTable miss path,
-/// so [`KeyHasher::bloom_hashes`] computes them on demand there and hit
-/// packets never pay for them.
+/// steady-state ConnTable hit consumes; [`KeyHasher::hash_tuple`] walks the
+/// key once ([`sr_hash::key_pass`]) and finishes every eager lane from the
+/// core. The TransitTable bloom hashes are only read on the VIPTable miss
+/// path, so [`KeyHasher::bloom_hashes`] finishes them on demand there from
+/// the same core, and hit packets never pay for them.
 ///
-/// Both passes are bit-identical to calling each `HashFn` separately — so
-/// every experiment number is unchanged by the hash-once path.
+/// Every lane equals calling its `HashFn` on the key bytes, by
+/// construction of the family.
 pub struct KeyHasher {
     fns: Vec<HashFn>,
     bloom_fns: Vec<HashFn>,
@@ -68,29 +68,30 @@ impl KeyHasher {
         }
     }
 
-    /// Encode the tuple's inline key and evaluate every eager hash function
-    /// over it in one pass. No heap allocation.
+    /// Encode the tuple's inline key, walk it once, and finish every eager
+    /// lane from the core. No heap allocation.
     pub fn hash_tuple(&self, tuple: &FiveTuple) -> HashedKey {
         let key = tuple.tuple_key();
+        let core = key_pass(key.as_slice());
         let mut vals = [0u64; MAX_PACKET_HASHES];
-        hash_all(&self.fns, key.as_slice(), &mut vals[..self.fns.len()]);
+        for (v, f) in vals.iter_mut().zip(&self.fns) {
+            *v = f.hash_u64(core);
+        }
         HashedKey {
-            key,
+            key: PacketKey { key, core },
             vals,
             conn_stages: self.conn_stages as u8,
         }
     }
 
-    /// Evaluate the TransitTable bloom hashes over an already-encoded key —
-    /// the miss path's lazy second pass. Bit-identical to running each
-    /// bloom `HashFn` standalone; no heap allocation.
-    pub fn bloom_hashes(&self, key: &TupleKey) -> BloomHashes {
+    /// Finish the TransitTable bloom lanes from the key's core — the miss
+    /// path's lazy lanes, with no second walk over the key bytes. Equal to
+    /// running each bloom `HashFn` on the key; no heap allocation.
+    pub fn bloom_hashes(&self, key: &PacketKey) -> BloomHashes {
         let mut vals = [0u64; MAX_BLOOM_HASHES];
-        hash_all(
-            &self.bloom_fns,
-            key.as_slice(),
-            &mut vals[..self.bloom_fns.len()],
-        );
+        for (v, f) in vals.iter_mut().zip(&self.bloom_fns) {
+            *v = f.hash_u64(key.core);
+        }
         BloomHashes {
             vals,
             n: self.bloom_fns.len() as u8,
@@ -98,18 +99,33 @@ impl KeyHasher {
     }
 }
 
+/// A packet's encoded key together with its seed-free key-pass core, from
+/// which [`KeyHasher`] finishes every lane, eager or lazy.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct PacketKey {
+    key: TupleKey,
+    core: u64,
+}
+
+impl PacketKey {
+    /// The encoded key bytes.
+    pub fn as_slice(&self) -> &[u8] {
+        self.key.as_slice()
+    }
+}
+
 /// One packet key plus the precomputed outputs of the eager
 /// [`KeyHasher`] layout over it.
 #[derive(Clone, Copy)]
 pub struct HashedKey {
-    key: TupleKey,
+    key: PacketKey,
     vals: [u64; MAX_PACKET_HASHES],
     conn_stages: u8,
 }
 
 impl HashedKey {
-    /// The inline key bytes.
-    pub fn key(&self) -> &TupleKey {
+    /// The key and its core.
+    pub fn key(&self) -> &PacketKey {
         &self.key
     }
 

@@ -67,7 +67,7 @@ pub mod version;
 pub mod vip_table;
 
 pub use config::{ConnMapping, SilkRoadConfig};
-pub use dataplane::{BloomHashes, DataPath, ForwardDecision, HashedKey, KeyHasher};
+pub use dataplane::{BloomHashes, DataPath, ForwardDecision, HashedKey, KeyHasher, PacketKey};
 pub use engine::{EngineOptions, FlowSteering, MultiPipeSwitch, Pipe, StreamStats};
 pub use health::{HealthChecker, HealthConfig};
 pub use pool::{DipPool, PoolUpdate};

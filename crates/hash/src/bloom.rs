@@ -6,7 +6,7 @@
 //! connections at line rate during a DIP-pool update. The price is false
 //! positives, which the paper keeps negligible with just 256 bytes.
 
-use crate::hasher::HashFn;
+use crate::hasher::{key_pass, HashFn};
 
 /// A plain bitset bloom filter with `k` hash functions.
 ///
@@ -83,11 +83,12 @@ impl BloomFilter {
             .is_some_and(|w| w & (1u64 << (p % 64)) != 0)
     }
 
-    /// Insert a key.
+    /// Insert a key: one key pass, then the k finalizers.
     pub fn insert(&mut self, key: &[u8]) {
+        let core = key_pass(key);
         for i in 0..self.hashes.len() {
             let Some(f) = self.hashes.get(i) else { break };
-            let p = Self::bit_index(self.nbits, f.hash(key));
+            let p = Self::bit_index(self.nbits, f.hash_u64(core));
             self.set_bit(p);
         }
         self.inserted += 1;
@@ -96,9 +97,10 @@ impl BloomFilter {
     /// Query membership. May return true for keys never inserted (false
     /// positive); never returns false for an inserted key.
     pub fn contains(&self, key: &[u8]) -> bool {
+        let core = key_pass(key);
         self.hashes
             .iter()
-            .all(|h| self.test_bit(Self::bit_index(self.nbits, h.hash(key))))
+            .all(|h| self.test_bit(Self::bit_index(self.nbits, h.hash_u64(core))))
     }
 
     /// [`BloomFilter::insert`] from precomputed hashes: `hashes[i]` must be

@@ -478,6 +478,18 @@ struct InsertScratch {
 }
 
 impl InsertScratch {
+    /// A workspace whose repair queues already hold one BFS unwind (at most
+    /// `unwind` displaced residents plus the placed key). The first insert
+    /// that needs a repair can come after any number that did not, so
+    /// warming the table up cannot be relied on to grow them.
+    fn new(unwind: usize) -> InsertScratch {
+        InsertScratch {
+            moved: Vec::with_capacity(unwind),
+            touched: VecDeque::with_capacity(unwind + 1),
+            ..InsertScratch::default()
+        }
+    }
+
     /// Start a repair queue: the residents the placement displaced, then
     /// the key it placed.
     fn queue_touched(&mut self, key: TupleKey, stage: usize, slot: usize) {
@@ -541,7 +553,7 @@ impl<V: Clone> CuckooTable<V> {
             repair_probes: 0,
             #[cfg(test)]
             screen_bypass: false,
-            scratch: InsertScratch::default(),
+            scratch: InsertScratch::new(cfg.max_bfs_depth),
             cfg,
         }
     }
@@ -1817,6 +1829,49 @@ mod tests {
     }
 
     #[test]
+    fn digest_and_two_word_twins_both_resolve_exactly() {
+        // Two keys sharing the 16-bit digest and their words in stages 0
+        // *and* 1: the shape behind the benchmark's hit-1m PCC gate. Until
+        // the shadowing repair excluded every shared stage, relocation
+        // bounced such a pair between the two words, gave up silently, and
+        // one key was served by the other's entry. The pair is searched
+        // under the table's own hash family, so it holds for any family;
+        // both keys go in first (the second lands in the first's word and
+        // must be repaired at once), then the table fills around them.
+        let mut t = digest_table(16, 16, 204);
+        let mut seen = crate::FxHashMap::default();
+        let (a, b) = (0u32..)
+            .find_map(|i| {
+                let k = key(i);
+                let class = (t.match_field_at(0, &k), t.word_of(0, &k), t.word_of(1, &k));
+                seen.insert(class, i).map(|j| (j, i))
+            })
+            .expect("the key space holds a twin pair");
+        let exact = |t: &CuckooTable<u32>| {
+            for k in [a, b] {
+                let hit = t.lookup(&key(k)).expect("twin resident");
+                assert!(
+                    hit.exact && *hit.value == k,
+                    "twin {k} of ({a}, {b}) shadowed"
+                );
+            }
+        };
+        let fill = (t.config().total_slots() * 8 / 10) as u32;
+        for i in [a, b].into_iter().chain(b + 1..b + fill) {
+            t.insert(&key(i), i).unwrap();
+            if i >= b {
+                exact(&t);
+            }
+        }
+        for k in [a, b] {
+            t.relocate(&key(k)).unwrap();
+            exact(&t);
+        }
+        assert!(t.shadow_repairs() > 0, "the pair never needed a repair");
+        assert_eq!(t.shadow_repair_failed(), 0);
+    }
+
+    #[test]
     fn residents_never_shadow_each_other() {
         // Narrow digests + heavy load: without the insertion-time repair,
         // some resident's probe sequence would find a digest-colliding
@@ -1827,12 +1882,14 @@ mod tests {
         // mutation, for as long as the table reports no repair it could
         // not complete (after one, a leftover is a counted outcome).
         //
-        // Seed 6 runs clean at all three widths, so its walk covers every
-        // mutation. Seed 12's insert 646 is a three-way conflict — one key
-        // sharing word and field with a second in stage 0 and with a third
-        // in stage 2 — that pairwise stage masks cannot settle: there the
-        // give-up must be counted, not silent.
-        for (seed, conflicted) in [(6u64, false), (12, true)] {
+        // Seed 1 runs clean at all three widths, so its walk covers every
+        // mutation. Seed 7's insert 309 is a three-way conflict — resident
+        // 180 sharing word and field with the new key in stage 0 and with
+        // resident 182 in stage 1 — that pairwise stage masks cannot
+        // settle: there the give-up must be counted, not silent. Both were
+        // found by searching seeds 0..60 under the current hash family;
+        // a change of family moves them, and they are searched again.
+        for (seed, conflicted) in [(1u64, false), (7, true)] {
             for bits in [8u8, 9, 10] {
                 let mut t = digest_table(bits, 64, seed);
                 let check = |t: &CuckooTable<u32>| {

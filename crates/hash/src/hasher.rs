@@ -1,10 +1,32 @@
-//! A seeded 64-bit hash family over byte strings.
+//! A seeded 64-bit hash family over byte strings, evaluated in two parts.
 //!
-//! Implemented from scratch (FNV-1a core with a splitmix64 finalizer) so the
-//! reproduction has zero dependence on platform hashers and produces
-//! identical experiment outputs everywhere. Quality matters here: the
-//! paper's false-positive numbers (§6.1) assume well-distributed digests,
-//! and cuckoo packing ratios assume independent per-stage bucket hashes.
+//! Every member hashes a key as `hash_u64(key_pass(bytes))`:
+//!
+//! * [`key_pass`] reads the key once, as little-endian 64-bit words, and
+//!   folds it into a seed-free 64-bit *core*. Keys of up to 16 bytes take
+//!   two (overlapping) reads; longer keys absorb 16-byte blocks with a
+//!   64×64→128 multiply folded to 64 bits, then read their last 16 bytes
+//!   the same way. The length is folded in, so keys that differ only in
+//!   trailing zero bytes differ.
+//! * [`HashFn::hash_u64`] is the member's finalizer: splitmix64 over the
+//!   core XOR the member's seed, a full-avalanche, non-linear mixer.
+//!
+//! So N members over one key cost one key pass plus N finalizers
+//! ([`hash_all`]), and `hash_all`'s outputs equal each member's
+//! [`HashFn::hash`] by construction. That is the software stand-in for an
+//! ASIC's hash units, which read the whole PHV at once and charge nothing
+//! per key byte (§4.1–4.2).
+//!
+//! Implemented from scratch, in safe Rust, with explicit little-endian
+//! reads, so every host produces identical experiment outputs. Quality
+//! matters here: the paper's false-positive numbers (§6.1) assume
+//! well-distributed digests, and cuckoo packing ratios assume independent
+//! per-stage bucket hashes. `tests/properties.rs` checks both and pins the
+//! family's output with fixed vectors.
+
+/// Key-pass multipliers: odd 64-bit constants with balanced bits.
+const K0: u64 = 0x2d35_8dcc_aa6c_78a5;
+const K1: u64 = 0x8bb8_4b93_962e_acc9;
 
 /// One member of a seeded hash family.
 ///
@@ -28,86 +50,111 @@ impl HashFn {
 
     /// Derive a family of `n` independent functions from a base seed.
     pub fn family(base_seed: u64, n: usize) -> Vec<HashFn> {
-        (0..n)
-            .map(|i| {
-                HashFn::new(
-                    base_seed.wrapping_add(0xa076_1d64_78bd_642f_u64.wrapping_mul(i as u64 + 1)),
-                )
-            })
+        (1u64..)
+            .take(n)
+            .map(|i| HashFn::new(base_seed.wrapping_add(0xa076_1d64_78bd_642f_u64.wrapping_mul(i))))
             .collect()
     }
 
-    /// Hash a byte string to 64 bits.
+    /// Hash a byte string to 64 bits: the seed-free [`key_pass`], then this
+    /// member's finalizer.
+    #[inline]
     pub fn hash(&self, bytes: &[u8]) -> u64 {
-        // FNV-1a with seeded offset basis, then a strong finalizer to fix
-        // FNV's weak high bits.
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-        splitmix64(h)
+        self.hash_u64(key_pass(bytes))
     }
 
-    /// Hash a `u64` (pre-encoded key) to 64 bits.
+    /// Hash a `u64` to 64 bits. This is the member's finalizer: applied to
+    /// a [`key_pass`] core it yields [`HashFn::hash`] of that key.
+    #[inline]
     pub fn hash_u64(&self, x: u64) -> u64 {
         splitmix64(x ^ self.seed)
     }
 }
 
-/// Evaluate many hash functions over the same key in one pass.
-///
-/// Each `HashFn` seeds its own FNV accumulator, so the seeds cannot be
-/// factored out algebraically — but the key bytes only need to be walked
-/// once, updating every accumulator per byte. Output `out[i]` is
-/// bit-identical to `fns[i].hash(bytes)`; tests enforce this, and the whole
-/// hash-once hot path depends on it.
-///
-/// # Panics
-/// If `out.len() != fns.len()`.
-pub fn hash_all(fns: &[HashFn], bytes: &[u8], out: &mut [u64]) {
-    assert_eq!(fns.len(), out.len(), "hash_all: out length mismatch");
-    // Dispatch to a fixed-lane instantiation: with a const lane count the
-    // accumulators live in registers for the whole byte walk instead of
-    // round-tripping through `out` every byte (~2.5x on the packet path's
-    // 6-lane pass).
-    match fns.len() {
-        0 => {}
-        1 => hash_all_n::<1>(fns, bytes, out),
-        2 => hash_all_n::<2>(fns, bytes, out),
-        3 => hash_all_n::<3>(fns, bytes, out),
-        4 => hash_all_n::<4>(fns, bytes, out),
-        5 => hash_all_n::<5>(fns, bytes, out),
-        6 => hash_all_n::<6>(fns, bytes, out),
-        7 => hash_all_n::<7>(fns, bytes, out),
-        8 => hash_all_n::<8>(fns, bytes, out),
-        _ => {
-            for (o, f) in out.iter_mut().zip(fns) {
-                *o = f.hash(bytes);
-            }
-        }
+/// 64×64→128 multiply, folded to 64 bits by XOR of the two halves.
+#[inline]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let (lo, hi) = a.carrying_mul(b, 0);
+    lo ^ hi
+}
+
+/// Little-endian 64-bit word.
+#[inline]
+fn word(bytes: &[u8; 8]) -> u64 {
+    u64::from_le_bytes(*bytes)
+}
+
+/// Little-endian 32-bit half-word, widened.
+#[inline]
+fn half(bytes: &[u8; 4]) -> u64 {
+    u64::from(u32::from_le_bytes(*bytes))
+}
+
+/// The two words a key of at most 16 bytes reduces to. Each length class
+/// reads every byte at least once: 8–16 bytes as the first and the last
+/// 8 (overlapping below 16), 4–7 bytes as the first and last 4, 1–3 bytes
+/// as the first, middle and last byte.
+#[inline]
+fn short_words(bytes: &[u8]) -> (u64, u64) {
+    if let (Some(head), Some(tail)) = (bytes.first_chunk::<8>(), bytes.last_chunk::<8>()) {
+        (word(head), word(tail))
+    } else if let (Some(head), Some(tail)) = (bytes.first_chunk::<4>(), bytes.last_chunk::<4>()) {
+        ((half(head) << 32) | half(tail), 0)
+    } else if let (Some(&first), Some(&last)) = (bytes.first(), bytes.last()) {
+        let mid = bytes.get(bytes.len() / 2).copied().unwrap_or(first);
+        let a = (u64::from(first) << 16) | (u64::from(mid) << 8) | u64::from(last);
+        (a, 0)
+    } else {
+        (0, 0)
     }
 }
 
-/// [`hash_all`] with a compile-time lane count (`N == fns.len()`).
+/// The seed-free key pass: fold `bytes` into the 64-bit core every
+/// [`HashFn`] finishes from. Reads little-endian words, so the core is the
+/// same on every host.
 #[inline]
-fn hash_all_n<const N: usize>(fns: &[HashFn], bytes: &[u8], out: &mut [u64]) {
-    let mut acc = [0u64; N];
-    for (a, f) in acc.iter_mut().zip(fns) {
-        *a = 0xcbf2_9ce4_8422_2325u64 ^ f.seed;
-    }
-    for &b in bytes {
-        for a in acc.iter_mut() {
-            *a ^= b as u64;
-            *a = a.wrapping_mul(0x1000_0000_01b3);
+pub fn key_pass(bytes: &[u8]) -> u64 {
+    let len = u64::try_from(bytes.len()).unwrap_or(u64::MAX);
+    let mut acc = K0;
+    let (a, b) = match bytes.last_chunk::<16>() {
+        Some(last) if bytes.len() > 16 => {
+            // Absorb every 16-byte block that ends before the last byte;
+            // the last 16 bytes (overlapping the final block unless the
+            // length is a multiple of 16) are the tail words.
+            let body = bytes.get(..(bytes.len() - 1) / 16 * 16).unwrap_or(&[]);
+            for block in body.chunks_exact(16) {
+                if let (Some(w0), Some(w1)) = (block.first_chunk::<8>(), block.last_chunk::<8>()) {
+                    acc = fold_mul(word(w0) ^ K1, word(w1) ^ acc);
+                }
+            }
+            match (last.first_chunk::<8>(), last.last_chunk::<8>()) {
+                (Some(w0), Some(w1)) => (word(w0), word(w1)),
+                _ => (0, 0),
+            }
         }
-    }
-    for (o, a) in out.iter_mut().zip(acc) {
-        *o = splitmix64(a);
+        _ => short_words(bytes),
+    };
+    let (lo, hi) = (a ^ K1).carrying_mul(b ^ acc, 0);
+    fold_mul(lo ^ K0 ^ len, hi ^ K1)
+}
+
+/// Evaluate many hash functions over the same key: one [`key_pass`], then
+/// each member's finalizer over the shared core. `out[i]` equals
+/// `fns[i].hash(bytes)` by construction.
+///
+/// # Panics
+/// If `out.len() != fns.len()`.
+#[inline]
+pub fn hash_all(fns: &[HashFn], bytes: &[u8], out: &mut [u64]) {
+    assert_eq!(fns.len(), out.len(), "hash_all: out length mismatch");
+    let core = key_pass(bytes);
+    for (o, f) in out.iter_mut().zip(fns) {
+        *o = f.hash_u64(core);
     }
 }
 
 /// splitmix64 finalizer: full-avalanche 64-bit mixer.
+#[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -163,8 +210,9 @@ mod tests {
 
     #[test]
     fn low_bits_usable() {
-        // FNV alone has weak low-order mixing for short keys; the finalizer
-        // must fix it. Check bucket distribution over low 10 bits.
+        // Short keys must spread over the low bits too (maglev and the
+        // resilient table reduce modulo small sizes). Check bucket
+        // distribution over low 10 bits.
         let f = HashFn::new(3);
         let buckets = 1024;
         let mut counts = vec![0u32; buckets];

@@ -5,7 +5,8 @@
 //! provides the software equivalents, all fully deterministic and seedable so
 //! every experiment is reproducible:
 //!
-//! * [`HashFn`] — a seeded 64-bit hash family over byte strings;
+//! * [`HashFn`] — a seeded 64-bit hash family over byte strings: one
+//!   seed-free [`key_pass`] plus a per-member finalizer;
 //! * [`digest`] — compact n-bit connection digests (§4.2);
 //! * [`cuckoo`] — the multi-stage cuckoo exact-match table used for
 //!   ConnTable, with the BFS move-search the switch CPU runs (§4.1);
@@ -28,7 +29,7 @@ pub use bloom::BloomFilter;
 pub use cuckoo::{CuckooConfig, CuckooTable, InsertOutcome, LookupHit, MatchMode};
 pub use digest::DigestFn;
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use hasher::{hash_all, splitmix64, HashFn};
+pub use hasher::{hash_all, key_pass, splitmix64, HashFn};
 
 /// Stateless ECMP member selection: map a flow hash onto one of `n` members.
 ///

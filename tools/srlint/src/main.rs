@@ -26,8 +26,9 @@
 //! * **forbid-unsafe** / **crate-docs** — every first-party crate root
 //!   carries `#![forbid(unsafe_code)]` and starts with `//!` docs.
 //!
-//! Hot-path scope is the two whole-file modules `crates/core/src/dataplane.rs`
-//! and `crates/hash/src/bloom.rs`, plus any region bracketed by
+//! Hot-path scope is the three whole-file modules `crates/core/src/dataplane.rs`,
+//! `crates/hash/src/bloom.rs` and `crates/hash/src/hasher.rs` (the hash
+//! kernel every lane runs), plus any region bracketed by
 //! `// srlint: hot-path begin` / `// srlint: hot-path end` markers
 //! (the `SilkRoadSwitch` batch path, the cuckoo probe functions, the
 //! `MultiPipeSwitch` steering/dispatch path and its per-pipe lanes'
@@ -50,7 +51,11 @@
 use std::path::{Path, PathBuf};
 
 /// Files treated as hot-path in their entirety (workspace-relative).
-const HOT_FILES: [&str; 2] = ["crates/core/src/dataplane.rs", "crates/hash/src/bloom.rs"];
+const HOT_FILES: [&str; 3] = [
+    "crates/core/src/dataplane.rs",
+    "crates/hash/src/bloom.rs",
+    "crates/hash/src/hasher.rs",
+];
 
 /// Crates (workspace-relative source prefixes) under the FxHash policy.
 const FXHASH_CRATES: [&str; 2] = ["crates/core/src/", "crates/hash/src/"];

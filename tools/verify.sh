@@ -7,7 +7,7 @@
 # cmp'd between --jobs 1 and --jobs 2, the replay smoke golden,
 # the `repro all` and examples goldens, the release-mode
 # allocation regression, the repo benchmark's smoke pass (which must leave
-# its lockfile untouched), and its hit-1m seed-204 PCC and peak-RSS
+# its lockfile untouched), and its hit-1m seed-1530 PCC and peak-RSS
 # regression gates.
 #
 # Clippy/fmt run per first-party package rather than --workspace: the
@@ -172,21 +172,26 @@ if ! git diff --quiet -- benchmark/Cargo.lock; then
     exit 1
 fi
 
-# PCC regression gate: hit-1m seed 204 holds two flows that share the
-# 16-bit digest and the same word in stages 0 *and* 1. Until the repair
-# excluded every shared stage, relocation bounced the pair between the
-# two words, gave up silently, and one flow was steered through the
-# other's entry. A million-flow fill plus a 1 s window, ~15 s. The
-# result line is printed so the CI job log keeps it.
+# PCC regression gate: hit-1m seed 1530 holds two flows,
+# 100.10.104.134:35873→20.0.0.7:80 and 100.14.134.145:15617→20.0.0.2:80,
+# that share the 16-bit digest and the same word in stages 0 *and* 1
+# (found by hashing every seed's million flows under the ConnTable's own
+# hash family; `cuckoo::tests::digest_and_two_word_twins_both_resolve_exactly`
+# holds the same shape at unit scale). Until the repair excluded every
+# shared stage, relocation bounced such a pair between the two words,
+# gave up silently, and one flow was steered through the other's entry.
+# A million-flow fill plus a 1 s window, ~15 s. The result line is
+# printed so the CI job log keeps it. A change of hash family moves the
+# pair, and the seed is searched again.
 #
 # The same line carries the run's peak RSS, which repeats to 0.1 % on one
 # host: 412 MB with one 64-byte record per ConnTable slot (518 MB with
 # the 112-byte entries before it). Above 430 the table has grown back.
-echo "== benchmark hit-1m seed 204 (digest-shadowing PCC + peak-RSS regression gates)"
-seed204="$(bash benchmark/run.sh --workload hit-1m --seed 204 --seconds 1 --trace 0 | tail -1)"
-echo "$seed204"
-grep -q '"correct": true' <<< "$seed204"
-rss_mb="$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9]*\).*/\1/p' <<< "$seed204")"
+echo "== benchmark hit-1m seed 1530 (digest-shadowing PCC + peak-RSS regression gates)"
+twins="$(bash benchmark/run.sh --workload hit-1m --seed 1530 --seconds 1 --trace 0 | tail -1)"
+echo "$twins"
+grep -q '"correct": true' <<< "$twins"
+rss_mb="$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9]*\).*/\1/p' <<< "$twins")"
 if [ -z "$rss_mb" ] || [ "$rss_mb" -gt 430 ]; then
     echo "hit-1m peak RSS ${rss_mb:-unreadable} MB exceeds the 430 MB gate" >&2
     exit 1
