@@ -14,13 +14,11 @@ use sr_types::{AddrFamily, Dip, Duration, Nanos, PoolVersion, TupleKey, Vip};
 pub struct ConnRecord {
     /// The VIP the connection targets.
     pub vip: Vip,
-    /// The DIP-pool version the connection is pinned to (always tracked for
-    /// refcounting, even in direct-DIP mode).
+    /// The DIP-pool version the connection is pinned to.
     pub version: PoolVersion,
-    /// The DIP resolved at learn time (authoritative in
-    /// [`ConnMapping::DirectDip`] mode).
-    ///
-    /// [`ConnMapping::DirectDip`]: ConnStateDesign::Digest
+    /// The DIP resolved at learn time. [`crate::AlgoEngine`] forwards a hit
+    /// to it; SilkRoad re-derives the DIP from the pinned version's pool
+    /// and falls back to this one only when that pool selects nothing.
     pub dip: Dip,
     /// First-packet arrival time (drives the 3-step update bookkeeping).
     pub arrived: Nanos,

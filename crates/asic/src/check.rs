@@ -16,9 +16,9 @@
 //! * **PHV budget** for carried metadata;
 //! * **transactional-register single-stage placement** — the TransitTable's
 //!   one-cycle read-check-modify-write cannot span stages;
-//! * **dependency DAG** — declared [`TableDependency`] edges (ConnTable →
-//!   TransitTable → VIPTable → DIPPoolTable) must be acyclic and realizable
-//!   in the declared stage order.
+//! * **dependency DAG** — declared [`TableDependency`](crate::TableDependency)
+//!   edges (ConnTable → TransitTable → VIPTable → DIPPoolTable) must be
+//!   acyclic and realizable in the declared stage order.
 //!
 //! Violations come back as structured [`Diagnostic`]s (stable rule id,
 //! severity, unit/stage location, measured-vs-budget numbers) inside a

@@ -13,10 +13,14 @@
 //!   management CPU ([`cpu`]) which runs the BFS move search.
 //! * **Learning filter** ([`learning`]) — batches first-packet events (with
 //!   deduplication) toward the CPU, notifying on full-or-timeout.
-//! * **Transactional memory / register arrays** ([`register`]) — one-cycle
-//!   read-check-modify-write state, used for bloom filters and counters;
-//!   and **meters** ([`meter`]) — RFC 4115 two-rate three-color markers for
-//!   per-VIP isolation.
+//! * **Transactional memory** — one-cycle read-check-modify-write register
+//!   arrays, which the TransitTable bloom filter lives in. Here they are
+//!   priced, not simulated: a [`RegisterDecl`] in the [`pipeline`] program
+//!   counts their cells and stateful ALUs, while the filter's behaviour is
+//!   `sr_hash::BloomFilter`, wrapped by `silkroad::transit::TransitTable`
+//!   (the simulator applies packets in order, so one-cycle transactions
+//!   hold trivially); and **meters** ([`meter`]) — RFC 4115 two-rate
+//!   three-color markers for per-VIP isolation.
 //!
 //! [`resources`] holds Table 1 (SRAM growth across ASIC generations) and
 //! switch.p4's documented usage, the denominator of Table 2; the numerator
@@ -36,7 +40,6 @@ pub mod cpu;
 pub mod learning;
 pub mod meter;
 pub mod pipeline;
-pub mod register;
 pub mod resources;
 pub mod sram;
 pub mod table;
@@ -46,7 +49,6 @@ pub use cpu::{CpuJob, SwitchCpu, SwitchCpuConfig};
 pub use learning::{LearnEvent, LearningFilter, LearningFilterConfig};
 pub use meter::{Meter, MeterColor, MeterConfig};
 pub use pipeline::{MatchKind, PipelineProgram, RegisterDecl, TableDecl, TableDependency};
-pub use register::RegisterArray;
 pub use resources::{AsicGeneration, ResourcePercent, ResourceUsage, SWITCH_P4_USAGE};
 pub use sram::{SramError, SramSpec, WORD_BITS};
 pub use table::TableSpec;

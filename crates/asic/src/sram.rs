@@ -1,7 +1,7 @@
 //! SRAM geometry and word packing (§4.1, §6.1).
 //!
 //! ASIC exact-match SRAM is organised in fixed-width words; the paper (and
-//! RMT [19]) use **112-bit** words. A table entry of `e` bits packs
+//! RMT \[19\]) use **112-bit** words. A table entry of `e` bits packs
 //! `floor(112 / e)` entries per word, so the 28-bit SilkRoad ConnTable entry
 //! (16-bit digest + 6-bit version + 6-bit overhead) packs exactly 4 per
 //! word, while a naive IPv6 entry (37 B key + 18 B action) spans multiple

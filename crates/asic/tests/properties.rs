@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sr_asic::{
-    LearningFilter, LearningFilterConfig, Meter, MeterColor, MeterConfig, RegisterArray, SwitchCpu,
+    LearningFilter, LearningFilterConfig, Meter, MeterColor, MeterConfig, SwitchCpu,
     SwitchCpuConfig,
 };
 use sr_types::{Duration, Nanos};
@@ -127,24 +127,6 @@ proptest! {
                 w[1].completes_at.0 >= w[0].completes_at.0 + cost,
                 "closer than one job cost"
             );
-        }
-    }
-
-    /// Register arrays respect their width for any op sequence.
-    #[test]
-    fn register_width_respected(
-        ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..100),
-        width in 1u8..=64,
-    ) {
-        let mut r = RegisterArray::new(16, width);
-        let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
-        for (idx, v) in ops {
-            let i = (idx % 16) as usize;
-            r.write(i, v);
-            prop_assert!(r.read(i) <= mask);
-            let old = r.rmw(i, |x| x.wrapping_add(v));
-            prop_assert!(old <= mask);
-            prop_assert!(r.read(i) <= mask);
         }
     }
 }

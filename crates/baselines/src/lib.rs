@@ -22,4 +22,4 @@ pub mod slb;
 pub use cost::{CostModel, Deployment};
 pub use duet::{DuetConfig, DuetLb, MigrationPolicy};
 pub use ecmp::EcmpLb;
-pub use slb::{SlbConfig, SoftwareLb};
+pub use slb::SoftwareLb;

@@ -12,23 +12,11 @@ use sr_hash::maglev::MaglevTable;
 use sr_types::{Addr, Dip, Nanos, PacketMeta, TypeError, Vip};
 use std::collections::HashMap;
 
-/// SLB configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct SlbConfig {
-    /// Maglev lookup-table size per VIP (prime recommended).
-    pub maglev_table_size: usize,
-    /// Hash seed.
-    pub seed: u64,
-}
+/// Maglev lookup-table size per VIP (a prime).
+const MAGLEV_TABLE_SIZE: usize = 4099;
 
-impl Default for SlbConfig {
-    fn default() -> Self {
-        SlbConfig {
-            maglev_table_size: 4099,
-            seed: 0x51b,
-        }
-    }
-}
+/// Maglev hash seed.
+const MAGLEV_SEED: u64 = 0x51b;
 
 struct VipPool {
     dips: Vec<Dip>,
@@ -49,8 +37,8 @@ pub struct SlbStats {
 }
 
 /// The software load balancer.
+#[derive(Default)]
 pub struct SoftwareLb {
-    cfg: SlbConfig,
     vips: HashMap<Addr, VipPool>,
     conn_table: HashMap<Box<[u8]>, Dip>,
     stats: SlbStats,
@@ -58,13 +46,8 @@ pub struct SoftwareLb {
 
 impl SoftwareLb {
     /// Build an SLB.
-    pub fn new(cfg: SlbConfig) -> SoftwareLb {
-        SoftwareLb {
-            cfg,
-            vips: HashMap::new(),
-            conn_table: HashMap::new(),
-            stats: SlbStats::default(),
-        }
+    pub fn new() -> SoftwareLb {
+        SoftwareLb::default()
     }
 
     /// Counters.
@@ -81,7 +64,7 @@ impl SoftwareLb {
                 k
             })
             .collect();
-        let maglev = MaglevTable::build(&keys, self.cfg.maglev_table_size, self.cfg.seed);
+        let maglev = MaglevTable::build(&keys, MAGLEV_TABLE_SIZE, MAGLEV_SEED);
         self.vips.insert(vip.0, VipPool { dips, maglev });
     }
 
@@ -156,7 +139,7 @@ mod tests {
     }
 
     fn slb() -> SoftwareLb {
-        let mut s = SoftwareLb::new(SlbConfig::default());
+        let mut s = SoftwareLb::new();
         s.add_vip(vip(), vec![dip(1), dip(2), dip(3)]).unwrap();
         s
     }
@@ -221,7 +204,7 @@ mod tests {
 
     #[test]
     fn unknown_vip_unhandled() {
-        let mut s = SoftwareLb::new(SlbConfig::default());
+        let mut s = SoftwareLb::new();
         assert_eq!(
             s.process_packet(&PacketMeta::syn(conn(1)), Nanos::ZERO),
             None

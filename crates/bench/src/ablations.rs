@@ -39,8 +39,6 @@ pub fn cuckoo_geometry(exec: &Exec, seed: u64) -> Vec<CuckooPoint> {
             entries_per_word: ways,
             match_mode: MatchMode::FullKey,
             seed,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 4096,
         };
         let total = cfg.total_slots();
         let mut t: CuckooTable<u32> = CuckooTable::new(cfg);
@@ -149,8 +147,6 @@ pub fn digest_layouts(exec: &Exec, seed: u64) -> Vec<DigestLayoutPoint> {
             entries_per_word: 4,
             match_mode: mode,
             seed,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 4096,
         });
         let total = t.config().total_slots();
         let mut inserted = 0u32;

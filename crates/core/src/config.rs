@@ -4,17 +4,9 @@ use crate::dataplane::{MAX_BLOOM_HASHES, MAX_PACKET_HASHES};
 use sr_asic::{LearningFilterConfig, SwitchCpuConfig};
 use sr_types::{Duration, TypeError};
 
-/// How ConnTable action data identifies the destination.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ConnMapping {
-    /// Store a DIP-pool version; the DIP is re-derived by hashing the
-    /// 5-tuple over the immutable versioned pool (the paper's design,
-    /// 6 bits of action data).
-    Version,
-    /// Store the DIP directly (the §4.2 fallback for few/long-lived
-    /// connections; larger action data, no DIPPoolTable indirection).
-    DirectDip,
-}
+/// Extra latency added to a software-redirected SYN (digest false
+/// positive repair, "a few milliseconds").
+pub const SYN_REDIRECT_DELAY: Duration = Duration::from_millis(2);
 
 /// Full configuration of a [`crate::SilkRoadSwitch`].
 #[derive(Clone, Debug)]
@@ -26,22 +18,14 @@ pub struct SilkRoadConfig {
     pub conn_stages: usize,
     /// Digest width in bits (paper default 16; §6.1 also evaluates 24).
     pub digest_bits: u8,
-    /// Optional per-stage digest widths (§7: wider digests in the stages
-    /// filled first cut overall false positives). Overrides `digest_bits`
-    /// for matching when set; `digest_bits` still drives the memory model
-    /// as the nominal width.
-    pub digest_bits_per_stage: Option<Vec<u8>>,
-    /// Version-number width in bits (paper default 6 after reuse).
+    /// Version-number width in bits (paper default 6 after reuse). The
+    /// ring always runs with version reuse (§4.2, Fig 15).
     pub version_bits: u8,
-    /// Whether ConnTable stores versions or direct DIPs.
-    pub mapping: ConnMapping,
-    /// Enable the version-reuse optimisation (§4.2, Fig 15).
-    pub version_reuse: bool,
     /// TransitTable bloom filter size in bytes (paper default 256).
     pub transit_bytes: usize,
     /// TransitTable hash functions.
     pub transit_hashes: usize,
-    /// Set to zero to disable the TransitTable entirely — the paper's
+    /// `false` disables the TransitTable entirely — the paper's
     /// "SilkRoad without TransitTable" ablation in Fig 16/17.
     pub transit_enabled: bool,
     /// Learning filter geometry (capacity + timeout; Fig 18 sweeps the
@@ -49,9 +33,6 @@ pub struct SilkRoadConfig {
     pub learning: LearningFilterConfig,
     /// Switch CPU insertion model (paper: 200 K insertions/s).
     pub cpu: SwitchCpuConfig,
-    /// Extra latency added to a software-redirected SYN (digest false
-    /// positive repair, "a few milliseconds").
-    pub syn_redirect_delay: Duration,
     /// Idle timeout after which the control plane expires a connection
     /// entry that was never explicitly closed.
     pub idle_timeout: Duration,
@@ -68,16 +49,12 @@ impl Default for SilkRoadConfig {
             conn_capacity: 1_000_000,
             conn_stages: 4,
             digest_bits: 16,
-            digest_bits_per_stage: None,
             version_bits: 6,
-            mapping: ConnMapping::Version,
-            version_reuse: true,
             transit_bytes: 256,
             transit_hashes: 4,
             transit_enabled: true,
             learning: LearningFilterConfig::default(),
             cpu: SwitchCpuConfig::default(),
-            syn_redirect_delay: Duration::from_millis(2),
             idle_timeout: Duration::from_secs(120),
             seed: 0x51_1c_0a_d0,
         }
@@ -103,24 +80,6 @@ impl SilkRoadConfig {
                 got: self.digest_bits as u64,
             });
         }
-        if let Some(bits) = &self.digest_bits_per_stage {
-            for &b in bits {
-                if !(8..=32).contains(&b) {
-                    return Err(TypeError::OutOfRange {
-                        what: "digest_bits_per_stage",
-                        constraint: "8..=32",
-                        got: b as u64,
-                    });
-                }
-            }
-            if bits.is_empty() {
-                return Err(TypeError::OutOfRange {
-                    what: "digest_bits_per_stage",
-                    constraint: "non-empty",
-                    got: 0,
-                });
-            }
-        }
         if !(1..=16).contains(&self.version_bits) {
             return Err(TypeError::OutOfRange {
                 what: "version_bits",
@@ -138,11 +97,20 @@ impl SilkRoadConfig {
                 got: self.conn_stages as u64,
             });
         }
-        if self.transit_hashes > MAX_BLOOM_HASHES {
+        // An empty filter would be clamped to one byte and one hash by
+        // `BloomFilter::new` while the layout prices it at nothing.
+        if !(1..=MAX_BLOOM_HASHES).contains(&self.transit_hashes) {
             return Err(TypeError::OutOfRange {
                 what: "transit_hashes",
-                constraint: "..=8",
+                constraint: "1..=8",
                 got: self.transit_hashes as u64,
+            });
+        }
+        if self.transit_bytes == 0 {
+            return Err(TypeError::OutOfRange {
+                what: "transit_bytes",
+                constraint: "1..",
+                got: 0,
             });
         }
         if self.conn_capacity == 0 {
@@ -160,16 +128,12 @@ impl SilkRoadConfig {
         1u32 << self.version_bits.min(16)
     }
 
-    /// The ConnTable's on-chip entry layout: digest match field, action
-    /// data per the mapping mode, 6 bits of packing overhead (§6.1).
+    /// The ConnTable's on-chip entry layout: digest match field, the
+    /// version as action data, 6 bits of packing overhead (§6.1).
     pub fn conn_table_spec(&self) -> sr_asic::TableSpec {
         sr_asic::TableSpec {
             match_bits: self.digest_bits as u32,
-            action_bits: match self.mapping {
-                ConnMapping::Version => self.version_bits as u32,
-                // Fallback: action carries a full IPv6 DIP + port.
-                ConnMapping::DirectDip => 144,
-            },
+            action_bits: self.version_bits as u32,
             overhead_bits: 6,
         }
     }
@@ -211,9 +175,6 @@ impl SilkRoadConfig {
             self.transit_bytes as u64,
             self.transit_hashes as u32,
         );
-        if self.mapping == ConnMapping::DirectDip {
-            prog.tables[0].action_bits = 144;
-        }
         if !self.transit_enabled {
             // The Fig 16/17 ablation: no bloom filter, and the miss path
             // chains ConnTable straight into the VIP lookup.
@@ -254,19 +215,6 @@ mod tests {
         assert_eq!(c.transit_bytes, 256);
         assert_eq!(c.cpu.insertions_per_sec, 200_000);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn per_stage_digest_validation() {
-        let mut c = SilkRoadConfig {
-            digest_bits_per_stage: Some(vec![24, 16, 12, 12]),
-            ..Default::default()
-        };
-        assert!(c.validate().is_ok());
-        c.digest_bits_per_stage = Some(vec![4]);
-        assert!(c.validate().is_err());
-        c.digest_bits_per_stage = Some(vec![]);
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -366,6 +314,14 @@ mod tests {
             },
             SilkRoadConfig {
                 conn_capacity: 0,
+                ..Default::default()
+            },
+            SilkRoadConfig {
+                transit_hashes: 0,
+                ..Default::default()
+            },
+            SilkRoadConfig {
+                transit_bytes: 0,
                 ..Default::default()
             },
         ];

@@ -1,8 +1,7 @@
 //! ConnTable — the per-connection state table (§4.2).
 //!
 //! The ASIC-resident exact-match table keyed by a 16-bit digest of the
-//! 5-tuple. Action data is the DIP-pool version (6 bits) in the paper's
-//! design, or the DIP itself in the §4.2 fallback mode. The software shadow
+//! 5-tuple. Action data is the DIP-pool version (6 bits). The software shadow
 //! (full keys, arrival times) rides along in the entry value — the real
 //! switch keeps the same information in CPU memory. Here it is one cache
 //! line per slot: callers see [`ConnValue`]s, a slot stores one packed to
@@ -163,17 +162,13 @@ impl ConnTable {
     /// Build from the switch configuration.
     pub fn new(cfg: &SilkRoadConfig) -> ConnTable {
         let spec = cfg.conn_table_spec();
-        let match_mode = match &cfg.digest_bits_per_stage {
-            Some(bits) => MatchMode::DigestPerStage { bits: bits.clone() },
-            None => MatchMode::Digest {
-                bits: cfg.digest_bits,
-            },
-        };
         ConnTable {
             table: CuckooTable::new(spec.cuckoo_config(
                 cfg.conn_capacity,
                 cfg.conn_stages,
-                match_mode,
+                MatchMode::Digest {
+                    bits: cfg.digest_bits,
+                },
                 cfg.seed ^ 0xc0_44,
             )),
             ends: Endpoints::default(),
@@ -428,7 +423,6 @@ impl ConnTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ConnMapping;
     use proptest::prelude::*;
     use sr_types::Addr;
 
@@ -563,29 +557,6 @@ mod tests {
         let expired = t.aging_scan(Nanos::from_secs(240));
         let keys: Vec<&[u8]> = expired.iter().map(|(k, _)| k.as_slice()).collect();
         assert!(keys.contains(&b"old-busy".as_ref()));
-    }
-
-    #[test]
-    fn per_stage_digest_mode_roundtrips() {
-        let mut cfg = SilkRoadConfig::small_test();
-        cfg.digest_bits_per_stage = Some(vec![24, 20, 16, 12]);
-        let mut t = ConnTable::new(&cfg);
-        for i in 0..500u32 {
-            t.install(&i.to_be_bytes(), value(1)).unwrap();
-        }
-        for i in 0..500u32 {
-            assert!(t.lookup(&i.to_be_bytes()).unwrap().1);
-        }
-    }
-
-    #[test]
-    fn memory_accounting_matches_mode() {
-        let version_mode = ConnTable::new(&SilkRoadConfig::small_test());
-        let mut cfg = SilkRoadConfig::small_test();
-        cfg.mapping = ConnMapping::DirectDip;
-        let dip_mode = ConnTable::new(&cfg);
-        // Direct-DIP entries are far wider: more SRAM for same capacity.
-        assert!(dip_mode.provisioned_bytes() > 3 * version_mode.provisioned_bytes());
     }
 
     fn endpoint(v6: bool, idx: u32, port: u16) -> Addr {

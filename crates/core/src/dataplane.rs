@@ -199,7 +199,7 @@ pub struct ForwardDecision {
     /// Path taken.
     pub path: DataPath,
     /// The pool version used to resolve the DIP (None for `NotVip`/drops
-    /// and for direct-DIP ConnTable hits).
+    /// and for hits in the software fallback table).
     pub version: Option<PoolVersion>,
     /// Whether the decision came from a ConnTable hit.
     pub conn_table_hit: bool,

@@ -145,17 +145,17 @@ pub struct EngineOptions {
     /// Ask the OS to pin worker `i` to core `i % cores`. Best-effort:
     /// hosts that refuse (and single-core hosts) run unpinned.
     pub pin_cores: bool,
-    /// Slots per worker job ring; also the number of batches a stream
-    /// can keep in flight per pipe before backpressure (clamped ≥ 1).
-    pub ring_depth: usize,
 }
+
+/// Slots per worker job ring; also the number of batches a stream can keep
+/// in flight per pipe before backpressure.
+pub const RING_DEPTH: usize = 4;
 
 impl Default for EngineOptions {
     fn default() -> EngineOptions {
         EngineOptions {
             threaded: true,
             pin_cores: false,
-            ring_depth: 4,
         }
     }
 }
@@ -356,7 +356,6 @@ impl MultiPipeSwitch {
             report.render()
         );
         let steering = FlowSteering::new(cfg.seed, pipes);
-        let depth = opts.ring_depth.max(1);
         let cores = sr_exec::available_cores();
         let lanes = (0..pipes)
             .map(|id| {
@@ -368,14 +367,14 @@ impl MultiPipeSwitch {
                     // steers to.
                     switch: SilkRoadSwitch::new(per_pipe.clone()),
                 };
-                // Completions: up to `depth` batches plus a control or
+                // Completions: up to `RING_DEPTH` batches plus a control or
                 // query reply can be outstanding; a worker must be able
                 // to push its final completions during shutdown without
                 // blocking forever.
-                let completions = depth + 2;
+                let completions = RING_DEPTH + 2;
                 let steering = steering.clone();
                 let link = if opts.threaded {
-                    let (jobs, jobs_rx) = spsc::<Job>(depth);
+                    let (jobs, jobs_rx) = spsc::<Job>(RING_DEPTH);
                     let (done_tx, done) = spsc::<Done>(completions);
                     let pin_core = (opts.pin_cores && cores >= 2).then_some(id % cores);
                     let join = std::thread::Builder::new()
@@ -397,7 +396,7 @@ impl MultiPipeSwitch {
                 Lane {
                     id,
                     link,
-                    free: (0..depth).map(|_| BatchBuf::boxed()).collect(),
+                    free: (0..RING_DEPTH).map(|_| BatchBuf::boxed()).collect(),
                     staged: None,
                     in_flight: 0,
                 }
@@ -497,7 +496,7 @@ impl MultiPipeSwitch {
     /// sustained-throughput path. Decisions are not returned; they fold
     /// into the [`StreamStats`] digest collected by
     /// [`MultiPipeSwitch::stream_drain`]. Applies backpressure per pipe
-    /// once `ring_depth` batches are in flight.
+    /// once [`RING_DEPTH`] batches are in flight.
     pub fn stream_batch(&mut self, pkts: &[PacketMeta], now: Nanos) {
         self.dispatch(pkts, now, true);
     }

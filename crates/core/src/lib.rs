@@ -66,7 +66,7 @@ pub mod update;
 pub mod version;
 pub mod vip_table;
 
-pub use config::{ConnMapping, SilkRoadConfig};
+pub use config::{SilkRoadConfig, SYN_REDIRECT_DELAY};
 pub use dataplane::{BloomHashes, DataPath, ForwardDecision, HashedKey, KeyHasher, PacketKey};
 pub use engine::{EngineOptions, FlowSteering, MultiPipeSwitch, Pipe, StreamStats};
 pub use health::{HealthChecker, HealthConfig};

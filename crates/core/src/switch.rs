@@ -21,7 +21,7 @@
 //! Two indexed reads, no hash probe, and nothing cached across
 //! control-plane events, so a pool edit is visible to the next packet.
 
-use crate::config::{ConnMapping, SilkRoadConfig};
+use crate::config::SilkRoadConfig;
 use crate::conn_table::{ConnTable, ConnValue};
 use crate::control::{CompletedInstall, ControlPlane, LearnMeta, LearnOutcome};
 use crate::dataplane::{DataPath, ForwardDecision, HashedKey, KeyHasher};
@@ -314,7 +314,7 @@ impl SilkRoadSwitch {
             vip,
             crate::pool::DipPool::new(dips),
             self.cfg.version_bits,
-            self.cfg.version_reuse,
+            true, // the switch always reuses versions (§4.2)
         );
         self.vip_table.insert(vip, manager.current_version());
         // Interned here, so the slab and the records share one id space: a
@@ -438,7 +438,7 @@ impl SilkRoadSwitch {
     /// then the real pipeline, resolving the located slots. The first
     /// three passes have no side effects; the fourth resolves hits in
     /// place and sends the chunk's ConnTable misses through the one setup
-    /// stage ([`SilkRoadSwitch::setup_deferred`]).
+    /// stage (`setup_deferred`).
     /// This is the only way a packet crosses the switch —
     /// [`SilkRoadSwitch::process_packet`] is a chunk of one — and chunk
     /// length never changes a decision, only how much work overlaps.
@@ -539,11 +539,11 @@ impl SilkRoadSwitch {
                         self.stats.digest_false_hits += 1;
                     }
                     if exact || !pkt.flags.is_syn() {
-                        let (dip, version) = self.resolve_value(h.select_hash(), vip_id, &value);
+                        let dip = self.resolve_value(h.select_hash(), vip_id, &value);
                         *d = ForwardDecision {
-                            dip,
+                            dip: Some(dip),
                             path: DataPath::AsicConnTable,
-                            version,
+                            version: Some(value.version),
                             conn_table_hit: true,
                             false_hit: !exact,
                         };
@@ -632,31 +632,19 @@ impl SilkRoadSwitch {
         })
     }
 
-    /// Resolve a ConnTable hit to a DIP per the configured mapping mode.
-    /// `select_hash` is the precomputed DIP-select hash of the packet's key,
-    /// `vip_id` the hit record's VIP id. In version mode this is the ASIC's
-    /// two indexed reads: the VIP's slab slot, then its pool row at the
-    /// version number — no hash probe, no copy.
+    /// Resolve a ConnTable hit to a DIP. `select_hash` is the precomputed
+    /// DIP-select hash of the packet's key, `vip_id` the hit record's VIP
+    /// id. This is the ASIC's two indexed reads: the VIP's slab slot, then
+    /// its pool row at the version number — no hash probe, no copy.
     #[inline]
-    fn resolve_value(
-        &self,
-        select_hash: u64,
-        vip_id: u32,
-        value: &ConnValue,
-    ) -> (Option<Dip>, Option<PoolVersion>) {
-        match self.cfg.mapping {
-            ConnMapping::DirectDip => (Some(value.dip), None),
-            ConnMapping::Version => {
-                let dip = slot(&self.vips, vip_id)
-                    .and_then(|s| s.manager.pool(value.version))
-                    .and_then(|p| p.select_hashed(select_hash))
-                    // The pool should outlive its connections (refcounts),
-                    // and an empty pool selects nothing: either way the
-                    // learn-time DIP is the defensive fallback.
-                    .or(Some(value.dip));
-                (dip, Some(value.version))
-            }
-        }
+    fn resolve_value(&self, select_hash: u64, vip_id: u32, value: &ConnValue) -> Dip {
+        slot(&self.vips, vip_id)
+            .and_then(|s| s.manager.pool(value.version))
+            .and_then(|p| p.select_hashed(select_hash))
+            // The pool should outlive its connections (refcounts), and an
+            // empty pool selects nothing: either way the learn-time DIP is
+            // the defensive fallback.
+            .unwrap_or(value.dip)
     }
 
     /// The connection-setup stage: a chunk's deferred VIPTable misses, in
@@ -1488,20 +1476,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_dip_mode_works() {
-        let mut cfg = SilkRoadConfig::small_test();
-        cfg.mapping = ConnMapping::DirectDip;
-        let mut sw = SilkRoadSwitch::new(cfg);
-        sw.add_vip(vip(), vec![dip(1), dip(2)]).unwrap();
-        let d1 = sw.process_packet(&PacketMeta::syn(conn(3)), Nanos::ZERO);
-        sw.advance(Nanos::from_millis(10));
-        let d2 = sw.process_packet(&PacketMeta::data(conn(3), 100), Nanos::from_millis(10));
-        assert!(d2.conn_table_hit);
-        assert_eq!(d1.dip, d2.dip);
-        assert_eq!(d2.version, None, "direct mode exposes no version");
-    }
-
-    #[test]
     fn meter_polices_a_hot_vip_without_touching_others() {
         use sr_asic::MeterConfig;
         let mut sw = switch();
@@ -1684,14 +1658,15 @@ mod tests {
     fn lane_alias_cannot_fool_the_record_pass() {
         // A resident whose stage-0 plane lane equals a flow's while its
         // stored digest differs sits in front of the flow's own entry.
-        // Two shapes: 24-bit stage-0 digests sharing their low 16 bits,
-        // and a 16-bit table's 0xFFFF/0xFFFE pair, which the plane clamps
-        // to one lane.
-        for (bits, per_stage) in [(24u32, Some(vec![24, 16, 16, 16])), (16, None)] {
+        // Two shapes: 24-bit digests sharing their low 16 bits, and a
+        // 16-bit table's 0xFFFF/0xFFFE pair, which the plane clamps to one
+        // lane.
+        for bits in [24u32, 16] {
             let mut sw = SilkRoadSwitch::new(SilkRoadConfig {
-                // One word per stage: every flow probes the same words.
-                conn_capacity: 15,
-                digest_bits_per_stage: per_stage,
+                // One word per stage at both widths (four 28-bit or three
+                // 36-bit entries a word): every flow probes the same words.
+                conn_capacity: 11,
+                digest_bits: bits as u8,
                 ..SilkRoadConfig::small_test()
             });
             sw.add_vip(vip(), vec![dip(1), dip(2), dip(3), dip(4)])

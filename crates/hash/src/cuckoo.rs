@@ -105,11 +105,12 @@ pub struct CuckooConfig {
     pub match_mode: MatchMode,
     /// Seed from which all per-stage hash functions are derived.
     pub seed: u64,
-    /// BFS limit: maximum eviction-path length.
-    pub max_bfs_depth: usize,
-    /// BFS limit: maximum nodes explored before declaring the table full.
-    pub max_bfs_nodes: usize,
 }
+
+/// BFS limit: maximum eviction-path length.
+const MAX_BFS_DEPTH: usize = 8;
+/// BFS limit: maximum nodes explored before declaring the table full.
+const MAX_BFS_NODES: usize = 4096;
 
 impl CuckooConfig {
     /// A table sized to hold at least `capacity` entries at ~`target_load`
@@ -133,8 +134,6 @@ impl CuckooConfig {
             entries_per_word,
             match_mode: MatchMode::Digest { bits: 16 },
             seed,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 4096,
         }
     }
 
@@ -553,7 +552,7 @@ impl<V: Clone> CuckooTable<V> {
             repair_probes: 0,
             #[cfg(test)]
             screen_bypass: false,
-            scratch: InsertScratch::new(cfg.max_bfs_depth),
+            scratch: InsertScratch::new(MAX_BFS_DEPTH),
             cfg,
         }
     }
@@ -1298,7 +1297,7 @@ impl<V: Clone> CuckooTable<V> {
 
         let mut found: Option<(usize, usize, usize)> = None; // (node, free_stage, free_slot)
         'bfs: while let Some((ni, depth)) = scratch.queue.pop_front() {
-            if scratch.nodes.len() > self.cfg.max_bfs_nodes {
+            if scratch.nodes.len() > MAX_BFS_NODES {
                 break;
             }
             let (from_stage, from_slot) = (scratch.nodes[ni].stage, scratch.nodes[ni].slot);
@@ -1326,7 +1325,7 @@ impl<V: Clone> CuckooTable<V> {
                         found = Some((ni, alt_stage, slot));
                         break 'bfs;
                     }
-                    if depth < self.cfg.max_bfs_depth && scratch.visited.insert((alt_stage, slot)) {
+                    if depth < MAX_BFS_DEPTH && scratch.visited.insert((alt_stage, slot)) {
                         scratch.nodes.push(Node {
                             stage: alt_stage,
                             slot,
@@ -1536,8 +1535,6 @@ mod tests {
             entries_per_word: 4,
             match_mode,
             seed: 42,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 4096,
         })
     }
 
@@ -1606,8 +1603,6 @@ mod tests {
             entries_per_word: 1,
             match_mode: MatchMode::FullKey,
             seed: 7,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 64,
         });
         let mut full_seen = false;
         for i in 0..100 {
@@ -1631,8 +1626,6 @@ mod tests {
             entries_per_word: 2,
             match_mode: MatchMode::Digest { bits: 8 },
             seed: 3,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 4096,
         });
         // Insert one resident key.
         t.insert(&key(0), 0).unwrap();
@@ -1725,8 +1718,6 @@ mod tests {
                 bits: vec![24, 20, 16, 12],
             },
             seed: 5,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 4096,
         });
         let total = t.config().total_slots();
         let n = (total * 9 / 10) as u32;
@@ -1751,8 +1742,6 @@ mod tests {
                 entries_per_word: 4,
                 match_mode: mode,
                 seed: 9,
-                max_bfs_depth: 8,
-                max_bfs_nodes: 4096,
             });
             for i in 0..1200u32 {
                 t.insert(&key(i), i).unwrap();
@@ -1823,8 +1812,6 @@ mod tests {
             entries_per_word: 4,
             match_mode: MatchMode::Digest { bits },
             seed,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 4096,
         })
     }
 
@@ -2194,8 +2181,6 @@ mod tests {
                 entries_per_word: 4,
                 match_mode: mode.clone(),
                 seed: 42,
-                max_bfs_depth: 8,
-                max_bfs_nodes: 4096,
             });
             // The first key pair sharing a stage-0 lane with different
             // stored fields.

@@ -70,8 +70,6 @@ proptest! {
             entries_per_word: 4,
             match_mode: MatchMode::FullKey,
             seed: 7,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 4096,
         });
         let keys: Vec<u32> = keys.into_iter().collect();
         for k in &keys {

@@ -2,7 +2,7 @@
 //!
 //! Every name-bearing node carries the [`Span`] it was parsed at, so the
 //! semantic pass ([`crate::sema`]) can emit source-located diagnostics and
-//! the lowering pass ([`crate::lower`]) can blame a declaration when a
+//! the lowering pass ([`crate::lower`](mod@crate::lower)) can blame a declaration when a
 //! pragma is malformed.
 
 use crate::lex::Span;

@@ -3,7 +3,7 @@
 //! The crate is a static-analysis pipeline over the P4_16 subset the
 //! SilkRoad artifact needs (DESIGN.md §14):
 //!
-//! 1. [`lex`]/[`parse`] — a zero-dependency lexer and recursive-descent
+//! 1. [`lex`]/[`parse`](mod@parse) — a zero-dependency lexer and recursive-descent
 //!    parser producing a spanned AST ([`ast`]). Syntax errors are fatal
 //!    and carry `line:col` locations.
 //! 2. [`sema::analyze`] — exhaustive semantic analysis emitting the

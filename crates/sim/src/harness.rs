@@ -13,25 +13,13 @@ use sr_workload::{ConnSpec, TraceConfig, TraceEvent, TraceIter};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-/// Harness tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct HarnessConfig {
-    /// Extra early probes per connection after the SYN, one packet-gap
-    /// apart — covers the pending-insertion window.
-    pub early_probes: u32,
-    /// Periodic balancer tick (drives policies with no self-scheduled
-    /// wakeups, e.g. Duet's Migrate-PCC).
-    pub periodic_tick: Duration,
-}
+/// Extra early probes per connection after the SYN, one packet-gap apart —
+/// covers the pending-insertion window.
+const EARLY_PROBES: u32 = 2;
 
-impl Default for HarnessConfig {
-    fn default() -> Self {
-        HarnessConfig {
-            early_probes: 2,
-            periodic_tick: Duration::from_secs(1),
-        }
-    }
-}
+/// Periodic balancer tick (drives policies with no self-scheduled wakeups,
+/// e.g. Duet's Migrate-PCC).
+const PERIODIC_TICK: Duration = Duration::from_secs(1);
 
 #[derive(PartialEq, Eq, Debug)]
 enum Ev {
@@ -146,7 +134,7 @@ impl DipSet {
 /// The harness. Owns the run state; borrow the balancer for the run.
 ///
 /// ```
-/// use sr_sim::{Harness, HarnessConfig};
+/// use sr_sim::Harness;
 /// use silkroad::{SilkRoadConfig, SilkRoadSwitch};
 /// use sr_workload::TraceConfig;
 /// use sr_types::Duration;
@@ -154,12 +142,11 @@ impl DipSet {
 /// let mut trace = TraceConfig::pop_scaled(0.0005, 1); // tiny doc-sized run
 /// trace.updates_per_min = 5.0;
 /// let mut lb = SilkRoadSwitch::new(SilkRoadConfig::default());
-/// let metrics = Harness::new(trace, HarnessConfig::default()).run(&mut lb);
+/// let metrics = Harness::new(trace).run(&mut lb);
 /// assert_eq!(metrics.pcc_violations, 0);
 /// assert!(metrics.conns_total > 0);
 /// ```
 pub struct Harness {
-    cfg: HarnessConfig,
     trace_cfg: TraceConfig,
     heap: BinaryHeap<Reverse<QueuedEvent>>,
     event_seq: u64,
@@ -185,9 +172,8 @@ pub struct Harness {
 
 impl Harness {
     /// Build a harness for one trace configuration.
-    pub fn new(trace_cfg: TraceConfig, cfg: HarnessConfig) -> Harness {
+    pub fn new(trace_cfg: TraceConfig) -> Harness {
         Harness {
-            cfg,
             trace_cfg,
             heap: BinaryHeap::new(),
             event_seq: 0,
@@ -256,7 +242,7 @@ impl Harness {
         self.metrics.sim_secs = self.trace_cfg.duration.as_secs_f64();
 
         let mut trace = TraceIter::new(self.trace_cfg).peekable();
-        self.push(Nanos::ZERO + self.cfg.periodic_tick, Ev::Tick);
+        self.push(Nanos::ZERO + PERIODIC_TICK, Ev::Tick);
 
         loop {
             let trace_at = trace.peek().map(|e| e.at());
@@ -307,7 +293,7 @@ impl Harness {
                 let remapped = lb.tick(now);
                 self.probe_remapped(remapped, now);
                 if trace_active || !self.conn_index.is_empty() {
-                    self.push(now + self.cfg.periodic_tick, Ev::Tick);
+                    self.push(now + PERIODIC_TICK, Ev::Tick);
                 }
             }
         }
@@ -345,11 +331,9 @@ impl Harness {
         );
         let seq = c.seq.0;
         self.push(c.closes(), Ev::Close(seq));
-        if self.cfg.early_probes > 0 {
-            let first = c.opened + c.pkt_gap;
-            if first < c.closes() {
-                self.push(first, Ev::Probe(seq, self.cfg.early_probes - 1));
-            }
+        let first = c.opened + c.pkt_gap;
+        if first < c.closes() {
+            self.push(first, Ev::Probe(seq, EARLY_PROBES - 1));
         }
         if let Some(list) = self.per_vip.get_mut(c.vip.0 as usize) {
             list.push(seq);
@@ -536,7 +520,7 @@ fn observe(
 mod tests {
     use super::*;
     use silkroad::{SilkRoadConfig, SilkRoadSwitch};
-    use sr_baselines::{DuetConfig, DuetLb, EcmpLb, MigrationPolicy, SlbConfig, SoftwareLb};
+    use sr_baselines::{DuetConfig, DuetLb, EcmpLb, MigrationPolicy, SoftwareLb};
     use sr_types::AddrFamily;
 
     fn trace(upm: f64, mins: u64) -> TraceConfig {
@@ -560,8 +544,8 @@ mod tests {
 
     #[test]
     fn slb_never_violates_and_is_all_software() {
-        let mut lb = SoftwareLb::new(SlbConfig::default());
-        let m = Harness::new(trace(20.0, 2), HarnessConfig::default()).run(&mut lb);
+        let mut lb = SoftwareLb::new();
+        let m = Harness::new(trace(20.0, 2)).run(&mut lb);
         assert!(m.conns_total > 50);
         assert_eq!(m.pcc_violations, 0, "SLB must be PCC-safe");
         assert!(m.software_traffic_fraction() > 0.99);
@@ -575,7 +559,7 @@ mod tests {
             ..Default::default()
         };
         let mut lb = SilkRoadSwitch::new(cfg);
-        let m = Harness::new(trace(30.0, 2), HarnessConfig::default()).run(&mut lb);
+        let m = Harness::new(trace(30.0, 2)).run(&mut lb);
         assert!(m.conns_total > 50);
         assert_eq!(m.pcc_violations, 0, "SilkRoad must be PCC-safe: {m}");
         assert!(m.software_traffic_fraction() < 0.01);
@@ -585,7 +569,7 @@ mod tests {
     #[test]
     fn ecmp_violates_heavily_under_updates() {
         let mut lb = EcmpLb::new(5);
-        let m = Harness::new(trace(30.0, 2), HarnessConfig::default()).run(&mut lb);
+        let m = Harness::new(trace(30.0, 2)).run(&mut lb);
         assert!(
             m.violation_fraction() > 0.02,
             "stateless ECMP should break many connections: {m}"
@@ -596,11 +580,11 @@ mod tests {
     fn duet_periodic_violates_some_but_less_than_ecmp() {
         let mk = |policy| {
             let mut lb = DuetLb::new(DuetConfig { policy, seed: 3 });
-            Harness::new(trace(30.0, 3), HarnessConfig::default()).run(&mut lb)
+            Harness::new(trace(30.0, 3)).run(&mut lb)
         };
         let duet = mk(MigrationPolicy::Periodic(Duration::from_mins(1)));
         let mut ecmp = EcmpLb::new(5);
-        let ecmp_m = Harness::new(trace(30.0, 3), HarnessConfig::default()).run(&mut ecmp);
+        let ecmp_m = Harness::new(trace(30.0, 3)).run(&mut ecmp);
         assert!(
             duet.pcc_violations > 0,
             "periodic Duet should break some: {duet}"
@@ -618,13 +602,13 @@ mod tests {
             policy: MigrationPolicy::WaitPcc,
             seed: 3,
         });
-        let m = Harness::new(trace(30.0, 2), HarnessConfig::default()).run(&mut lb);
+        let m = Harness::new(trace(30.0, 2)).run(&mut lb);
         assert_eq!(m.pcc_violations, 0, "{m}");
         let mut lb10 = DuetLb::new(DuetConfig {
             policy: MigrationPolicy::Periodic(Duration::from_mins(10)),
             seed: 3,
         });
-        let m10 = Harness::new(trace(30.0, 2), HarnessConfig::default()).run(&mut lb10);
+        let m10 = Harness::new(trace(30.0, 2)).run(&mut lb10);
         // WaitPcc keeps at least as much traffic in SLBs as 10-min periodic.
         assert!(
             m.software_traffic_fraction() >= m10.software_traffic_fraction() * 0.8,
@@ -636,7 +620,7 @@ mod tests {
     fn determinism() {
         let run = || {
             let mut lb = EcmpLb::new(5);
-            Harness::new(trace(10.0, 1), HarnessConfig::default()).run(&mut lb)
+            Harness::new(trace(10.0, 1)).run(&mut lb)
         };
         let a = run();
         let b = run();
@@ -651,10 +635,10 @@ mod tests {
             Box::new(SilkRoadSwitch::new(SilkRoadConfig::small_test())),
             Box::new(DuetLb::new(DuetConfig::default())),
             Box::new(EcmpLb::new(5)),
-            Box::new(SoftwareLb::new(SlbConfig::default())),
+            Box::new(SoftwareLb::new()),
         ];
         for mut lb in systems {
-            let m = Harness::new(trace(0.0, 1), HarnessConfig::default()).run(lb.as_mut());
+            let m = Harness::new(trace(0.0, 1)).run(lb.as_mut());
             assert_eq!(m.pcc_violations, 0, "{}: {m}", lb.name());
             assert_eq!(m.updates, 0, "{}", lb.name());
         }

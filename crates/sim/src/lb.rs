@@ -1,7 +1,7 @@
 //! The load-balancer interface the harness drives, implemented directly
 //! by every system under test: SilkRoad, Duet, the SLB tier and ECMP.
 
-use silkroad::{DataPath, PoolUpdate, SilkRoadSwitch};
+use silkroad::{DataPath, PoolUpdate, SilkRoadSwitch, SYN_REDIRECT_DELAY};
 use sr_baselines::{DuetLb, EcmpLb, SoftwareLb};
 use sr_hash::HashFn;
 use sr_types::{Dip, Duration, FiveTuple, Nanos, PacketMeta, Vip};
@@ -115,7 +115,7 @@ impl LoadBalancer for SilkRoadSwitch {
             dip: d.dip,
             in_software,
             latency: if in_software {
-                self.config().syn_redirect_delay
+                SYN_REDIRECT_DELAY
             } else {
                 ASIC_LATENCY
             },
@@ -259,7 +259,7 @@ impl LoadBalancer for EcmpLb {
 mod tests {
     use super::*;
     use silkroad::SilkRoadConfig;
-    use sr_baselines::{DuetConfig, SlbConfig};
+    use sr_baselines::DuetConfig;
     use sr_types::Addr;
 
     fn vip() -> Vip {
@@ -290,13 +290,13 @@ mod tests {
     fn every_system_drives_through_the_trait() {
         exercise(&mut SilkRoadSwitch::new(SilkRoadConfig::small_test()));
         exercise(&mut DuetLb::new(DuetConfig::default()));
-        exercise(&mut SoftwareLb::new(SlbConfig::default()));
+        exercise(&mut SoftwareLb::new());
         exercise(&mut EcmpLb::new(7));
     }
 
     #[test]
     fn slb_is_always_software() {
-        let lb: &mut dyn LoadBalancer = &mut SoftwareLb::new(SlbConfig::default());
+        let lb: &mut dyn LoadBalancer = &mut SoftwareLb::new();
         lb.add_vip(vip(), vec![dip(1)]);
         assert!(
             lb.packet(&PacketMeta::syn(conn(1)), Nanos::ZERO)
@@ -318,6 +318,37 @@ mod tests {
             lb.software_share(vip(), Nanos::ZERO, Nanos::from_secs(1)),
             0.0
         );
+    }
+
+    #[test]
+    fn silkroad_syn_false_hit_is_a_software_redirect() {
+        // 8-bit digests over one word per stage: a SYN that false-hits the
+        // resident's digest turns up within a few thousand clients.
+        let mut sw = SilkRoadSwitch::new(SilkRoadConfig {
+            conn_capacity: 15,
+            digest_bits: 8,
+            ..SilkRoadConfig::small_test()
+        });
+        let lb: &mut dyn LoadBalancer = &mut sw;
+        lb.add_vip(vip(), vec![dip(1), dip(2)]);
+        lb.packet(&PacketMeta::syn(conn(1)), Nanos::ZERO);
+        let now = Nanos::from_millis(10);
+        lb.tick(now);
+        let redirect = (2..u16::MAX)
+            .find_map(|p| {
+                let v = lb.packet(&PacketMeta::syn(conn(p)), now);
+                if v.in_software || v.latency != ASIC_LATENCY {
+                    return Some(v);
+                }
+                // Drop the learn so only the resident is ever installed.
+                lb.conn_closed(vip(), &conn(p), now);
+                None
+            })
+            .expect("no SYN digest false hit");
+        assert!(redirect.in_software);
+        assert_eq!(redirect.latency, SYN_REDIRECT_DELAY);
+        assert!(redirect.dip.is_some());
+        assert_eq!(sw.stats().syn_repairs, 1);
     }
 
     #[test]

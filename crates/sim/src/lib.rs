@@ -32,7 +32,7 @@ pub mod scenarios;
 pub mod wheel;
 
 pub use fleet::{run_fleet, FleetParams, FleetReport};
-pub use harness::{Harness, HarnessConfig};
+pub use harness::Harness;
 pub use lb::{LoadBalancer, PacketVerdict, ASIC_LATENCY};
 pub use metrics::{LatencyHist, RunMetrics};
 pub use scenarios::{run_scenario, Scenario, SystemKind};

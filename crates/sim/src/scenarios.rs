@@ -4,12 +4,12 @@
 //! [`run_scenario`]; the row structures returned carry everything the
 //! `repro` binary prints.
 
-use crate::harness::{Harness, HarnessConfig};
+use crate::harness::Harness;
 use crate::lb::LoadBalancer;
 use crate::metrics::RunMetrics;
 use silkroad::{SilkRoadConfig, SilkRoadSwitch};
 use sr_asic::{LearningFilterConfig, SwitchCpuConfig};
-use sr_baselines::{DuetConfig, DuetLb, MigrationPolicy, SlbConfig, SoftwareLb};
+use sr_baselines::{DuetConfig, DuetLb, MigrationPolicy, SoftwareLb};
 use sr_types::Duration;
 use sr_workload::TraceConfig;
 
@@ -70,18 +70,12 @@ pub struct Scenario {
     pub trace: TraceConfig,
     /// System under test.
     pub system: SystemKind,
-    /// Harness tuning.
-    pub harness: HarnessConfig,
 }
 
 impl Scenario {
-    /// Build with default harness tuning.
+    /// One experiment point: `system` under `trace`.
     pub fn new(trace: TraceConfig, system: SystemKind) -> Scenario {
-        Scenario {
-            trace,
-            system,
-            harness: HarnessConfig::default(),
-        }
+        Scenario { trace, system }
     }
 }
 
@@ -135,9 +129,9 @@ pub fn run_scenario(s: Scenario) -> RunMetrics {
             policy,
             seed: s.trace.seed ^ 0xd0e7,
         })),
-        SystemKind::Slb => Box::new(SoftwareLb::new(SlbConfig::default())),
+        SystemKind::Slb => Box::new(SoftwareLb::new()),
     };
-    Harness::new(s.trace, s.harness).run(lb.as_mut())
+    Harness::new(s.trace).run(lb.as_mut())
 }
 
 #[cfg(test)]

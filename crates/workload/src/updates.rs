@@ -121,6 +121,12 @@ pub struct UpdateEvent {
     pub cause: UpdateCause,
 }
 
+/// Rolling-reboot batch size for dedicated pools (paper example: 2).
+const REBOOT_BATCH: u32 = 2;
+
+/// Period between rolling-reboot batches (paper example: 5 minutes).
+const REBOOT_PERIOD: Duration = Duration::from_mins(5);
+
 /// Parameters for an update plan.
 #[derive(Clone, Copy, Debug)]
 pub struct UpdatePlanConfig {
@@ -136,10 +142,6 @@ pub struct UpdatePlanConfig {
     /// PoP/Frontend-style shared backends (§3.1): one physical DIP change
     /// bursts across every VIP at once.
     pub shared_dips: bool,
-    /// Rolling-reboot batch size for dedicated pools (paper example: 2).
-    pub reboot_batch: u32,
-    /// Period between rolling-reboot batches (paper example: 5 minutes).
-    pub reboot_period: Duration,
     /// Seed.
     pub seed: u64,
 }
@@ -160,8 +162,6 @@ impl UpdatePlanConfig {
             updates_per_min,
             window,
             shared_dips: false,
-            reboot_batch: 2,
-            reboot_period: Duration::from_mins(5),
             seed,
         }
     }
@@ -249,9 +249,8 @@ impl UpdatePlanner {
         // Lead-in: the longest-running structure is a dedicated rolling
         // upgrade; also cover long downtimes so adds from pre-window
         // removals land in-window.
-        let roll_steps = cfg.dips_per_vip.div_ceil(cfg.reboot_batch.max(1)) as u64;
-        let lead = cfg
-            .reboot_period
+        let roll_steps = cfg.dips_per_vip.div_ceil(REBOOT_BATCH) as u64;
+        let lead = REBOOT_PERIOD
             .saturating_mul(roll_steps)
             .0
             .max(Duration::from_mins(120).0) as f64
@@ -305,12 +304,12 @@ impl UpdatePlanner {
                 }
             }
             UpdateCause::Upgrade => {
-                // Rolling reboot of one VIP's pool: `reboot_batch` DIPs per
-                // `reboot_period`, each back after its own downtime.
+                // Rolling reboot of one VIP's pool: `REBOOT_BATCH` DIPs per
+                // `REBOOT_PERIOD`, each back after its own downtime.
                 let vip = rng.gen_range(0..cfg.vips);
-                let period = cfg.reboot_period.as_secs_f64();
+                let period = REBOOT_PERIOD.as_secs_f64();
                 for (i, dip) in (0..cfg.dips_per_vip).enumerate() {
-                    let step = (i as u32 / cfg.reboot_batch.max(1)) as f64;
+                    let step = (i as u32 / REBOOT_BATCH) as f64;
                     let start = t_secs + step * period + rng.gen_range(0.0..5.0);
                     let down = cause.sample_downtime(rng).as_secs_f64();
                     push(out, start, vip, dip, DipOp::Remove);

@@ -9,7 +9,7 @@
 
 use silkroad::{SilkRoadConfig, SilkRoadSwitch};
 use sr_baselines::CostModel;
-use sr_sim::{Harness, HarnessConfig};
+use sr_sim::Harness;
 use sr_workload::TraceConfig;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
         ..Default::default()
     };
     let mut sw = SilkRoadSwitch::new(cfg);
-    let metrics = Harness::new(trace, HarnessConfig::default()).run(&mut sw);
+    let metrics = Harness::new(trace).run(&mut sw);
 
     println!("\nrun:        {metrics}");
     println!("\nswitch:\n{}", sw.stats());

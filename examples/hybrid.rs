@@ -7,8 +7,8 @@
 //! ```
 
 use silkroad::{PoolUpdate, SilkRoadConfig, SilkRoadSwitch};
-use sr_baselines::{SlbConfig, SoftwareLb};
-use sr_sim::{Harness, HarnessConfig, LoadBalancer, PacketVerdict};
+use sr_baselines::SoftwareLb;
+use sr_sim::{Harness, LoadBalancer, PacketVerdict};
 use sr_types::{Addr, AddrFamily, Dip, Duration, FiveTuple, Nanos, PacketMeta, Vip};
 use sr_workload::trace::vip_addr;
 use sr_workload::TraceConfig;
@@ -26,10 +26,10 @@ struct StaticSplit {
 }
 
 impl StaticSplit {
-    fn new(silk_cfg: SilkRoadConfig, slb_cfg: SlbConfig, slb_vips: HashSet<Vip>) -> StaticSplit {
+    fn new(silk_cfg: SilkRoadConfig, slb_vips: HashSet<Vip>) -> StaticSplit {
         StaticSplit {
             switch: SilkRoadSwitch::new(silk_cfg),
-            slb: SoftwareLb::new(slb_cfg),
+            slb: SoftwareLb::new(),
             slb_vips,
         }
     }
@@ -89,11 +89,7 @@ fn check_routing() {
         Vip(Addr::v4(20, 0, 0, 1, 80)),
         Vip(Addr::v4(20, 0, 0, 2, 80)),
     );
-    let mut h = StaticSplit::new(
-        SilkRoadConfig::small_test(),
-        SlbConfig::default(),
-        HashSet::from([slb_vip]),
-    );
+    let mut h = StaticSplit::new(SilkRoadConfig::small_test(), HashSet::from([slb_vip]));
     h.add_vip(switch_vip, vec![dip(1), dip(2)]);
     h.add_vip(slb_vip, vec![dip(3), dip(4)]);
     // Switch-side VIP: hardware path.
@@ -149,8 +145,8 @@ fn main() {
         conn_capacity: 50_000,
         ..Default::default()
     };
-    let mut lb = StaticSplit::new(cfg, SlbConfig::default(), slb_vips.clone());
-    let m = Harness::new(trace, HarnessConfig::default()).run(&mut lb);
+    let mut lb = StaticSplit::new(cfg, slb_vips.clone());
+    let m = Harness::new(trace).run(&mut lb);
 
     println!("run:  {m}");
     println!(

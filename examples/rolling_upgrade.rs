@@ -13,7 +13,7 @@
 
 use silkroad::{SilkRoadConfig, SilkRoadSwitch};
 use sr_baselines::{DuetConfig, DuetLb, MigrationPolicy};
-use sr_sim::{Harness, HarnessConfig, LoadBalancer};
+use sr_sim::{Harness, LoadBalancer};
 use sr_types::{AddrFamily, Duration};
 use sr_workload::TraceConfig;
 
@@ -44,7 +44,7 @@ fn main() {
         conn_capacity: 100_000,
         ..SilkRoadConfig::default()
     });
-    let m = Harness::new(trace(), HarnessConfig::default()).run(&mut silkroad);
+    let m = Harness::new(trace()).run(&mut silkroad);
     println!("SilkRoad:   {m}");
     let (allocs, reuses, changes, live) = silkroad
         .version_counters(sr_workload::trace::vip_addr(AddrFamily::V4, 0))
@@ -57,14 +57,14 @@ fn main() {
         policy: MigrationPolicy::Periodic(Duration::from_mins(1)),
         seed: 7,
     });
-    let md = Harness::new(trace(), HarnessConfig::default()).run(&mut duet);
+    let md = Harness::new(trace()).run(&mut duet);
     println!("Duet-1min:  {md}");
 
     let mut duet10 = DuetLb::new(DuetConfig {
         policy: MigrationPolicy::Periodic(Duration::from_mins(10)),
         seed: 7,
     });
-    let md10 = Harness::new(trace(), HarnessConfig::default()).run(&mut duet10);
+    let md10 = Harness::new(trace()).run(&mut duet10);
     println!("Duet-10min: {md10}");
 
     println!(

@@ -301,7 +301,7 @@ fn shutdown_with_in_flight_batches_never_hangs_or_leaks_workers() {
         // Every worker has answered a job, so each has counted itself in.
         assert_eq!(running_workers(), pipes, "round {round}");
         let t = Nanos::from_secs(1);
-        // Leave up to ring_depth batches in flight per pipe, plus staged
+        // Leave up to `RING_DEPTH` batches in flight per pipe, plus staged
         // partial batches — then drop without draining.
         for chunk in data.chunks(96) {
             sw.stream_batch(chunk, t);

@@ -3,8 +3,8 @@
 
 use silkroad::{PoolUpdate, SilkRoadConfig, SilkRoadSwitch};
 use sr_asic::MeterConfig;
-use sr_baselines::{SlbConfig, SoftwareLb};
-use sr_sim::{Harness, HarnessConfig};
+use sr_baselines::SoftwareLb;
+use sr_sim::Harness;
 use sr_types::{Addr, AddrFamily, Dip, Duration, FiveTuple, Nanos, PacketMeta, Vip};
 use sr_workload::TraceConfig;
 
@@ -34,9 +34,9 @@ fn latency_gap_is_orders_of_magnitude() {
         conn_capacity: 50_000,
         ..SilkRoadConfig::default()
     });
-    let m_sr = Harness::new(trace(1), HarnessConfig::default()).run(&mut silkroad);
-    let mut slb = SoftwareLb::new(SlbConfig::default());
-    let m_slb = Harness::new(trace(1), HarnessConfig::default()).run(&mut slb);
+    let m_sr = Harness::new(trace(1)).run(&mut silkroad);
+    let mut slb = SoftwareLb::new();
+    let m_slb = Harness::new(trace(1)).run(&mut slb);
 
     let sr_p50 = m_sr.latency.percentile(50.0);
     let slb_p50 = m_slb.latency.percentile(50.0);

@@ -7,8 +7,8 @@
 //! * removing the TransitTable re-introduces (few) violations.
 
 use silkroad::{SilkRoadConfig, SilkRoadSwitch};
-use sr_baselines::{DuetConfig, DuetLb, EcmpLb, MigrationPolicy, SlbConfig, SoftwareLb};
-use sr_sim::{Harness, HarnessConfig, RunMetrics};
+use sr_baselines::{DuetConfig, DuetLb, EcmpLb, MigrationPolicy, SoftwareLb};
+use sr_sim::{Harness, RunMetrics};
 use sr_types::{AddrFamily, Duration};
 use sr_workload::TraceConfig;
 
@@ -37,7 +37,7 @@ fn run_silkroad(t: TraceConfig) -> RunMetrics {
         ..Default::default()
     };
     let mut lb = SilkRoadSwitch::new(cfg);
-    Harness::new(t, HarnessConfig::default()).run(&mut lb)
+    Harness::new(t).run(&mut lb)
 }
 
 /// SilkRoad's only residual breakage mechanism is a digest false positive
@@ -69,7 +69,7 @@ fn duet_long_flows_violate_more_than_short() {
             policy: MigrationPolicy::Periodic(Duration::from_mins(1)),
             seed: 5,
         });
-        Harness::new(trace(30.0, median_flow, 3), HarnessConfig::default()).run(&mut lb)
+        Harness::new(trace(30.0, median_flow, 3)).run(&mut lb)
     };
     let short = run(10.0);
     let long = run(270.0);
@@ -85,19 +85,19 @@ fn system_ordering_on_violations() {
     let t = trace(30.0, 30.0, 7);
     let silkroad = run_silkroad(t);
     let slb = {
-        let mut lb = SoftwareLb::new(SlbConfig::default());
-        Harness::new(t, HarnessConfig::default()).run(&mut lb)
+        let mut lb = SoftwareLb::new();
+        Harness::new(t).run(&mut lb)
     };
     let duet = {
         let mut lb = DuetLb::new(DuetConfig {
             policy: MigrationPolicy::Periodic(Duration::from_mins(1)),
             seed: 5,
         });
-        Harness::new(t, HarnessConfig::default()).run(&mut lb)
+        Harness::new(t).run(&mut lb)
     };
     let ecmp = {
         let mut lb = EcmpLb::new(5);
-        Harness::new(t, HarnessConfig::default()).run(&mut lb)
+        Harness::new(t).run(&mut lb)
     };
     assert!(
         silkroad.violation_fraction() <= DIGEST_FP_BUDGET,
@@ -119,15 +119,15 @@ fn software_load_ordering() {
     let t = trace(20.0, 30.0, 9);
     let silkroad = run_silkroad(t);
     let slb = {
-        let mut lb = SoftwareLb::new(SlbConfig::default());
-        Harness::new(t, HarnessConfig::default()).run(&mut lb)
+        let mut lb = SoftwareLb::new();
+        Harness::new(t).run(&mut lb)
     };
     let duet = {
         let mut lb = DuetLb::new(DuetConfig {
             policy: MigrationPolicy::Periodic(Duration::from_mins(10)),
             seed: 5,
         });
-        Harness::new(t, HarnessConfig::default()).run(&mut lb)
+        Harness::new(t).run(&mut lb)
     };
     // SilkRoad keeps (essentially) everything in hardware; Duet is in
     // between; a pure SLB tier handles 100%.
@@ -153,12 +153,12 @@ fn no_transit_table_reintroduces_violations_under_stress() {
     let mut no_tt = SilkRoadSwitch::new(cfg.clone());
     let mut t = trace(50.0, 30.0, 11);
     t.median_rate_bps = 2_000_000.0; // chatty flows: packets in the window
-    let m_no_tt = Harness::new(t, HarnessConfig::default()).run(&mut no_tt);
+    let m_no_tt = Harness::new(t).run(&mut no_tt);
 
     let mut cfg_tt = cfg;
     cfg_tt.transit_enabled = true;
     let mut with_tt = SilkRoadSwitch::new(cfg_tt);
-    let m_tt = Harness::new(t, HarnessConfig::default()).run(&mut with_tt);
+    let m_tt = Harness::new(t).run(&mut with_tt);
 
     assert!(
         m_tt.violation_fraction() <= DIGEST_FP_BUDGET,

@@ -52,8 +52,6 @@ proptest! {
             entries_per_word: 4,
             match_mode: MatchMode::FullKey,
             seed: 99,
-            max_bfs_depth: 8,
-            max_bfs_nodes: 4096,
         });
         let mut model: HashMap<u16, u32> = HashMap::new();
         for op in ops {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate (see ROADMAP.md): release build, every
-# first-party package's tests, formatting + warning-free clippy over
-# every first-party crate, the srlint source gate, the srcheck
+# first-party package's tests, formatting + warning-free clippy and
+# rustdoc over every first-party crate, the srlint source gate, the srcheck
 # pipeline-layout gate, the committed BENCH_*.json documents regenerated
 # and cmp'd, the fleet smoke document
 # cmp'd between --jobs 1 and --jobs 2, the replay smoke golden,
@@ -41,6 +41,11 @@ cargo fmt --check "${PKG_FLAGS[@]}"
 
 echo "== clippy (first-party, all targets, -D warnings)"
 cargo clippy "${PKG_FLAGS[@]}" --all-targets -- -D warnings
+
+# Warning-free rustdoc: a renamed or deleted item must not leave a
+# dangling intra-doc link behind.
+echo "== rustdoc (first-party, -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${PKG_FLAGS[@]}"
 
 echo "== srlint (hot-path + hygiene source gate)"
 cargo run -q --release -p srlint -- .
