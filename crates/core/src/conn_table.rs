@@ -671,4 +671,27 @@ mod tests {
         let per_slot = t.host_bytes() as f64 / t.capacity() as f64;
         assert!(per_slot <= 100.0, "{per_slot} host bytes per slot");
     }
+
+    #[test]
+    fn host_bytes_per_slot_at_the_64k_geometry() {
+        // The paper's 16-bit digest over 86 240 slots (conn_capacity
+        // 81 920) holding 65 536 v4 flows: one slot per digest value, so
+        // the 65 536 collision classes sit in a flat array indexed by the
+        // digest (2.6 MB) instead of a map rounded up to 131 072 buckets
+        // (6.4 MB, ~146 B/slot in all).
+        let cfg = SilkRoadConfig {
+            conn_capacity: 81_920,
+            ..SilkRoadConfig::default()
+        };
+        let mut t = ConnTable::new(&cfg);
+        assert_eq!(t.capacity(), 86_240);
+        let vip = value(1).vip.0;
+        for i in 0..65_536 {
+            let tuple = sr_types::FiveTuple::tcp(Addr::v4_indexed(100, i, 1024), vip);
+            t.install(TupleKey::new(&tuple).as_slice(), value(1))
+                .unwrap();
+        }
+        let per_slot = t.host_bytes() as f64 / t.capacity() as f64;
+        assert!(per_slot <= 105.0, "{per_slot} host bytes per slot");
+    }
 }

@@ -112,7 +112,12 @@ impl FlowSteering {
     /// The pipe a flow steers to. Multiply-shift scaling keeps the spread
     /// unbiased for any pipe count, not just powers of two.
     pub fn pipe_for(&self, tuple: &FiveTuple) -> usize {
-        ((self.flow_hash(tuple) as u128 * self.pipes as u128) >> 64) as usize
+        self.pipe_of(self.flow_hash(tuple))
+    }
+
+    /// The pipe for a [`FlowSteering::flow_hash`] already in hand.
+    fn pipe_of(&self, flow_hash: u64) -> usize {
+        ((flow_hash as u128 * self.pipes as u128) >> 64) as usize
     }
     // srlint: hot-path end
 }
@@ -179,11 +184,7 @@ pub struct StreamStats {
 enum Link {
     /// On the caller's thread, at once; completions wait in a queue
     /// pre-sized like a worker's completion ring, so it never grows.
-    Inline {
-        pipe: Pipe,
-        steering: FlowSteering,
-        done: VecDeque<Done>,
-    },
+    Inline { pipe: Pipe, done: VecDeque<Done> },
     /// On the pipe's resident worker thread.
     Worker {
         jobs: Producer<Job>,
@@ -217,12 +218,8 @@ impl Lane {
             self.in_flight += 1;
         }
         let sent = match &mut self.link {
-            Link::Inline {
-                pipe,
-                steering,
-                done,
-            } => {
-                done.push_back(run_job(pipe, steering, job));
+            Link::Inline { pipe, done } => {
+                done.push_back(run_job(pipe, job));
                 true
             }
             Link::Worker { jobs, .. } => jobs.push(job).is_ok(),
@@ -372,14 +369,13 @@ impl MultiPipeSwitch {
                 // to push its final completions during shutdown without
                 // blocking forever.
                 let completions = RING_DEPTH + 2;
-                let steering = steering.clone();
                 let link = if opts.threaded {
                     let (jobs, jobs_rx) = spsc::<Job>(RING_DEPTH);
                     let (done_tx, done) = spsc::<Done>(completions);
                     let pin_core = (opts.pin_cores && cores >= 2).then_some(id % cores);
                     let join = std::thread::Builder::new()
                         .name(format!("sr-pipe-{id}"))
-                        .spawn(move || worker_loop(pipe, steering, jobs_rx, done_tx, pin_core))
+                        .spawn(move || worker_loop(pipe, jobs_rx, done_tx, pin_core))
                         .expect("spawn pipe worker");
                     Link::Worker {
                         jobs,
@@ -389,7 +385,6 @@ impl MultiPipeSwitch {
                 } else {
                     Link::Inline {
                         pipe,
-                        steering,
                         done: VecDeque::with_capacity(completions),
                     }
                 };
@@ -512,10 +507,14 @@ impl MultiPipeSwitch {
             lane.staged = Some(buf);
         }
         for (i, pkt) in pkts.iter().enumerate() {
-            let p = self.steering.pipe_for(&pkt.tuple);
+            let h = self.steering.flow_hash(&pkt.tuple);
+            let p = self.steering.pipe_of(h);
             if let Some(buf) = self.lanes.get_mut(p).and_then(|l| l.staged.as_mut()) {
                 buf.idx.push(i as u32);
                 buf.pkts.push(*pkt);
+                if fold {
+                    buf.hashes.push(h);
+                }
             }
         }
         for lane in &mut self.lanes {

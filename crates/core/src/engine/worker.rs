@@ -93,6 +93,9 @@ pub(crate) struct BatchBuf {
     pub idx: Vec<u32>,
     /// The steered packets.
     pub pkts: Vec<PacketMeta>,
+    /// Streaming mode: each packet's flow hash, parallel to `pkts`, as the
+    /// steer pass computed it (the fold reuses it instead of rehashing).
+    pub hashes: Vec<u64>,
     /// The pipe's decisions, parallel to `pkts`.
     pub out: Vec<ForwardDecision>,
     /// Fold result: packets processed.
@@ -109,6 +112,7 @@ impl BatchBuf {
             fold: false,
             idx: Vec::new(),
             pkts: Vec::new(),
+            hashes: Vec::new(),
             out: Vec::new(),
             folded_packets: 0,
             folded_digest: 0,
@@ -119,6 +123,7 @@ impl BatchBuf {
     pub(crate) fn reset(&mut self) {
         self.idx.clear();
         self.pkts.clear();
+        self.hashes.clear();
         self.out.clear();
         self.folded_packets = 0;
         self.folded_digest = 0;
@@ -219,10 +224,11 @@ fn answer_query(pipe: &Pipe, query: Query) -> Box<QueryReply> {
 /// independent of batch boundaries, pipe count, and completion order —
 /// only the per-flow decisions matter. Streaming drivers compare these
 /// digests across pipe counts to prove decision identity at full speed.
-fn fold_batch(steering: &FlowSteering, buf: &mut BatchBuf) {
+/// The flow hashes come from the steer pass (`BatchBuf::hashes`).
+fn fold_batch(buf: &mut BatchBuf) {
     let mut digest = 0u64;
-    for (pkt, d) in buf.pkts.iter().zip(buf.out.iter()) {
-        digest = digest.wrapping_add(packet_digest(steering, pkt, d));
+    for (&h, d) in buf.hashes.iter().zip(buf.out.iter()) {
+        digest = digest.wrapping_add(splitmix64(h ^ decision_word(d)));
     }
     buf.folded_packets = buf.pkts.len() as u64;
     buf.folded_digest = digest;
@@ -267,14 +273,14 @@ fn decision_word(d: &ForwardDecision) -> u64 {
 /// Run one job to completion on `pipe`: the worker thread's whole loop
 /// body, and what an inline lane runs on the caller's thread. Batch
 /// buffers are recycled, so a steady-state batch allocates nothing.
-pub(crate) fn run_job(pipe: &mut Pipe, steering: &FlowSteering, job: Job) -> Done {
+pub(crate) fn run_job(pipe: &mut Pipe, job: Job) -> Done {
     match job {
         Job::Batch(mut buf) => {
             buf.out.clear();
             pipe.switch
                 .process_batch_into(&buf.pkts, buf.now, &mut buf.out);
             if buf.fold {
-                fold_batch(steering, &mut buf);
+                fold_batch(&mut buf);
             }
             Done::Batch(buf)
         }
@@ -300,7 +306,6 @@ pub fn running_workers() -> usize {
 /// gone — exit, don't unwind).
 pub(crate) fn worker_loop(
     mut pipe: Pipe,
-    steering: FlowSteering,
     mut jobs: Consumer<Job>,
     mut done: Producer<Done>,
     pin_core: Option<usize>,
@@ -319,7 +324,7 @@ pub(crate) fn worker_loop(
         let _ = sr_exec::pin_current_thread(core);
     }
     while let Some(job) = jobs.pop() {
-        if done.push(run_job(&mut pipe, &steering, job)).is_err() {
+        if done.push(run_job(&mut pipe, job)).is_err() {
             break;
         }
     }

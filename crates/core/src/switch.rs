@@ -1369,6 +1369,35 @@ mod tests {
     }
 
     #[test]
+    fn conn_table_overflow_counts_every_fallback_pin() {
+        // 600 SYNs into a 64-entry ConnTable: the installs that find no
+        // room pin their connections in the fallback table, and the
+        // counter must follow that table's real size, through a close too.
+        let mut sw = SilkRoadSwitch::new(SilkRoadConfig {
+            conn_capacity: 64,
+            ..SilkRoadConfig::small_test()
+        });
+        sw.add_vip(vip(), vec![dip(1), dip(2), dip(3), dip(4)])
+            .unwrap();
+        for p in 0..600u16 {
+            sw.process_packet(
+                &PacketMeta::syn(conn(p)),
+                Nanos::from_micros(100 * u64::from(p)),
+            );
+        }
+        let t = settle(&mut sw, 1_060);
+        let pinned = sw.fallback.len();
+        assert!(pinned > 0, "{}", sw.stats());
+        assert_eq!(sw.stats().fallback_entries as usize, pinned);
+        let overflowed = (0..600u16)
+            .find(|&p| sw.fallback.contains_key(conn(p).key_bytes().as_slice()))
+            .expect("a pinned connection");
+        sw.close_connection(&conn(overflowed), t);
+        assert_eq!(sw.fallback.len(), pinned - 1);
+        assert_eq!(sw.stats().fallback_entries as usize, pinned - 1);
+    }
+
+    #[test]
     fn rolling_reboot_reuses_versions_end_to_end() {
         let mut sw = switch();
         // Live connections keep the original version referenced, which is

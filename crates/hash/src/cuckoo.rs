@@ -31,8 +31,12 @@
 //! separate dense plane of 16-bit match-field lanes, so a hit reads one
 //! plane line per stage probed plus exactly one record line. Digest mode
 //! also keeps an `AliasIndex` for the shadowing repair: per collision
-//! class (`AliasClass`), the members' key bytes packed back to back.
-//! [`CuckooTable::host_bytes`] adds it all up.
+//! class (`AliasClass`), the members' key bytes packed back to back. A
+//! table with at least one slot per digest value (the paper's 16-bit
+//! digest from 64 K slots up) indexes its classes by the digest itself in
+//! a flat array, 40 bytes a class; a wider digest space keeps a map
+//! pre-sized for one class per slot. [`CuckooTable::host_bytes`] adds it
+//! all up.
 
 use crate::digest::DigestFn;
 use crate::hasher::HashFn;
@@ -269,14 +273,76 @@ pub struct CuckooTable<V> {
 }
 
 /// Resident keys grouped by narrowest-stage digest (see `CuckooTable.alias`).
-/// A class whose last member leaves keeps its (empty) slot, and the map is
-/// pre-sized for the worst case at construction: class bookkeeping sits on
+/// A class whose last member leaves keeps its (empty) slot, and the store
+/// is sized for the worst case at construction: class bookkeeping sits on
 /// the connection-setup path, and both choices keep registering and
-/// deregistering a key off the allocator. The retained footprint is bounded
-/// by the digest space (at most `2^bits` classes) and the table capacity.
+/// deregistering a key off the allocator.
 struct AliasIndex {
     digest: DigestFn,
-    classes: crate::FxHashMap<u32, AliasClass>,
+    classes: ClassStore,
+}
+
+/// Where the collision classes live, chosen once from the digest width and
+/// the slot count. A table with at least one slot per digest value holds
+/// every class in a flat array indexed by the class digest itself, as the
+/// ASIC indexes a register array: no hash probe to find a class, and one
+/// [`AliasClass`] per digest value. A table whose digest space outnumbers
+/// its slots keeps a map pre-sized for one class per slot, so its
+/// footprint follows the slots rather than the space.
+enum ClassStore {
+    Flat(Vec<AliasClass>),
+    Map(crate::FxHashMap<u32, AliasClass>),
+}
+
+impl ClassStore {
+    fn new(bits: u8, slots: usize) -> ClassStore {
+        let space = 1u64 << bits;
+        match usize::try_from(space) {
+            Ok(space) if space <= slots => ClassStore::Flat(
+                std::iter::repeat_with(AliasClass::default)
+                    .take(space)
+                    .collect(),
+            ),
+            _ => ClassStore::Map(crate::FxHashMap::with_capacity_and_hasher(
+                slots,
+                Default::default(),
+            )),
+        }
+    }
+
+    fn get(&self, class: u32) -> Option<&AliasClass> {
+        match self {
+            ClassStore::Flat(v) => v.get(class as usize),
+            ClassStore::Map(m) => m.get(&class),
+        }
+    }
+
+    fn get_mut(&mut self, class: u32) -> Option<&mut AliasClass> {
+        match self {
+            ClassStore::Flat(v) => v.get_mut(class as usize),
+            ClassStore::Map(m) => m.get_mut(&class),
+        }
+    }
+
+    /// The class of digest `class`, made if the map holds none yet.
+    fn entry(&mut self, class: u32) -> &mut AliasClass {
+        match self {
+            ClassStore::Flat(v) => &mut v[class as usize],
+            ClassStore::Map(m) => m.entry(class).or_default(),
+        }
+    }
+
+    /// Every class with its digest, empty ones included.
+    fn iter(&self) -> impl Iterator<Item = (u32, &AliasClass)> {
+        let (flat, map) = match self {
+            ClassStore::Flat(v) => (Some(v), None),
+            ClassStore::Map(m) => (None, Some(m)),
+        };
+        let flat = flat.into_iter().flatten().enumerate();
+        let map = map.into_iter().flatten();
+        flat.map(|(i, c)| (i as u32, c))
+            .chain(map.map(|(&k, c)| (k, c)))
+    }
 }
 
 impl AliasIndex {
@@ -292,21 +358,27 @@ impl AliasIndex {
 
     /// Drop a resident key from its collision class.
     fn remove(&mut self, key: &[u8]) {
-        if let Some(members) = self.classes.get_mut(&self.digest.digest(key)) {
+        if let Some(members) = self.classes.get_mut(self.digest.digest(key)) {
             members.remove(key);
         }
     }
 
-    /// Bytes owned: the pre-sized map's buckets and every spilled class
-    /// buffer. The map keeps an eighth of its buckets free, so it holds
-    /// `capacity * 8 / 7` of them, each with one control byte.
+    /// Bytes owned: the class store and every spilled class buffer. The
+    /// array holds one class per digest value; the map keeps an eighth of
+    /// its buckets free, so it holds `capacity * 8 / 7` of them, each with
+    /// one control byte.
     fn host_bytes(&self) -> usize {
-        let bucket = std::mem::size_of::<(u32, AliasClass)>() + 1;
-        let spilled = self.classes.values().map(|c| match c {
+        let store = match &self.classes {
+            ClassStore::Flat(v) => v.capacity() * std::mem::size_of::<AliasClass>(),
+            ClassStore::Map(m) => {
+                m.capacity() * 8 / 7 * (std::mem::size_of::<(u32, AliasClass)>() + 1)
+            }
+        };
+        let spilled = self.classes.iter().map(|(_, c)| match c {
             AliasClass::Inline { .. } => 0,
             AliasClass::Spilled(v) => v.capacity(),
         });
-        self.classes.capacity() * 8 / 7 * bucket + spilled.sum::<usize>()
+        store + spilled.sum::<usize>()
     }
 }
 
@@ -337,6 +409,10 @@ enum AliasClass {
     },
     Spilled(Vec<u8>),
 }
+
+// A class costs 40 bytes in the flat store: the niche in `Vec`'s capacity
+// carries the variant tag.
+const _: () = assert!(std::mem::size_of::<AliasClass>() == 40);
 
 impl Default for AliasClass {
     fn default() -> AliasClass {
@@ -523,17 +599,9 @@ impl<V: Clone> CuckooTable<V> {
         let per_stage = cfg.words_per_stage * cfg.entries_per_word;
         let alias = digests.as_ref().map(|ds| {
             let bits = ds.iter().map(|d| d.bits()).min().unwrap_or(16);
-            // Pre-size the class map for the worst case it can ever reach
-            // (one class per resident, capped by the digest space), so
-            // class registration on the connection-setup path never grows
-            // the map mid-flight.
-            let max_classes = (per_stage * cfg.stages).min(1usize << bits.min(31));
             AliasIndex {
                 digest: DigestFn::new(cfg.seed ^ 0xd1e5, bits),
-                classes: crate::FxHashMap::with_capacity_and_hasher(
-                    max_classes,
-                    Default::default(),
-                ),
+                classes: ClassStore::new(bits, per_stage * cfg.stages),
             }
         });
         CuckooTable {
@@ -1021,7 +1089,7 @@ impl<V: Clone> CuckooTable<V> {
             Some(mh) => a.digest.digest_of(mh),
             None => a.digest.digest(key),
         };
-        let members = a.classes.entry(class).or_default();
+        let members = a.classes.entry(class);
         let lone = members.is_empty();
         members.push(key);
         lone
@@ -1060,7 +1128,7 @@ impl<V: Clone> CuckooTable<V> {
             scratch.members.clear();
             {
                 let a = self.alias.as_ref().expect("checked above");
-                match a.classes.get(&a.class_of(k.as_slice(), pre)) {
+                match a.classes.get(a.class_of(k.as_slice(), pre)) {
                     Some(m) => scratch.members.extend_from_slice(m.bytes()),
                     None => continue,
                 }
@@ -1147,7 +1215,7 @@ impl<V: Clone> CuckooTable<V> {
         let mut probes = 0u64;
         let clean = touched.iter().all(|t| {
             let key = t.key.as_slice();
-            let Some(members) = a.classes.get(&a.class_of(key, pre)) else {
+            let Some(members) = a.classes.get(a.class_of(key, pre)) else {
                 return true;
             };
             let word = t.slot / self.cfg.entries_per_word;
@@ -1779,17 +1847,35 @@ mod tests {
         }
     }
 
-    /// The alias index's invariant: every resident appears exactly once, in
-    /// the class of its narrowest digest; every class member is resident;
-    /// members read oldest-first. The callers insert ever-larger values, so
-    /// oldest-first reads as ascending values.
+    /// Whether `t` keeps its collision classes in the flat array.
+    fn flat_classes(t: &CuckooTable<u32>) -> bool {
+        let a = t.alias.as_ref().expect("digest mode");
+        matches!(a.classes, ClassStore::Flat(_))
+    }
+
+    /// The alias index's invariant: the store is the one the geometry
+    /// picks; every resident appears exactly once, in the class of its
+    /// narrowest digest; every class member is resident; members read
+    /// oldest-first. The callers insert ever-larger values, so oldest-first
+    /// reads as ascending values.
     fn check_alias_consistent(t: &CuckooTable<u32>) {
         let a = t.alias.as_ref().expect("digest mode");
+        let space = 1u64 << a.digest.bits();
+        assert_eq!(
+            flat_classes(t),
+            space <= t.config().total_slots() as u64,
+            "{} digest bits over {} slots",
+            a.digest.bits(),
+            t.config().total_slots()
+        );
+        if let ClassStore::Flat(v) = &a.classes {
+            assert_eq!(v.len() as u64, space, "one class per digest value");
+        }
         let mut members = 0;
-        for (class, c) in &a.classes {
+        for (class, c) in a.classes.iter() {
             let mut newest = None;
             for m in c.iter() {
-                assert_eq!(a.digest.digest(m), *class, "{m:?} in the wrong class");
+                assert_eq!(a.digest.digest(m), class, "{m:?} in the wrong class");
                 let (stage, slot) = t.find_exact(m).expect("class member is resident");
                 let value = t.slots[stage][slot].as_ref().map(|e| e.value);
                 assert!(
@@ -1959,10 +2045,14 @@ mod tests {
         // run the full scan. Placement is the match-field planes on every
         // step (one memcmp) and the full `iter()` order on every eighth and
         // the last: walking every slot of both tables after each of
-        // 6 x capacity steps is what would make this test take 20 s.
+        // 6 x capacity steps is what would make this test take 20 s. The
+        // narrow tables cover their digest space and keep their classes in
+        // the flat array; the 16-bit one keeps them in the map.
+        let mut stores = Vec::new();
         for (bits, words_per_stage) in [(8u8, 64usize), (8, 32), (9, 128), (10, 256), (16, 64)] {
             let mut screened = digest_table(bits, words_per_stage, 7);
             let mut full = digest_table(bits, words_per_stage, 7);
+            stores.push(flat_classes(&screened));
             full.screen_bypass = true;
             let capacity = screened.config().total_slots();
             let steps = 6 * capacity;
@@ -2003,6 +2093,39 @@ mod tests {
                 screened.repair_probes() < full.repair_probes(),
                 "the screen saved nothing at {bits} bits"
             );
+        }
+        assert!(
+            stores.contains(&true) && stores.contains(&false),
+            "{stores:?}"
+        );
+    }
+
+    #[test]
+    fn class_store_follows_the_geometry() {
+        // The array needs one slot per digest value; one slot short of
+        // that, or any digest space wider than the table, keeps the map.
+        for (bits, words_per_stage, flat) in [
+            (8u8, 16usize, true),
+            (8, 15, false),
+            (16, 4096, true),
+            (16, 4095, false),
+            (24, 5390, false),
+        ] {
+            let mut t = digest_table(bits, words_per_stage, 3);
+            assert_eq!(
+                flat_classes(&t),
+                flat,
+                "{bits} bits, {words_per_stage} words"
+            );
+            // Both stores register, find and drop members alike.
+            let n = (t.config().total_slots() / 2) as u32;
+            for i in 0..n {
+                t.insert(&key(i), i).unwrap();
+            }
+            for i in (0..n).step_by(3) {
+                t.remove(&key(i)).unwrap();
+            }
+            check_alias_consistent(&t);
         }
     }
 
@@ -2281,8 +2404,8 @@ mod tests {
         // 65 536 slots under a 12-bit digest, filled to load 0.8 with
         // 13-byte (v4 5-tuple sized) keys: ~13 residents per collision
         // class, the ratio a 16-bit digest has at a million flows, and the
-        // pre-sized class map (4 096 classes) is a few bytes per slot
-        // instead of the whole budget. One 64-byte record, a 2-byte plane
+        // class array (4 096 classes) is a few bytes per slot instead of
+        // the whole budget. One 64-byte record, a 2-byte plane
         // lane and the packed alias bytes must come in under 100 B/slot;
         // the 112-byte entries and 41-byte alias copies this replaced cost
         // about 170.

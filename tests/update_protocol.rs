@@ -100,18 +100,11 @@ fn conn_table_overflow_spills_to_software() {
     sw.advance(t);
     let s = sw.stats();
     assert!(s.conn_table_overflows > 0, "{s}");
-    assert_eq!(s.fallback_entries as usize, sw_fallback_len(&sw, s));
     // Overflowed connections still map consistently.
     let d1 = sw.process_packet(&PacketMeta::data(conn(599), 100), t);
     let d2 = sw.process_packet(&PacketMeta::data(conn(599), 100), t);
     assert_eq!(d1.dip, d2.dip);
     assert!(d1.dip.is_some());
-}
-
-fn sw_fallback_len(_sw: &SilkRoadSwitch, s: &silkroad::SwitchStats) -> usize {
-    // fallback_entries is maintained as a counter; cross-check is indirect
-    // (the field is private), so just sanity-bound it here.
-    s.fallback_entries as usize
 }
 
 #[test]

@@ -7,8 +7,8 @@
 # cmp'd between --jobs 1 and --jobs 2, the replay smoke golden,
 # the `repro all` and examples goldens, the release-mode
 # allocation regression, the repo benchmark's smoke pass (which must leave
-# its lockfile untouched), and its hit-1m seed-1530 PCC and peak-RSS
-# regression gates.
+# its lockfile untouched), its hit-1m seed-1530 PCC and peak-RSS
+# regression gates, and its hit-64k peak-RSS regression gate.
 #
 # Clippy/fmt run per first-party package rather than --workspace: the
 # vendored stand-ins under vendor/ mirror upstream APIs and are exempt
@@ -199,6 +199,22 @@ grep -q '"correct": true' <<< "$twins"
 rss_mb="$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9]*\).*/\1/p' <<< "$twins")"
 if [ -z "$rss_mb" ] || [ "$rss_mb" -gt 430 ]; then
     echo "hit-1m peak RSS ${rss_mb:-unreadable} MB exceeds the 430 MB gate" >&2
+    exit 1
+fi
+
+# Peak-RSS gate at the paper's 64 K geometry, where the ConnTable has one
+# slot per 16-bit digest value and so keeps its collision classes in a
+# flat array indexed by the digest (2.6 MB) rather than a map rounded up
+# to 131 072 buckets (6.4 MB). The run peaks near 31 MB with the array and
+# near 34.6 MB with the map; above 33 the map (or something as large) is
+# back. ~5 s.
+echo "== benchmark hit-64k seed 1 (peak-RSS regression gate)"
+small="$(bash benchmark/run.sh --workload hit-64k --seed 1 --seconds 1 --trace 0 | tail -1)"
+echo "$small"
+grep -q '"correct": true' <<< "$small"
+rss_mb="$(sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p' <<< "$small")"
+if [ -z "$rss_mb" ] || ! awk -v r="$rss_mb" 'BEGIN { exit !(r <= 33) }'; then
+    echo "hit-64k peak RSS ${rss_mb:-unreadable} MB exceeds the 33 MB gate" >&2
     exit 1
 fi
 
